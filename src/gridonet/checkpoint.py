@@ -18,9 +18,14 @@ from pathlib import Path
 
 import numpy as np
 
-__all__ = ["MAGIC", "flatten", "unflatten", "save_checkpoint", "load_checkpoint"]
+__all__ = ["MAGIC", "CheckpointError", "flatten", "unflatten", "save_checkpoint",
+           "load_checkpoint"]
 
 MAGIC = "GONC1"
+
+
+class CheckpointError(ValueError):
+    """The file is not a whole checkpoint: bad header, manifest or blob."""
 
 
 def flatten(params: dict) -> tuple[list[tuple[str, tuple[int, ...]]], np.ndarray]:
@@ -67,17 +72,25 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     raw = Path(path).read_bytes()
-    nl = raw.index(b"\n")
-    magic, mlen = raw[:nl].decode().split()
-    if magic != MAGIC:
-        raise ValueError(f"not a checkpoint file: bad magic {magic!r}")
-    mlen = int(mlen)
-    manifest = json.loads(raw[nl + 1 : nl + 1 + mlen].decode())
-    blob = raw[nl + 1 + mlen :]
+    nl = raw.find(b"\n")
+    header = raw[:nl].split() if nl >= 0 else []
+    if len(header) != 2 or header[0] != MAGIC.encode() or not header[1].isdigit():
+        raise CheckpointError(f"{path}: not a checkpoint file: bad header {raw[:16]!r}")
+    start = nl + 1 + int(header[1])
+    try:
+        manifest = json.loads(raw[nl + 1 : start])
+        entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
+    except (ValueError, KeyError, TypeError) as e:
+        raise CheckpointError(f"{path}: bad or truncated manifest: {e}") from None
+    blob = raw[start:]
     params = {}
-    for e in manifest["params"]:
-        shape = tuple(e["shape"])
+    for name, shape, offset in entries:
         n = int(np.prod(shape, dtype=np.int64))
-        a = np.frombuffer(blob, dtype="<f8", count=n, offset=e["offset"])
-        params[e["name"]] = a.astype(np.float64).reshape(shape)
+        if offset + 8 * n > len(blob):
+            raise CheckpointError(
+                f"{path}: truncated: {name!r} ends at blob byte {offset + 8 * n}, "
+                f"the blob has {len(blob)}"
+            )
+        a = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
+        params[name] = a.astype(np.float64).reshape(shape)
     return params, manifest.get("meta", {})

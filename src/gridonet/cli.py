@@ -3,13 +3,18 @@
 Every command is a pure function of (config file, flags, input files); reruns
 write byte-identical artifacts. The effective merged configuration is echoed
 into each output manifest. Usage errors exit 2, runtime failures exit 1.
+
+Settings live in one place, the `OPTIONS` table: one row per config key,
+with its INI section, default string, type, help and the commands that take
+it as a flag. The INI defaults, every command's config flags, the flag ->
+config override and the typed reads (`opts`) all come from that table, so a
+new setting is one new row there.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import copy
 import hashlib
 import json
 import sys
@@ -18,7 +23,7 @@ from pathlib import Path
 import numpy as np
 
 from . import gridsim as gs
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import SplitSpec, add_input_noise, build_test, build_train, split_pools
 from .deeponet import (
     DeepOnetConfig,
@@ -33,58 +38,72 @@ from .train import TrainConfig, TrainingError, fit
 from . import uqeval
 
 
-DEFAULTS = {
-    "paths": {"workdir": "runs/desk"},
-    "simulate": {
-        "load_scale": "1.51",
-        "monitor_bus": "4",
-        "n1": "300",
-        "n2": "300",
-        "seed": "0",
-        "h_max": "1e-3",
-    },
-    "dataset": {
-        "m": "200",
-        "queries": "10",
-        "train_frac": "0.7",
-        "seed": "0",
-        "query_seed": "0",
-    },
-    "deeponet": {"q": "100", "width": "100", "depth": "3"},
-    "train": {
-        "epochs": "2000",
-        "batch_size": "256",
-        "lr": "1e-4",
-        "patience": "200",
-        "factor": "0.5",
-        "min_lr": "1e-6",
-        "seed": "0",
-    },
-    "sghmc": {
-        "sigma_l": "0.01",
-        "prior_lambda": "1.0",
-        "eps_t": "1e-5",
-        "c": "10.0",
-        "b_hat": "0.0",
-        "m_inner": "50",
-        "n_outer": "2000",
-        "burn_in": "1000",
-        "thinning": "5",
-        "m_ensemble": "100",
-        "batch_size": "256",
-        "seed": "0",
-    },
-    "evaluate": {
-        "level": "0.95",
-        "count": "100",
-        "seed": "0",
-        "bands": "5",
-        "chi_max": "3.0",
-        "chi_points": "31",
-        "y_star": "2.2",
-        "noise_seed": "0",
-    },
+TOP = "gridonet"  # the top-level parser: its flags come before the command
+NET = ("train", "sghmc")  # the commands that build a network from [deeponet]
+
+OPTIONS = (
+    # section, key, default, type, help, commands that take the key as a flag
+    ("paths", "workdir", "runs/desk", str, "artifact directory", (TOP,)),
+    ("simulate", "load_scale", "1.51", float, "uniform load/generation stress", ("simulate",)),
+    ("simulate", "monitor_bus", "4", int, "recorded bus (0-based)", ("simulate",)),
+    ("simulate", "n1", "300", int, "N-1 pool size", ("simulate",)),
+    ("simulate", "n2", "300", int, "N-2 pool size", ("simulate",)),
+    ("simulate", "seed", "0", int, "pool sampling seed", ("simulate",)),
+    ("simulate", "h_max", "1e-3", float, "max RK4 step, s", ("simulate",)),
+    ("dataset", "m", "200", int, "branch sensors", ("dataset",)),
+    ("dataset", "queries", "10", int, "training queries per trajectory", ("dataset",)),
+    ("dataset", "train_frac", "0.7", float, "train fraction", ("dataset",)),
+    ("dataset", "seed", "0", int, "split shuffle seed", ("dataset",)),
+    ("dataset", "query_seed", "0", int, "query sampling seed", ("dataset",)),
+    ("deeponet", "q", "100", int, "latent feature dimension", NET),
+    ("deeponet", "width", "100", int, "hidden layer width", NET),
+    ("deeponet", "depth", "3", int, "hidden layers per sub-net", NET),
+    ("train", "epochs", "2000", int, "training epochs", ("train",)),
+    ("train", "batch_size", "256", int, "minibatch size", ("train",)),
+    ("train", "lr", "1e-4", float, "initial learning rate", ("train",)),
+    ("train", "patience", "200", int, "epochs without improvement before a drop",
+     ("train",)),
+    ("train", "factor", "0.5", float, "learning-rate drop factor", ("train",)),
+    ("train", "min_lr", "1e-6", float, "learning-rate floor", ("train",)),
+    ("train", "seed", "0", int, "init and minibatch seed", ("train",)),
+    ("sghmc", "sigma_l", "0.01", float, "likelihood noise scale, pu", ("sghmc",)),
+    ("sghmc", "prior_lambda", "1.0", float, "Gaussian prior precision", ("sghmc",)),
+    ("sghmc", "eps_t", "1e-5", float, "step size", ("sghmc",)),
+    ("sghmc", "c", "10.0", float, "friction constant", ("sghmc",)),
+    ("sghmc", "b_hat", "0.0", float, "gradient-noise estimate, at most c", ("sghmc",)),
+    ("sghmc", "m_inner", "50", int, "inner steps per outer iteration", ("sghmc",)),
+    ("sghmc", "n_outer", "2000", int, "outer iterations", ("sghmc",)),
+    ("sghmc", "burn_in", "1000", int, "outer iterations discarded", ("sghmc",)),
+    ("sghmc", "thinning", "5", int, "keep every k-th retained sample", ("sghmc",)),
+    ("sghmc", "m_ensemble", "100", int, "retained ensemble size", ("sghmc",)),
+    ("sghmc", "batch_size", "256", int, "minibatch size", ("sghmc",)),
+    ("sghmc", "seed", "0", int, "chain seed", ("sghmc",)),
+    ("evaluate", "level", "0.95", float, "CI level", ("evaluate", "alarms", "predict")),
+    ("evaluate", "count", "100", int, "random test trajectories to score", ("evaluate",)),
+    ("evaluate", "seed", "0", int, "test subsample seed", ("evaluate",)),
+    ("evaluate", "bands", "5", int, "scored trajectories written to the bands CSV",
+     ("evaluate",)),
+    ("evaluate", "chi_max", "3.0", float, "largest chi of the coverage curve", ("evaluate",)),
+    ("evaluate", "chi_points", "31", int, "points on the coverage curve", ("evaluate",)),
+    ("evaluate", "y_star", "2.2", float, "alarm probe time, s", ("alarms",)),
+    ("evaluate", "noise_seed", "0", int, "sensor-noise seed", ("evaluate",)),
+)
+
+DEFAULTS = {section: {key: default for sec, key, default, *_ in OPTIONS if sec == section}
+            for section, *_ in OPTIONS}
+
+COMMANDS = {
+    "simulate": "generate N-1/N-2 trajectory pools",
+    "dataset": "split pools and fix dataset seeds",
+    "train": "train the vanilla or probabilistic model",
+    "sghmc": "sample a posterior weight ensemble",
+    "predict": "write one trajectory's predicted curve",
+    "evaluate": "error/coverage reports on the test split",
+    "alarms": "under-voltage alarm classification at y*",
+    "residuals": "residual normality report",
 }
+WHICH = ("vanilla", "prob", "bayes")
+GEOMETRY = ("m", "q", "width", "depth")  # checkpoint meta keys of DeepOnetConfig
 
 
 class UsageError(ValueError):
@@ -92,7 +111,7 @@ class UsageError(ValueError):
 
 
 def load_config(path: str | None) -> dict:
-    cfg = copy.deepcopy(DEFAULTS)
+    cfg = {section: dict(keys) for section, keys in DEFAULTS.items()}
     if path is None:
         return cfg
     if not Path(path).exists():
@@ -109,19 +128,25 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
-def apply_overrides(cfg: dict, args, mapping: dict) -> None:
-    for dest, (section, key) in mapping.items():
-        value = getattr(args, dest, None)
-        if value is not None:
-            cfg[section][key] = str(value)
+def opts(cfg: dict, section: str) -> dict:
+    """The keys of one config section, cast to their `OPTIONS` types."""
+    out = {}
+    for sec, key, _, cast, *_ in OPTIONS:
+        if sec == section:
+            raw = cfg[sec][key]
+            try:
+                out[key] = cast(raw)
+            except ValueError:
+                raise UsageError(f"bad value for [{sec}] {key}: {raw!r}") from None
+    return out
 
 
-def cfg_get(cfg, section, key, cast=str):
-    raw = cfg[section][key]
+def _build(cls, **kwargs):
+    """A config dataclass; a value its validation rejects is a usage error."""
     try:
-        return cast(raw)
-    except ValueError:
-        raise UsageError(f"bad value for [{section}] {key}: {raw!r}")
+        return cls(**kwargs)
+    except ValueError as e:
+        raise UsageError(str(e)) from None
 
 
 def file_sha256(path) -> str:
@@ -136,39 +161,25 @@ def workdir(cfg) -> Path:
     return Path(cfg["paths"]["workdir"])
 
 
-def _model_from_cfg(cfg) -> gs.GridModel:
-    return gs.build_model(
-        load_scale=cfg_get(cfg, "simulate", "load_scale", float),
-        monitor_bus=cfg_get(cfg, "simulate", "monitor_bus", int),
-    )
-
-
 def _net_cfg(cfg, m: int) -> DeepOnetConfig:
-    return DeepOnetConfig(
-        m=m,
-        q=cfg_get(cfg, "deeponet", "q", int),
-        width=cfg_get(cfg, "deeponet", "width", int),
-        depth=cfg_get(cfg, "deeponet", "depth", int),
-    )
+    return _build(DeepOnetConfig, m=m, **opts(cfg, "deeponet"))
 
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(cfg) -> int:
-    n1 = cfg_get(cfg, "simulate", "n1", int)
-    n2 = cfg_get(cfg, "simulate", "n2", int)
+def cmd_simulate(cfg, args) -> int:
+    o = opts(cfg, "simulate")
+    n1, n2, seed = o["n1"], o["n2"], o["seed"]
     if n1 < 1 or n2 < 1:
         raise UsageError(f"pool sizes must be >= 1, got n1={n1}, n2={n2}")
-    seed = cfg_get(cfg, "simulate", "seed", int)
-    h_max = cfg_get(cfg, "simulate", "h_max", float)
-    model = _model_from_cfg(cfg)
+    model = gs.build_model(load_scale=o["load_scale"], monitor_bus=o["monitor_bus"])
     out = workdir(cfg) / "pools"
     out.mkdir(parents=True, exist_ok=True)
     report = {}
     for kind, count, sub in (("N1", n1, 10), ("N2", n2, 11)):
         offset = 0 if kind == "N1" else n1
         pool, rejections = gs.generate_pool(
-            model, count, kind, seed=[seed, sub], id_offset=offset, h_max=h_max
+            model, count, kind, seed=[seed, sub], id_offset=offset, h_max=o["h_max"]
         )
         path = out / f"{kind.lower()}.jsonl"
         gs.save_pool(path, pool, model, seed=[seed, sub], rejections=rejections)
@@ -195,24 +206,19 @@ def _load_pools(cfg):
     return pools["n1"], pools["n2"]
 
 
+def _pool_sha256(cfg) -> dict:
+    return {k: file_sha256(workdir(cfg) / "pools" / f"{k}.jsonl") for k in ("n1", "n2")}
+
+
 # ----------------------------------------------------------------- dataset
 
-def _split_spec(cfg) -> SplitSpec:
-    return SplitSpec(
-        m=cfg_get(cfg, "dataset", "m", int),
-        Q=cfg_get(cfg, "dataset", "queries", int),
-        train_frac=cfg_get(cfg, "dataset", "train_frac", float),
-    )
-
-
-def cmd_dataset(cfg) -> int:
-    spec = _split_spec(cfg)
-    seed = cfg_get(cfg, "dataset", "seed", int)
+def cmd_dataset(cfg, args) -> int:
+    o = opts(cfg, "dataset")
+    spec = _build(SplitSpec, m=o["m"], Q=o["queries"], train_frac=o["train_frac"])
     n1, n2 = _load_pools(cfg)
-    train, test = split_pools(n1, n2, spec.train_frac, seed=seed)
+    train, test = split_pools(n1, n2, spec.train_frac, seed=o["seed"])
     out = workdir(cfg) / "dataset"
     out.mkdir(parents=True, exist_ok=True)
-    pools_dir = workdir(cfg) / "pools"
     doc = {
         "train_ids": [tr.traj_id for tr in train],
         "test_ids": [tr.traj_id for tr in test],
@@ -220,8 +226,8 @@ def cmd_dataset(cfg) -> int:
             "m": spec.m, "queries": spec.Q, "train_frac": spec.train_frac,
             "t_cl": spec.t_cl, "T": spec.T, "n_mesh": spec.n_mesh,
         },
-        "seeds": {"split": seed, "queries": cfg_get(cfg, "dataset", "query_seed", int)},
-        "pool_sha256": {k: file_sha256(pools_dir / f"{k}.jsonl") for k in ("n1", "n2")},
+        "seeds": {"split": o["seed"], "queries": o["query_seed"]},
+        "pool_sha256": _pool_sha256(cfg),
         "config": cfg,
     }
     write_json(out / "split.json", doc)
@@ -235,6 +241,8 @@ def _load_split(cfg):
         raise UsageError(f"missing split manifest {path}; run `dataset` first")
     doc = json.loads(path.read_text())
     n1, n2 = _load_pools(cfg)
+    if doc.get("pool_sha256") != _pool_sha256(cfg):
+        raise UsageError("pools changed since `dataset`; rerun `dataset`")
     by_id = {tr.traj_id: tr for tr in n1 + n2}
     try:
         train = [by_id[i] for i in doc["train_ids"]]
@@ -242,8 +250,8 @@ def _load_split(cfg):
     except KeyError as e:
         raise UsageError(f"split references unknown trajectory id {e}")
     s = doc["spec"]
-    spec = SplitSpec(m=s["m"], Q=s["queries"], train_frac=s["train_frac"],
-                     t_cl=s["t_cl"], T=s["T"], n_mesh=s["n_mesh"])
+    spec = _build(SplitSpec, m=s["m"], Q=s["queries"], train_frac=s["train_frac"],
+                  t_cl=s["t_cl"], T=s["T"], n_mesh=s["n_mesh"])
     return train, test, spec, doc
 
 
@@ -253,29 +261,19 @@ def _write_csv(path, header, rows):
     uqeval.write_csv(path, header, rows)
 
 
-def cmd_train(cfg, kind: str) -> int:
-    if kind not in ("vanilla", "prob"):
-        raise UsageError(f"--model must be vanilla or prob, got {kind!r}")
+def cmd_train(cfg, args) -> int:
+    kind = args.model
+    config = _build(TrainConfig, **opts(cfg, "train"))
     train_pool, _, spec, doc = _load_split(cfg)
     net = _net_cfg(cfg, spec.m)
     samples = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
-    config = TrainConfig(
-        epochs=cfg_get(cfg, "train", "epochs", int),
-        batch_size=cfg_get(cfg, "train", "batch_size", int),
-        lr=cfg_get(cfg, "train", "lr", float),
-        patience=cfg_get(cfg, "train", "patience", int),
-        factor=cfg_get(cfg, "train", "factor", float),
-        min_lr=cfg_get(cfg, "train", "min_lr", float),
-        seed=cfg_get(cfg, "train", "seed", int),
-    )
     init = init_vanilla if kind == "vanilla" else init_prob
     params0 = init(net, seed=config.seed)
     params, history = fit(kind, params0, net, samples, config)
     out = workdir(cfg) / "models"
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / f"{kind}.ckpt"
-    meta = {"kind": kind, "m": net.m, "q": net.q, "width": net.width, "depth": net.depth}
-    save_checkpoint(ckpt, params, meta=meta)
+    save_checkpoint(ckpt, params, meta={"kind": kind, **{k: getattr(net, k) for k in GEOMETRY}})
     _write_csv(out / f"{kind}_loss.csv",
                ["epoch", "train_loss", "val_loss", "lr"],
                [[h["epoch"], h["train_loss"], h["val_loss"], h["lr"]] for h in history])
@@ -291,32 +289,20 @@ def cmd_train(cfg, kind: str) -> int:
 
 # ------------------------------------------------------------------- sghmc
 
-def cmd_sghmc(cfg, init_path: str | None) -> int:
+def cmd_sghmc(cfg, args) -> int:
+    o = opts(cfg, "sghmc")
+    bc = _build(BayesConfig, C=o.pop("c"), B_hat=o.pop("b_hat"), M=o.pop("m_ensemble"), **o)
     train_pool, _, spec, doc = _load_split(cfg)
     net = _net_cfg(cfg, spec.m)
-    init_path = Path(init_path or (workdir(cfg) / "models" / "vanilla.ckpt"))
+    init_path = Path(args.init or (workdir(cfg) / "models" / "vanilla.ckpt"))
     if not init_path.exists():
         raise UsageError(f"missing init checkpoint {init_path}")
     params0, meta = load_checkpoint(init_path)
-    if meta.get("m") != net.m or meta.get("q") != net.q:
-        raise UsageError(
-            f"checkpoint geometry (m={meta.get('m')}, q={meta.get('q')}) does not "
-            f"match the dataset/deeponet config (m={net.m}, q={net.q})"
-        )
-    bc = BayesConfig(
-        sigma_l=cfg_get(cfg, "sghmc", "sigma_l", float),
-        prior_lambda=cfg_get(cfg, "sghmc", "prior_lambda", float),
-        eps_t=cfg_get(cfg, "sghmc", "eps_t", float),
-        C=cfg_get(cfg, "sghmc", "c", float),
-        B_hat=cfg_get(cfg, "sghmc", "b_hat", float),
-        m_inner=cfg_get(cfg, "sghmc", "m_inner", int),
-        n_outer=cfg_get(cfg, "sghmc", "n_outer", int),
-        burn_in=cfg_get(cfg, "sghmc", "burn_in", int),
-        thinning=cfg_get(cfg, "sghmc", "thinning", int),
-        M=cfg_get(cfg, "sghmc", "m_ensemble", int),
-        batch_size=cfg_get(cfg, "sghmc", "batch_size", int),
-        seed=cfg_get(cfg, "sghmc", "seed", int),
-    )
+    got = {k: meta.get(k) for k in GEOMETRY}
+    want = {k: getattr(net, k) for k in GEOMETRY}
+    if got != want:
+        raise UsageError(f"checkpoint geometry {got} does not match "
+                         f"the dataset/deeponet config {want}")
     samples = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
     members, trace = sghmc_run(params0, net, samples, bc)
     out = workdir(cfg) / "models" / "bayes"
@@ -352,8 +338,7 @@ def _load_predictor(cfg, which: str):
         if not path.exists():
             raise UsageError(f"missing checkpoint {path}; run `train --model {which}`")
         params, meta = load_checkpoint(path)
-        net = DeepOnetConfig(m=meta["m"], q=meta["q"], width=meta["width"],
-                             depth=meta["depth"])
+        net = _build(DeepOnetConfig, **{k: meta[k] for k in GEOMETRY})
         if which == "vanilla":
             def fn(u, ys, level):
                 return predict(params, net, u, ys), None, None, None
@@ -374,8 +359,7 @@ def _load_predictor(cfg, which: str):
             members.append(params)
         if len(members) < 2:
             raise UsageError("ensemble has fewer than 2 members")
-        net = DeepOnetConfig(m=meta["m"], q=meta["q"], width=meta["width"],
-                             depth=meta["depth"])
+        net = _build(DeepOnetConfig, **{k: meta[k] for k in GEOMETRY})
 
         def fn(u, ys, level):
             mean, std, _ = ensemble_predict(members, net, u, ys)
@@ -400,29 +384,28 @@ def _maybe_noisy(u, traj_id, sigma, noise_seed):
 
 # ---------------------------------------------------------------- evaluate
 
-def cmd_evaluate(cfg, which: str, noise: float) -> int:
+def cmd_evaluate(cfg, args) -> int:
+    which, noise = args.which, args.noise
+    if noise < 0:
+        raise UsageError(f"--noise must be >= 0, got {noise}")
+    o = opts(cfg, "evaluate")
+    level = o["level"]
     _, test_pool, spec, _ = _load_split(cfg)
     net, predict_fn = _load_predictor(cfg, which)
     _check_geometry(net, spec)
-    level = cfg_get(cfg, "evaluate", "level", float)
-    count = cfg_get(cfg, "evaluate", "count", int)
-    seed = cfg_get(cfg, "evaluate", "seed", int)
-    noise_seed = cfg_get(cfg, "evaluate", "noise_seed", int)
-    if noise < 0:
-        raise UsageError(f"--noise must be >= 0, got {noise}")
 
     cases = build_test(test_pool, spec)
     ids = [tr.traj_id for tr in test_pool]
-    if count < len(cases):
-        sel = np.sort(np.random.default_rng([seed, 4]).choice(
-            len(cases), size=count, replace=False))
+    if o["count"] < len(cases):
+        sel = np.sort(np.random.default_rng([o["seed"], 4]).choice(
+            len(cases), size=o["count"], replace=False))
     else:
         sel = np.arange(len(cases))
 
-    reports, mus, sigmas, truths = [], [], [], []
-    for k in sel:
+    reports, mus, sigmas, truths, band_rows = [], [], [], [], []
+    for i, k in enumerate(sel):
         u, mesh, truth = cases[k]
-        u = _maybe_noisy(u, ids[k], noise, noise_seed)
+        u = _maybe_noisy(u, ids[k], noise, o["noise_seed"])
         mean, std, lo, hi = predict_fn(u, mesh, level)
         l1, l2 = uqeval.relative_errors(mean, truth)
         eps = np.nan if std is None else uqeval.epsilon_ratio(lo, hi, truth)
@@ -431,6 +414,11 @@ def cmd_evaluate(cfg, which: str, noise: float) -> int:
             mus.append(mean)
             sigmas.append(std)
             truths.append(truth)
+        if i < o["bands"]:
+            band_rows += [[ids[k], float(mesh[j]), float(truth[j]), float(mean[j]),
+                           np.nan if lo is None else float(lo[j]),
+                           np.nan if hi is None else float(hi[j])]
+                          for j in range(len(mesh))]
 
     out = workdir(cfg) / "eval"
     out.mkdir(parents=True, exist_ok=True)
@@ -446,25 +434,12 @@ def cmd_evaluate(cfg, which: str, noise: float) -> int:
 
     outputs = [f"{tag}_report.csv", f"{tag}_per_traj.csv"]
     if mus:
-        chis = np.linspace(0.0, cfg_get(cfg, "evaluate", "chi_max", float),
-                           cfg_get(cfg, "evaluate", "chi_points", int))
+        chis = np.linspace(0.0, o["chi_max"], o["chi_points"])
         emp, ana = uqeval.chi_coverage_curve(mus, sigmas, truths, chis)
         _write_csv(out / f"{tag}_chi.csv", ["chi", "empirical", "analytic"],
                    [[float(c), float(e), float(a)] for c, e, a in zip(chis, emp, ana)])
         outputs.append(f"{tag}_chi.csv")
 
-    n_bands = min(cfg_get(cfg, "evaluate", "bands", int), len(sel))
-    band_rows = []
-    for k in sel[:n_bands]:
-        u, mesh, truth = cases[k]
-        u = _maybe_noisy(u, ids[k], noise, noise_seed)
-        mean, std, lo, hi = predict_fn(u, mesh, level)
-        for j in range(len(mesh)):
-            band_rows.append([
-                ids[k], float(mesh[j]), float(truth[j]), float(mean[j]),
-                np.nan if lo is None else float(lo[j]),
-                np.nan if hi is None else float(hi[j]),
-            ])
     _write_csv(out / f"{tag}_bands.csv",
                ["traj_id", "y", "truth", "mean", "lower", "upper"], band_rows)
     outputs.append(f"{tag}_bands.csv")
@@ -483,14 +458,15 @@ def cmd_evaluate(cfg, which: str, noise: float) -> int:
 
 # ------------------------------------------------------------------ alarms
 
-def cmd_alarms(cfg, which: str, y_star: float | None) -> int:
+def cmd_alarms(cfg, args) -> int:
+    which = args.which
     if which == "vanilla":
         raise UsageError("alarm analysis needs a predictive band; use prob or bayes")
+    o = opts(cfg, "evaluate")
+    level, y_star = o["level"], o["y_star"]
     _, test_pool, spec, _ = _load_split(cfg)
     net, predict_fn = _load_predictor(cfg, which)
     _check_geometry(net, spec)
-    level = cfg_get(cfg, "evaluate", "level", float)
-    y_star = cfg_get(cfg, "evaluate", "y_star", float) if y_star is None else y_star
     cases = build_test(test_pool, spec)
     items = []
     for tr, (u, _, _) in zip(test_pool, cases):
@@ -504,11 +480,11 @@ def cmd_alarms(cfg, which: str, y_star: float | None) -> int:
     _write_csv(out / f"{which}_alarms.csv",
                ["traj_id", "truth", "mean", "lower", "upper",
                 "fn", "tp", "fp_conservative", "fp_nonconservative", "tn"],
-               [[o.traj_id, o.truth, o.mean, o.lower, o.upper,
-                 int(o.flags["FN"]), int(o.flags["TP"]),
-                 int(o.flags["FP_conservative"]),
-                 int(o.flags["FP_nonconservative"]), int(o.flags["TN"])]
-                for o in outcomes])
+               [[a.traj_id, a.truth, a.mean, a.lower, a.upper,
+                 int(a.flags["FN"]), int(a.flags["TP"]),
+                 int(a.flags["FP_conservative"]),
+                 int(a.flags["FP_nonconservative"]), int(a.flags["TN"])]
+                for a in outcomes])
     write_json(out / f"{which}_alarms.manifest.json",
                {"config": cfg, "which": which, "level": level, "summary": summary})
     print(f"{which} alarms at y*={y_star}: FN={summary['FN']} "
@@ -520,7 +496,8 @@ def cmd_alarms(cfg, which: str, y_star: float | None) -> int:
 
 # --------------------------------------------------------------- residuals
 
-def cmd_residuals(cfg, which: str) -> int:
+def cmd_residuals(cfg, args) -> int:
+    which = args.which
     _, test_pool, spec, _ = _load_split(cfg)
     net, predict_fn = _load_predictor(cfg, which)
     _check_geometry(net, spec)
@@ -548,23 +525,22 @@ def cmd_residuals(cfg, which: str) -> int:
 
 # ----------------------------------------------------------------- predict
 
-def cmd_predict(cfg, which: str, traj_id: int | None, out_path: str | None) -> int:
+def cmd_predict(cfg, args) -> int:
+    which, traj_id = args.which, args.traj_id
+    level = opts(cfg, "evaluate")["level"]
     _, test_pool, spec, _ = _load_split(cfg)
     net, predict_fn = _load_predictor(cfg, which)
     _check_geometry(net, spec)
-    level = cfg_get(cfg, "evaluate", "level", float)
     by_id = {tr.traj_id: tr for tr in test_pool}
     if traj_id is None:
         traj_id = min(by_id)
     if traj_id not in by_id:
         raise UsageError(f"trajectory {traj_id} is not in the test split")
-    tr = by_id[traj_id]
-    idx = [t.traj_id for t in test_pool].index(traj_id)
-    u, mesh, truth = build_test([test_pool[idx]], spec)[0]
+    u, mesh, truth = build_test([by_id[traj_id]], spec)[0]
     mean, std, lo, hi = predict_fn(u, mesh, level)
     out = workdir(cfg) / "eval"
     out.mkdir(parents=True, exist_ok=True)
-    path = Path(out_path) if out_path else out / f"predict_{which}_{traj_id}.csv"
+    path = Path(args.out) if args.out else out / f"predict_{which}_{traj_id}.csv"
     nanv = float("nan")
     _write_csv(path, ["y", "truth", "mean", "std", "lower", "upper"],
                [[float(mesh[j]), float(truth[j]), float(mean[j]),
@@ -579,124 +555,52 @@ def cmd_predict(cfg, which: str, traj_id: int | None, out_path: str | None) -> i
 
 def build_parser() -> argparse.ArgumentParser:
     p = argparse.ArgumentParser(
-        prog="gridonet",
+        prog=TOP,
         description="Operator-learning pipeline for post-fault voltage prediction",
     )
-    p.add_argument("--config", help="INI config file; flags override its keys")
-    p.add_argument("--workdir", help="artifact directory (default runs/desk)")
+    p.add_argument("--config", metavar="INI", help="INI config file; flags override its keys")
     sub = p.add_subparsers(dest="command", required=True)
-
-    s = sub.add_parser("simulate", help="generate N-1/N-2 trajectory pools")
-    s.add_argument("--n1", type=int, help="N-1 pool size")
-    s.add_argument("--n2", type=int, help="N-2 pool size")
-    s.add_argument("--seed", type=int, help="pool sampling seed")
-    s.add_argument("--load-scale", type=float, help="uniform load/generation stress")
-    s.add_argument("--monitor-bus", type=int, help="recorded bus (0-based)")
-    s.add_argument("--h-max", type=float, help="max RK4 step, s")
-
-    s = sub.add_parser("dataset", help="split pools and fix dataset seeds")
-    s.add_argument("--m", type=int, help="branch sensors")
-    s.add_argument("--queries", type=int, help="training queries per trajectory")
-    s.add_argument("--train-frac", type=float, help="train fraction")
-    s.add_argument("--seed", type=int, help="split shuffle seed")
-    s.add_argument("--query-seed", type=int, help="query sampling seed")
-
-    s = sub.add_parser("train", help="train the vanilla or probabilistic model")
-    s.add_argument("--model", required=True, choices=("vanilla", "prob"))
-    s.add_argument("--epochs", type=int)
-    s.add_argument("--batch-size", type=int)
-    s.add_argument("--lr", type=float)
-    s.add_argument("--patience", type=int)
-    s.add_argument("--seed", type=int)
-
-    s = sub.add_parser("sghmc", help="sample a posterior weight ensemble")
-    s.add_argument("--init", help="starting checkpoint (default models/vanilla.ckpt)")
-    s.add_argument("--eps-t", type=float, help="step size")
-    s.add_argument("--c", type=float, help="friction constant")
-    s.add_argument("--sigma-l", type=float, help="likelihood noise scale")
-    s.add_argument("--n-outer", type=int)
-    s.add_argument("--burn-in", type=int)
-    s.add_argument("--thinning", type=int)
-    s.add_argument("--m-ensemble", type=int, help="retained ensemble size")
-    s.add_argument("--batch-size", type=int)
-    s.add_argument("--seed", type=int)
-
-    s = sub.add_parser("predict", help="write one trajectory's predicted curve")
-    s.add_argument("--which", required=True, choices=("vanilla", "prob", "bayes"))
-    s.add_argument("--traj-id", type=int, help="test trajectory id (default: lowest)")
-    s.add_argument("--out", help="output CSV path")
-
-    s = sub.add_parser("evaluate", help="error/coverage reports on the test split")
-    s.add_argument("--which", required=True, choices=("vanilla", "prob", "bayes"))
-    s.add_argument("--noise", type=float, default=0.0,
-                   help="sensor noise sigma (pu) applied to test inputs")
-    s.add_argument("--count", type=int, help="random test trajectories to score")
-    s.add_argument("--level", type=float, help="CI level")
-    s.add_argument("--seed", type=int, help="test subsample seed")
-
-    s = sub.add_parser("alarms", help="under-voltage alarm classification at y*")
-    s.add_argument("--which", required=True, choices=("vanilla", "prob", "bayes"))
-    s.add_argument("--y-star", type=float, help="probe time, s")
-    s.add_argument("--level", type=float, help="CI level")
-
-    s = sub.add_parser("residuals", help="residual normality report")
-    s.add_argument("--which", default="vanilla",
-                   choices=("vanilla", "prob", "bayes"))
+    parsers = {TOP: p, **{name: sub.add_parser(name, help=text)
+                          for name, text in COMMANDS.items()}}
+    parsers["train"].add_argument("--model", required=True, choices=WHICH[:2],
+                                  help="model to train")
+    parsers["sghmc"].add_argument("--init", metavar="CKPT",
+                                  help="starting checkpoint (default models/vanilla.ckpt)")
+    for name in ("predict", "evaluate", "alarms", "residuals"):
+        required = name != "residuals"
+        parsers[name].add_argument(
+            "--which", choices=WHICH, default="vanilla", required=required,
+            help="model to load" + ("" if required else " (default vanilla)"))
+    parsers["predict"].add_argument("--traj-id", type=int, metavar="ID",
+                                    help="test trajectory id (default: lowest)")
+    parsers["predict"].add_argument(
+        "--out", metavar="CSV", help="output CSV path (default eval/predict_WHICH_ID.csv)")
+    parsers["evaluate"].add_argument(
+        "--noise", type=float, default=0.0, metavar="SIGMA",
+        help="sensor noise sigma (pu) applied to test inputs (default 0.0)")
+    for section, key, default, cast, text, commands in OPTIONS:
+        for name in commands:
+            parsers[name].add_argument("--" + key.replace("_", "-"), dest=f"{section}.{key}",
+                                       type=cast, metavar=key.upper(),
+                                       help=f"{text} (default {default})")
     return p
 
 
-_OVERRIDES = {
-    "simulate": {"n1": ("simulate", "n1"), "n2": ("simulate", "n2"),
-                 "seed": ("simulate", "seed"), "load_scale": ("simulate", "load_scale"),
-                 "monitor_bus": ("simulate", "monitor_bus"), "h_max": ("simulate", "h_max")},
-    "dataset": {"m": ("dataset", "m"), "queries": ("dataset", "queries"),
-                "train_frac": ("dataset", "train_frac"), "seed": ("dataset", "seed"),
-                "query_seed": ("dataset", "query_seed")},
-    "train": {"epochs": ("train", "epochs"), "batch_size": ("train", "batch_size"),
-              "lr": ("train", "lr"), "patience": ("train", "patience"),
-              "seed": ("train", "seed")},
-    "sghmc": {"eps_t": ("sghmc", "eps_t"), "c": ("sghmc", "c"),
-              "sigma_l": ("sghmc", "sigma_l"), "n_outer": ("sghmc", "n_outer"),
-              "burn_in": ("sghmc", "burn_in"), "thinning": ("sghmc", "thinning"),
-              "m_ensemble": ("sghmc", "m_ensemble"),
-              "batch_size": ("sghmc", "batch_size"), "seed": ("sghmc", "seed")},
-    "predict": {},
-    "evaluate": {"count": ("evaluate", "count"), "level": ("evaluate", "level"),
-                 "seed": ("evaluate", "seed")},
-    "alarms": {"level": ("evaluate", "level")},
-    "residuals": {},
-}
-
-
 def main(argv=None) -> int:
-    parser = build_parser()
-    args = parser.parse_args(argv)
+    args = build_parser().parse_args(argv)
     try:
         cfg = load_config(args.config)
-        if args.workdir:
-            cfg["paths"]["workdir"] = args.workdir
-        apply_overrides(cfg, args, _OVERRIDES[args.command])
-        if args.command == "simulate":
-            return cmd_simulate(cfg)
-        if args.command == "dataset":
-            return cmd_dataset(cfg)
-        if args.command == "train":
-            return cmd_train(cfg, args.model)
-        if args.command == "sghmc":
-            return cmd_sghmc(cfg, args.init)
-        if args.command == "predict":
-            return cmd_predict(cfg, args.which, args.traj_id, args.out)
-        if args.command == "evaluate":
-            return cmd_evaluate(cfg, args.which, args.noise)
-        if args.command == "alarms":
-            return cmd_alarms(cfg, args.which, args.y_star)
-        if args.command == "residuals":
-            return cmd_residuals(cfg, args.which)
-        raise UsageError(f"unknown command {args.command!r}")
+        for section, key, *_ in OPTIONS:
+            value = getattr(args, f"{section}.{key}", None)
+            if value is not None:
+                cfg[section][key] = str(value)
+        # looked up at call time, so a wrapper set on the module attribute runs
+        return globals()[f"cmd_{args.command}"](cfg, args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TrainingError, SamplerError, gs.SimulationDiverged) as e:
+    except (TrainingError, SamplerError, gs.SimulationDiverged, gs.PowerFlowError,
+            CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -31,6 +31,7 @@ import numpy as np
 __all__ = [
     "ScenarioRejected",
     "SimulationDiverged",
+    "PowerFlowError",
     "Branch",
     "GridModel",
     "FaultScenario",
@@ -65,6 +66,10 @@ class SimulationDiverged(RuntimeError):
     def __init__(self, msg, scenario=None):
         super().__init__(msg)
         self.scenario = scenario
+
+
+class PowerFlowError(RuntimeError):
+    """The pre-fault power flow has no solution Newton-Raphson can find."""
 
 
 @dataclass(frozen=True)
@@ -236,7 +241,7 @@ def solve_power_flow(model: GridModel, tol: float = 1e-11, max_iter: int = 50) -
             J[:, j] = (mismatch(xp)[0] - f) / h
         x = x - np.linalg.solve(J, f)
     else:
-        raise RuntimeError("power flow did not converge")
+        raise PowerFlowError(f"power flow did not converge in {max_iter} iterations")
     f, V = mismatch(x)
     S = V * np.conj(ybus(model) @ V)
     S_gen = S[list(model.gen_bus)].copy()
@@ -424,16 +429,15 @@ class Trajectory:
 def simulate(
     model: GridModel,
     scenario: FaultScenario,
-    seed: int = 0,
     h_max: float = 1e-3,
     eq: Equilibrium | None = None,
     reductions: dict | None = None,
 ) -> Trajectory:
     """Integrate one contingency and record |V| at the monitor bus.
 
-    `seed` is accepted for interface uniformity; the integration itself is
-    deterministic. `eq`/`reductions` allow pool generation to reuse the
-    power-flow solution and Kron reductions across scenarios.
+    The integration is deterministic. `eq`/`reductions` allow pool
+    generation to reuse the power-flow solution and Kron reductions across
+    scenarios.
     """
     if eq is None:
         eq = equilibrium(model)

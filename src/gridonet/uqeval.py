@@ -9,8 +9,6 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .deeponet import DeepOnetConfig, forward_batch
-
 __all__ = [
     "relative_errors",
     "inverse_normal_cdf",
@@ -23,7 +21,6 @@ __all__ = [
     "alarm_analysis",
     "NormalityReport",
     "residual_normality",
-    "collect_residuals",
     "TrajectoryReport",
     "aggregate_reports",
     "write_csv",
@@ -148,6 +145,9 @@ def alarm_analysis(items, y_star: float, t_cl: float = 2.0, profile=threshold_pr
     items: iterable of (traj_id, mean, lower, upper, truth) at y_star.
     An under-voltage violation means truth < threshold; the alarm region is
     below the threshold, so a CI entirely above it never raises an alarm.
+    Exactly one flag is set per trajectory: a violation is TP or FN, and a
+    safe trajectory is TN (CI above the threshold), FP_conservative (CI
+    straddles it) or FP_nonconservative (CI entirely below it).
     """
     thr = profile(y_star, t_cl)
     outcomes = []
@@ -156,7 +156,7 @@ def alarm_analysis(items, y_star: float, t_cl: float = 2.0, profile=threshold_pr
         flags = {
             "FN": bool(violation and lo >= thr),
             "TP": bool(violation and lo < thr),
-            "FP_conservative": bool(not violation and lo < thr),
+            "FP_conservative": bool(not violation and lo < thr <= hi),
             "FP_nonconservative": bool(not violation and hi < thr),
             "TN": bool(not violation and lo >= thr),
         }
@@ -199,15 +199,6 @@ def residual_normality(residuals, bins: int = 40, skew_tol: float = 0.2,
         hist_counts=counts,
         hist_edges=edges,
     )
-
-
-def collect_residuals(params: dict, cfg: DeepOnetConfig, samples) -> np.ndarray:
-    """Prediction-minus-target residuals over a sample list."""
-    from .train import batch_arrays
-
-    U, Y, G = batch_arrays(samples)
-    pred = forward_batch(params, cfg, U, Y).data
-    return (pred - G).ravel()
 
 
 @dataclass(frozen=True)

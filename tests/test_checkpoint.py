@@ -6,7 +6,13 @@ import json
 import numpy as np
 import pytest
 
-from gridonet.checkpoint import flatten, load_checkpoint, save_checkpoint, unflatten
+from gridonet.checkpoint import (
+    CheckpointError,
+    flatten,
+    load_checkpoint,
+    save_checkpoint,
+    unflatten,
+)
 from gridonet.deeponet import DeepOnetConfig, init_vanilla
 
 
@@ -72,4 +78,18 @@ def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE 2\n{}")
     with pytest.raises(ValueError):
+        load_checkpoint(path)
+
+
+@pytest.mark.parametrize("corrupt", [
+    lambda raw: raw[:5],  # header without its newline
+    lambda raw: raw.replace(b" ", b" x", 1),  # non-numeric manifest length
+    lambda raw: raw[: raw.index(b"\n") + 10],  # manifest cut short
+    lambda raw: raw[:-1],  # blob one byte short
+], ids=["header", "length", "manifest", "blob"])
+def test_corrupt_container_rejected(tmp_path, corrupt):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})
+    path.write_bytes(corrupt(path.read_bytes()))
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
