@@ -25,14 +25,7 @@ import numpy as np
 from . import gridsim as gs
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import SplitSpec, add_input_noise, build_test, build_train, split_pools
-from .deeponet import (
-    DeepOnetConfig,
-    ensemble_predict,
-    init_prob,
-    init_vanilla,
-    predict,
-    predict_prob,
-)
+from .deeponet import DeepOnetConfig, init_prob, init_vanilla, predict
 from .sghmc import BayesConfig, SamplerError, sghmc_run
 from .train import TrainConfig, TrainingError, fit
 from . import uqeval
@@ -173,6 +166,8 @@ def cmd_simulate(cfg, args) -> int:
     if n1 < 1 or n2 < 1:
         raise UsageError(f"pool sizes must be >= 1, got n1={n1}, n2={n2}")
     model = gs.build_model(load_scale=o["load_scale"], monitor_bus=o["monitor_bus"])
+    if not 0 <= model.monitor_bus < model.n_bus:
+        raise UsageError(f"monitor_bus must be in [0, {model.n_bus}), got {model.monitor_bus}")
     out = workdir(cfg) / "pools"
     out.mkdir(parents=True, exist_ok=True)
     report = {}
@@ -275,8 +270,8 @@ def cmd_train(cfg, args) -> int:
     ckpt = out / f"{kind}.ckpt"
     save_checkpoint(ckpt, params, meta={"kind": kind, **{k: getattr(net, k) for k in GEOMETRY}})
     _write_csv(out / f"{kind}_loss.csv",
-               ["epoch", "train_loss", "val_loss", "lr"],
-               [[h["epoch"], h["train_loss"], h["val_loss"], h["lr"]] for h in history])
+               ["epoch", "train_loss", "lr"],
+               [[h["epoch"], h["train_loss"], h["lr"]] for h in history])
     best = min(h["train_loss"] for h in history)
     write_json(out / f"{kind}.manifest.json", {
         "config": cfg, "checkpoint_sha256": file_sha256(ckpt),
@@ -297,19 +292,14 @@ def cmd_sghmc(cfg, args) -> int:
     init_path = Path(args.init or (workdir(cfg) / "models" / "vanilla.ckpt"))
     if not init_path.exists():
         raise UsageError(f"missing init checkpoint {init_path}")
-    params0, meta = load_checkpoint(init_path)
-    got = {k: meta.get(k) for k in GEOMETRY}
-    want = {k: getattr(net, k) for k in GEOMETRY}
-    if got != want:
-        raise UsageError(f"checkpoint geometry {got} does not match "
-                         f"the dataset/deeponet config {want}")
+    params0, _ = load_checkpoint(init_path)
+    _check_layout([init_path], [params0], "vanilla", net)
     samples = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
     members, trace = sghmc_run(params0, net, samples, bc)
     out = workdir(cfg) / "models" / "bayes"
     out.mkdir(parents=True, exist_ok=True)
     names, hashes = [], {}
-    meta = dict(meta)
-    meta["kind"] = "bayes-member"
+    meta = {"kind": "bayes-member", **{k: getattr(net, k) for k in GEOMETRY}}
     for i, member in enumerate(members):
         path = out / f"member_{i:03d}.ckpt"
         save_checkpoint(path, member, meta=meta)
@@ -329,51 +319,48 @@ def cmd_sghmc(cfg, args) -> int:
 
 # ------------------------------------------------------- prediction loading
 
-def _load_predictor(cfg, which: str):
-    """Returns (net_cfg, predict_fn) with predict_fn(u, ys, level) ->
-    (mean, std, lo, hi); std/lo/hi are None for the vanilla model."""
+def _check_layout(paths, members: list[dict], which: str, net: DeepOnetConfig):
+    """Each checkpoint must hold exactly the parameters (names and shapes) of
+    the net its model is made of: a prob net for `prob`, else a vanilla one."""
+    init = init_prob if which == "prob" else init_vanilla
+    want = {k: v.shape for k, v in init(net, 0).items()}
+    for path, params in zip(paths, members):
+        got = {k: v.shape for k, v in params.items()}
+        if got != want:
+            bad = sorted(set(got) ^ set(want)) or sorted(k for k in got if got[k] != want[k])
+            raise UsageError(f"{path} does not hold a {which} net of {net} "
+                             f"(differs at {bad[0]})")
+
+
+def _load_model(cfg, which: str, spec: SplitSpec):
+    """(members, net) for `predict`: the checkpoints of one model, checked
+    against its parameter layout and the dataset, and their geometry."""
     models = workdir(cfg) / "models"
-    if which in ("vanilla", "prob"):
-        path = models / f"{which}.ckpt"
-        if not path.exists():
-            raise UsageError(f"missing checkpoint {path}; run `train --model {which}`")
-        params, meta = load_checkpoint(path)
-        net = _build(DeepOnetConfig, **{k: meta[k] for k in GEOMETRY})
-        if which == "vanilla":
-            def fn(u, ys, level):
-                return predict(params, net, u, ys), None, None, None
-        else:
-            def fn(u, ys, level):
-                mu, sigma = predict_prob(params, net, u, ys)
-                lo, hi = uqeval.confidence_interval(mu, sigma, level)
-                return mu, sigma, lo, hi
-        return net, fn
     if which == "bayes":
         manifest = models / "bayes" / "chain.manifest.json"
         if not manifest.exists():
             raise UsageError(f"missing ensemble manifest {manifest}; run `sghmc`")
-        doc = json.loads(manifest.read_text())
-        members, meta = [], None
-        for name in doc["members"]:
-            params, meta = load_checkpoint(models / "bayes" / name)
-            members.append(params)
-        if len(members) < 2:
+        paths = [models / "bayes" / n for n in json.loads(manifest.read_text())["members"]]
+        if len(paths) < 2:
             raise UsageError("ensemble has fewer than 2 members")
-        net = _build(DeepOnetConfig, **{k: meta[k] for k in GEOMETRY})
-
-        def fn(u, ys, level):
-            mean, std, _ = ensemble_predict(members, net, u, ys)
-            lo, hi = uqeval.confidence_interval(mean, std, level)
-            return mean, std, lo, hi
-        return net, fn
-    raise UsageError(f"--which must be vanilla, prob or bayes, got {which!r}")
-
-
-def _check_geometry(net: DeepOnetConfig, spec: SplitSpec):
+    else:
+        paths = [models / f"{which}.ckpt"]
+        if not paths[0].exists():
+            raise UsageError(f"missing checkpoint {paths[0]}; run `train --model {which}`")
+    loaded = [load_checkpoint(path) for path in paths]
+    members = [params for params, _ in loaded]
+    net = _build(DeepOnetConfig, **{k: loaded[0][1][k] for k in GEOMETRY})
+    _check_layout(paths, members, which, net)
     if net.m != spec.m:
-        raise UsageError(
-            f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}"
-        )
+        raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
+    return members, net
+
+
+def _band(mean, std, level: float):
+    """(lower, upper) of the central `level` band; (None, None) without a std."""
+    if std is None:
+        return None, None
+    return uqeval.confidence_interval(mean, std, level)
 
 
 def _maybe_noisy(u, traj_id, sigma, noise_seed):
@@ -390,9 +377,10 @@ def cmd_evaluate(cfg, args) -> int:
         raise UsageError(f"--noise must be >= 0, got {noise}")
     o = opts(cfg, "evaluate")
     level = o["level"]
+    if o["count"] < 1:
+        raise UsageError(f"count must be >= 1, got {o['count']}")
     _, test_pool, spec, _ = _load_split(cfg)
-    net, predict_fn = _load_predictor(cfg, which)
-    _check_geometry(net, spec)
+    members, net = _load_model(cfg, which, spec)
 
     cases = build_test(test_pool, spec)
     ids = [tr.traj_id for tr in test_pool]
@@ -406,7 +394,8 @@ def cmd_evaluate(cfg, args) -> int:
     for i, k in enumerate(sel):
         u, mesh, truth = cases[k]
         u = _maybe_noisy(u, ids[k], noise, o["noise_seed"])
-        mean, std, lo, hi = predict_fn(u, mesh, level)
+        mean, std = predict(members, net, u, mesh)
+        lo, hi = _band(mean, std, level)
         l1, l2 = uqeval.relative_errors(mean, truth)
         eps = np.nan if std is None else uqeval.epsilon_ratio(lo, hi, truth)
         reports.append(uqeval.TrajectoryReport(ids[k], l1, l2, eps))
@@ -465,13 +454,14 @@ def cmd_alarms(cfg, args) -> int:
     o = opts(cfg, "evaluate")
     level, y_star = o["level"], o["y_star"]
     _, test_pool, spec, _ = _load_split(cfg)
-    net, predict_fn = _load_predictor(cfg, which)
-    _check_geometry(net, spec)
+    if y_star <= spec.t_cl:
+        raise UsageError(f"y_star must be after the clearing time t_cl={spec.t_cl}, got {y_star}")
+    members, net = _load_model(cfg, which, spec)
     cases = build_test(test_pool, spec)
     items = []
     for tr, (u, _, _) in zip(test_pool, cases):
-        ys = np.array([y_star])
-        mean, _, lo, hi = predict_fn(u, ys, level)
+        mean, std = predict(members, net, u, np.array([y_star]))
+        lo, hi = _band(mean, std, level)
         truth = float(np.interp(y_star, tr.times, tr.values))
         items.append((tr.traj_id, float(mean[0]), float(lo[0]), float(hi[0]), truth))
     outcomes, summary = uqeval.alarm_analysis(items, y_star=y_star, t_cl=spec.t_cl)
@@ -499,12 +489,10 @@ def cmd_alarms(cfg, args) -> int:
 def cmd_residuals(cfg, args) -> int:
     which = args.which
     _, test_pool, spec, _ = _load_split(cfg)
-    net, predict_fn = _load_predictor(cfg, which)
-    _check_geometry(net, spec)
+    members, net = _load_model(cfg, which, spec)
     res = []
     for u, mesh, truth in build_test(test_pool, spec):
-        mean = predict_fn(u, mesh, 0.95)[0]
-        res.append(mean - truth)
+        res.append(predict(members, net, u, mesh)[0] - truth)
     res = np.concatenate(res)
     report = uqeval.residual_normality(res)
     out = workdir(cfg) / "eval"
@@ -529,15 +517,15 @@ def cmd_predict(cfg, args) -> int:
     which, traj_id = args.which, args.traj_id
     level = opts(cfg, "evaluate")["level"]
     _, test_pool, spec, _ = _load_split(cfg)
-    net, predict_fn = _load_predictor(cfg, which)
-    _check_geometry(net, spec)
+    members, net = _load_model(cfg, which, spec)
     by_id = {tr.traj_id: tr for tr in test_pool}
     if traj_id is None:
         traj_id = min(by_id)
     if traj_id not in by_id:
         raise UsageError(f"trajectory {traj_id} is not in the test split")
     u, mesh, truth = build_test([by_id[traj_id]], spec)[0]
-    mean, std, lo, hi = predict_fn(u, mesh, level)
+    mean, std = predict(members, net, u, mesh)
+    lo, hi = _band(mean, std, level)
     out = workdir(cfg) / "eval"
     out.mkdir(parents=True, exist_ok=True)
     path = Path(args.out) if args.out else out / f"predict_{which}_{traj_id}.csv"

@@ -8,7 +8,16 @@ The operator value at query time y is the inner product of q branch features
 
 The probabilistic variant shares every layer except the final one, which is
 split into a mu head and a log-sigma head per net; sigma is recovered with a
-clamped exponential.
+clamped exponential. The heads a network has are read from its parameter
+names: `out` and `tau_o` for a vanilla net; `mu`, `ls`, `tau_o_mu` and
+`tau_o_ls` for a probabilistic one.
+
+`predict(members, ...)` covers the three models and returns (mean, std):
+
+* one vanilla net: its curve, and std None;
+* one probabilistic net: the mu curve and exp(clamped log-sigma);
+* two or more vanilla nets (an ensemble): the pointwise mean and the
+  unbiased (ddof=1) std over the members' curves.
 """
 
 from __future__ import annotations
@@ -27,11 +36,7 @@ __all__ = [
     "init_vanilla",
     "init_prob",
     "forward_batch",
-    "prob_forward_batch",
     "predict",
-    "predict_prob",
-    "mu_subparams",
-    "ensemble_predict",
 ]
 
 # bounds on the log-sigma channel before exponentiation; sigma stays in
@@ -87,76 +92,49 @@ def init_prob(cfg: DeepOnetConfig, seed) -> dict[str, np.ndarray]:
     return params
 
 
-def _check_finite(*arrays):
-    for a in arrays:
-        if not np.all(np.isfinite(np.asarray(a, dtype=float))):
-            raise T.NumericError("non-finite network input")
+def _heads(params: dict):
+    """(stem, output bias) per head: `out` alone, or mu then log-sigma."""
+    return (("out", "tau_o"),) if "tau_o" in params else (("mu", "tau_o_mu"), ("ls", "tau_o_ls"))
 
 
 def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y):
-    """Paired evaluation: row i of U with row i of Y. Returns a (B, 1) Tensor."""
-    bfeat = head(params, hidden(params, U, cfg.branch, "b_"), "b_")
-    tfeat = head(params, hidden(params, Y, cfg.trunk, "t_"), "t_")
-    return T.sum_rows(bfeat * tfeat) + params["tau_o"]
+    """Paired evaluation, row i of U with row i of Y, on the tape.
 
-
-def prob_forward_batch(params: dict, cfg: DeepOnetConfig, U, Y):
-    """Mu and clamped log-sigma channels for paired rows; (B,1) Tensors each."""
+    Returns (mu, log_sigma) as (B, 1) Tensors; log_sigma is clamped, and is
+    None for a vanilla net.
+    """
     bh = hidden(params, U, cfg.branch, "b_")
     th = hidden(params, Y, cfg.trunk, "t_")
-    mu = T.sum_rows(head(params, bh, "b_", "mu") * head(params, th, "t_", "mu"))
-    mu = mu + params["tau_o_mu"]
-    ls = T.sum_rows(head(params, bh, "b_", "ls") * head(params, th, "t_", "ls"))
-    ls = T.clip(ls + params["tau_o_ls"], LOGSIG_LO, LOGSIG_HI)
-    return mu, ls
+    out = [T.sum_rows(head(params, bh, "b_", stem) * head(params, th, "t_", stem)) + params[tau]
+           for stem, tau in _heads(params)]
+    return out[0], (T.clip(out[1], LOGSIG_LO, LOGSIG_HI) if len(out) == 2 else None)
 
 
-def predict(params: dict, cfg: DeepOnetConfig, u_disc, ys) -> np.ndarray:
-    """Operator values at query times ys; branch runs once per input function."""
+def _curves(params: dict, cfg: DeepOnetConfig, u, y) -> list[np.ndarray]:
+    """Each head's values at the query column y (log-sigma clamped); the
+    branch runs once."""
+    bh = hidden(params, T.Tensor(u), cfg.branch, "b_")  # (1, width)
+    th = hidden(params, T.Tensor(y), cfg.trunk, "t_")  # (k, width)
+    out = [T.matmul(head(params, th, "t_", stem), T.Tensor(head(params, bh, "b_", stem).data.T))
+           + float(np.asarray(params[tau]).item()) for stem, tau in _heads(params)]
+    if len(out) == 2:
+        out[1] = T.clip(out[1], LOGSIG_LO, LOGSIG_HI)
+    return [c.data.ravel() for c in out]
+
+
+def predict(members: list[dict], cfg: DeepOnetConfig, u_disc, ys):
+    """(mean, std) curves at query times ys for one input function, from one
+    vanilla net, one prob net or a vanilla ensemble (see the module doc)."""
     u = np.asarray(u_disc, dtype=float).reshape(1, -1)
     y = np.asarray(ys, dtype=float).reshape(-1, 1)
-    _check_finite(u, y)
+    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
+        raise T.NumericError("non-finite network input")
     if u.shape[1] != cfg.m:
         raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
-    bfeat = head(params, hidden(params, T.Tensor(u), cfg.branch, "b_"), "b_")  # (1, q)
-    tfeat = head(params, hidden(params, T.Tensor(y), cfg.trunk, "t_"), "t_")  # (k, q)
-    out = T.matmul(tfeat, T.Tensor(bfeat.data.T)) + float(np.asarray(params["tau_o"]).item())
-    return out.data.ravel()
-
-
-def predict_prob(params: dict, cfg: DeepOnetConfig, u_disc, ys):
-    """(mu, sigma) curves at query times ys; sigma = exp(clamped log-sigma)."""
-    u = np.asarray(u_disc, dtype=float).reshape(1, -1)
-    y = np.asarray(ys, dtype=float).reshape(-1, 1)
-    _check_finite(u, y)
-    if u.shape[1] != cfg.m:
-        raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
-    bh = hidden(params, T.Tensor(u), cfg.branch, "b_")
-    th = hidden(params, T.Tensor(y), cfg.trunk, "t_")
-    mu = T.matmul(head(params, th, "t_", "mu"), T.Tensor(head(params, bh, "b_", "mu").data.T))
-    mu = mu + float(np.asarray(params["tau_o_mu"]).item())
-    ls = T.matmul(head(params, th, "t_", "ls"), T.Tensor(head(params, bh, "b_", "ls").data.T))
-    ls = T.clip(ls + float(np.asarray(params["tau_o_ls"]).item()), LOGSIG_LO, LOGSIG_HI)
-    return mu.data.ravel(), np.exp(ls.data.ravel())
-
-
-def mu_subparams(prob_params: dict) -> dict[str, np.ndarray]:
-    """Vanilla-layout view of the mu channel (shares arrays, no copies)."""
-    out = {}
-    for k, v in prob_params.items():
-        if k.endswith(("ls_w", "ls_b")) or k == "tau_o_ls":
-            continue
-        out[k.replace("mu_w", "out_w").replace("mu_b", "out_b")] = v
-    out["tau_o"] = out.pop("tau_o_mu")
-    return out
-
-
-def ensemble_predict(members: list[dict], cfg: DeepOnetConfig, u_disc, ys):
-    """Pointwise mean and unbiased std over member predictions.
-
-    Returns (mean, std, matrix) with matrix[j] the j-th member's curve.
-    """
-    if len(members) < 2:
-        raise ValueError(f"ensemble needs at least 2 members, got {len(members)}")
-    matrix = np.stack([predict(p, cfg, u_disc, ys) for p in members])
-    return matrix.mean(axis=0), matrix.std(axis=0, ddof=1), matrix
+    if len(members) == 1:
+        curves = _curves(members[0], cfg, u, y)
+        return curves[0], (np.exp(curves[1]) if len(curves) == 2 else None)
+    if not members or any(len(_heads(p)) != 1 for p in members):
+        raise ValueError("an ensemble needs two or more vanilla members")
+    matrix = np.stack([_curves(p, cfg, u, y)[0] for p in members])
+    return matrix.mean(axis=0), matrix.std(axis=0, ddof=1)

@@ -24,10 +24,9 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
 from .checkpoint import flatten, unflatten
 from .deeponet import DeepOnetConfig, forward_batch
-from .train import batch_arrays
+from .train import _mse_graph, _watch_all, batch_arrays
 
 __all__ = [
     "SamplerError",
@@ -96,18 +95,15 @@ def potential_energy(params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig) -
     U, Y, G = data if isinstance(data, tuple) else batch_arrays(data)
     if len(G) == 0:
         raise ValueError("data must be non-empty")
-    pred = forward_batch(params, cfg, U, Y).data
+    pred = forward_batch(params, cfg, U, Y)[0].data
     _, theta = flatten(params)
     return gaussian_potential(pred - G, theta, bc)
 
 
 def grad_potential(params: dict, cfg: DeepOnetConfig, U, Y, G, scale: float, bc: BayesConfig):
     """Gradient of the scaled likelihood term plus the (unscaled) prior."""
-    tape = T.Tape()
-    tracked = {k: tape.watch(k, v) for k, v in params.items()}
-    r = forward_batch(tracked, cfg, T.Tensor(U), T.Tensor(Y)) - T.Tensor(G)
-    like = T.sum_all(T.square(r)) * (scale / (2.0 * bc.sigma_l**2))
-    grads = tape.backward(like)
+    tape, tracked = _watch_all(params)
+    grads = tape.backward(_mse_graph(tracked, cfg, U, Y, G, scale / (2.0 * bc.sigma_l**2)))
     for name in grads:
         grads[name] = grads[name] + bc.prior_lambda * np.asarray(params[name], dtype=float)
     return grads
@@ -161,15 +157,12 @@ def sghmc_run(init_params: dict, cfg: DeepOnetConfig, samples, bc: BayesConfig):
     trace over the chain.
     """
     data = batch_arrays(samples)
-    U, Y, G = data
-    n = len(G)
+    n = len(data[2])
     layout, theta0 = flatten(init_params)
     b = min(bc.batch_size, n)
 
     def grad_fn(theta, rng):
-        idx = rng.permutation(n)[:b]
-        params = unflatten(layout, theta)
-        grads = grad_potential(params, cfg, U[idx], Y[idx], G[idx], n / b, bc)
+        grads = noisy_grad(unflatten(layout, theta), cfg, data, rng.permutation(n)[:b], bc)
         return np.concatenate([grads[name].ravel() for name, _ in layout])
 
     def diag_fn(theta):

@@ -12,7 +12,7 @@ from dataclasses import dataclass, field
 import numpy as np
 
 from . import tensor as T
-from .deeponet import DeepOnetConfig, forward_batch, prob_forward_batch
+from .deeponet import DeepOnetConfig, forward_batch
 
 __all__ = [
     "TrainingError",
@@ -20,8 +20,6 @@ __all__ = [
     "AdamState",
     "PlateauSchedule",
     "batch_arrays",
-    "mse_loss",
-    "nll_loss",
     "loss_and_grads",
     "init_adam",
     "adam_step",
@@ -102,37 +100,28 @@ def _watch_all(params: dict):
     return tape, {k: tape.watch(k, v) for k, v in params.items()}
 
 
-def _mse_graph(tracked, cfg, U, Y, G):
-    r = forward_batch(tracked, cfg, T.Tensor(U), T.Tensor(Y)) - T.Tensor(G)
-    return T.sum_all(T.square(r)) * (1.0 / len(G))
+def _mse_graph(tracked, cfg, U, Y, G, coef):
+    """coef times the sum of squared residuals (1/B gives the MSE)."""
+    mu, _ = forward_batch(tracked, cfg, T.Tensor(U), T.Tensor(Y))
+    return T.sum_all(T.square(mu - T.Tensor(G))) * coef
 
 
-def _nll_graph(tracked, cfg, U, Y, G):
-    mu, ls = prob_forward_batch(tracked, cfg, T.Tensor(U), T.Tensor(Y))
+def _nll_graph(tracked, cfg, U, Y, G, coef):
+    """coef times the summed Gaussian NLL (1/B gives the mean)."""
+    mu, ls = forward_batch(tracked, cfg, T.Tensor(U), T.Tensor(Y))
     r = mu - T.Tensor(G)
     # 0.5 r^2 / sigma^2 + 0.5 log(2 pi sigma^2), with sigma = exp(ls)
     point = T.square(r) * T.exp(ls * -2.0) * 0.5 + ls + 0.5 * LOG_2PI
-    return T.sum_all(point) * (1.0 / len(G))
+    return T.sum_all(point) * coef
 
 
 _GRAPHS = {"vanilla": _mse_graph, "prob": _nll_graph}
 
 
-def mse_loss(params: dict, cfg: DeepOnetConfig, batch) -> float:
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    return _mse_graph(params, cfg, *batch_arrays(batch)).item()
-
-
-def nll_loss(params: dict, cfg: DeepOnetConfig, batch) -> float:
-    if len(batch) == 0:
-        raise ValueError("batch must be non-empty")
-    return _nll_graph(params, cfg, *batch_arrays(batch)).item()
-
-
 def loss_and_grads(kind: str, params: dict, cfg: DeepOnetConfig, U, Y, G):
+    """Batch-mean loss (MSE for vanilla, Gaussian NLL for prob) and its gradients."""
     tape, tracked = _watch_all(params)
-    loss = _GRAPHS[kind](tracked, cfg, U, Y, G)
+    loss = _GRAPHS[kind](tracked, cfg, U, Y, G, 1.0 / len(G))
     return loss.item(), tape.backward(loss)
 
 
@@ -179,19 +168,17 @@ def fit(
     cfg: DeepOnetConfig,
     train_samples,
     config: TrainConfig,
-    val_samples=None,
 ):
     """Minibatch Adam over shuffled epochs.
 
     Returns (best_params, history) where history rows are dicts with keys
-    epoch, train_loss, val_loss, lr. Best = lowest epoch training loss.
+    epoch, train_loss, lr. Best = lowest epoch training loss.
     """
     if kind not in _GRAPHS:
         raise ValueError(f"kind must be one of {sorted(_GRAPHS)}, got {kind!r}")
     if not train_samples:
         raise ValueError("no training samples")
     U, Y, G = batch_arrays(train_samples)
-    val = batch_arrays(val_samples) if val_samples else None
     n = len(train_samples)
     params = {k: np.asarray(v, dtype=float).copy() for k, v in params.items()}
     state = init_adam(params, config.lr)
@@ -213,11 +200,8 @@ def fit(
             state, params = adam_step(state, params, grads)
             total += loss * len(idx)
         train_loss = total / n
-        val_loss = _GRAPHS[kind](params, cfg, *val).item() if val is not None else np.nan
         state.lr = sched.observe(train_loss)
-        history.append(
-            {"epoch": epoch, "train_loss": train_loss, "val_loss": val_loss, "lr": state.lr}
-        )
+        history.append({"epoch": epoch, "train_loss": train_loss, "lr": state.lr})
         if train_loss < best_loss:
             best_loss = train_loss
             best_params = {k: v.copy() for k, v in params.items()}

@@ -116,6 +116,8 @@ def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
     (("dataset", "--train-frac", "1.5"), "invalid split spec"),
     (("sghmc", "--n-outer", "5", "--burn-in", "1", "--thinning", "1", "--m-ensemble", "9"),
      "retains only 4"),
+    (("simulate", "--monitor-bus", "99"), "monitor_bus must be in [0, 9)"),
+    (("evaluate", "--which", "vanilla", "--count", "0"), "count must be >= 1"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, argv, message):
     rc, err = run(capsys, tmp_path / "wd", *argv)
@@ -136,6 +138,34 @@ def test_truncated_checkpoint_exits_1(workdir_copy, capsys):
     rc, err = run(capsys, workdir_copy, "predict", "--which", "vanilla")
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0]
+
+
+@pytest.mark.parametrize("which, source, target", [
+    ("vanilla", "prob.ckpt", "vanilla.ckpt"),
+    ("prob", "vanilla.ckpt", "prob.ckpt"),
+    ("bayes", "prob.ckpt", "bayes/member_001.ckpt"),
+])
+def test_checkpoint_of_another_layout_exits_2(workdir_copy, capsys, which, source, target):
+    models = workdir_copy / "models"
+    shutil.copyfile(models / source, models / target)
+    rc, err = run(capsys, workdir_copy, "predict", "--which", which)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert f"does not hold a {which} net" in err[0]
+
+
+def test_sghmc_init_of_another_layout_exits_2(pipeline, workdir_copy, capsys):
+    rc, err = run(capsys, workdir_copy, "sghmc", "--init",
+                  str(workdir_copy / "models" / "prob.ckpt"), config=pipeline[3])
+    assert rc == 2
+    assert len(err) == 1 and "prob.ckpt does not hold a vanilla net" in err[0]
+
+
+def test_alarm_probe_before_clearing_exits_2(pipeline, workdir_copy, capsys):
+    rc, err = run(capsys, workdir_copy, "alarms", "--which", "prob", "--y-star", "1.0",
+                  config=pipeline[3])
+    assert rc == 2
+    assert err == ["error: y_star must be after the clearing time t_cl=2.0, got 1.0"]
 
 
 def test_stale_split_is_refused(pipeline, workdir_copy, capsys):
