@@ -80,6 +80,9 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     try:
         manifest = json.loads(raw[nl + 1 : start])
         entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
+        meta = manifest.get("meta", {})
+        if not isinstance(meta, dict):
+            raise TypeError(f"meta is a {type(meta).__name__}, not an object")
     except (ValueError, KeyError, TypeError) as e:
         raise CheckpointError(f"{path}: bad or truncated manifest: {e}") from None
     blob = raw[start:]
@@ -93,4 +96,4 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             )
         a = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
         params[name] = a.astype(np.float64).reshape(shape)
-    return params, manifest.get("meta", {})
+    return params, meta

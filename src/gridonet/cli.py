@@ -25,7 +25,7 @@ import numpy as np
 from . import gridsim as gs
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import SplitSpec, add_input_noise, build_test, build_train, split_pools
-from .deeponet import DeepOnetConfig, init_prob, init_vanilla, predict
+from .deeponet import DeepOnetConfig, init, layout, predict
 from .sghmc import BayesConfig, SamplerError, sghmc_run
 from .train import TrainConfig, TrainingError, fit
 from . import uqeval
@@ -262,9 +262,7 @@ def cmd_train(cfg, args) -> int:
     train_pool, _, spec, doc = _load_split(cfg)
     net = _net_cfg(cfg, spec.m)
     samples = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
-    init = init_vanilla if kind == "vanilla" else init_prob
-    params0 = init(net, seed=config.seed)
-    params, history = fit(kind, params0, net, samples, config)
+    params, history = fit(init(net, kind, config.seed), net, samples, config)
     out = workdir(cfg) / "models"
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / f"{kind}.ckpt"
@@ -322,8 +320,7 @@ def cmd_sghmc(cfg, args) -> int:
 def _check_layout(paths, members: list[dict], which: str, net: DeepOnetConfig):
     """Each checkpoint must hold exactly the parameters (names and shapes) of
     the net its model is made of: a prob net for `prob`, else a vanilla one."""
-    init = init_prob if which == "prob" else init_vanilla
-    want = {k: v.shape for k, v in init(net, 0).items()}
+    want = layout(net, "prob" if which == "prob" else "vanilla")
     for path, params in zip(paths, members):
         got = {k: v.shape for k, v in params.items()}
         if got != want:
@@ -349,7 +346,11 @@ def _load_model(cfg, which: str, spec: SplitSpec):
             raise UsageError(f"missing checkpoint {paths[0]}; run `train --model {which}`")
     loaded = [load_checkpoint(path) for path in paths]
     members = [params for params, _ in loaded]
-    net = _build(DeepOnetConfig, **{k: loaded[0][1][k] for k in GEOMETRY})
+    meta = loaded[0][1]
+    for k in GEOMETRY:
+        if not isinstance(meta.get(k), int):
+            raise UsageError(f"{paths[0]} has no integer {k!r} in its meta")
+    net = _build(DeepOnetConfig, **{k: meta[k] for k in GEOMETRY})
     _check_layout(paths, members, which, net)
     if net.m != spec.m:
         raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
@@ -361,12 +362,6 @@ def _band(mean, std, level: float):
     if std is None:
         return None, None
     return uqeval.confidence_interval(mean, std, level)
-
-
-def _maybe_noisy(u, traj_id, sigma, noise_seed):
-    if sigma == 0.0:
-        return u
-    return add_input_noise(u, sigma, np.random.default_rng([noise_seed, 5, traj_id]))
 
 
 # ---------------------------------------------------------------- evaluate
@@ -393,7 +388,7 @@ def cmd_evaluate(cfg, args) -> int:
     reports, mus, sigmas, truths, band_rows = [], [], [], [], []
     for i, k in enumerate(sel):
         u, mesh, truth = cases[k]
-        u = _maybe_noisy(u, ids[k], noise, o["noise_seed"])
+        u = add_input_noise(u, noise, [o["noise_seed"], 5, ids[k]])
         mean, std = predict(members, net, u, mesh)
         lo, hi = _band(mean, std, level)
         l1, l2 = uqeval.relative_errors(mean, truth)

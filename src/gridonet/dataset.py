@@ -130,6 +130,6 @@ def add_input_noise(u_disc: np.ndarray, sigma: float, seed) -> np.ndarray:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
     if sigma == 0.0:
         return np.asarray(u_disc, dtype=float).copy()
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     u = np.asarray(u_disc, dtype=float)
     return u + rng.normal(0.0, sigma, size=u.shape)

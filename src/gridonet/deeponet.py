@@ -8,9 +8,10 @@ The operator value at query time y is the inner product of q branch features
 
 The probabilistic variant shares every layer except the final one, which is
 split into a mu head and a log-sigma head per net; sigma is recovered with a
-clamped exponential. The heads a network has are read from its parameter
-names: `out` and `tau_o` for a vanilla net; `mu`, `ls`, `tau_o_mu` and
-`tau_o_ls` for a probabilistic one.
+clamped exponential. `layout(cfg, kind)` is the one place that names a
+net's parameters: `out` and `tau_o` for a vanilla net; `mu`, `ls`, `tau_o_mu`
+and `tau_o_ls` for a probabilistic one. Everything else reads the kind from
+the parameter names.
 
 `predict(members, ...)` covers the three models and returns (mean, std):
 
@@ -27,14 +28,14 @@ from dataclasses import dataclass
 import numpy as np
 
 from . import tensor as T
-from .mlp import MlpConfig, glorot_init, head, hidden
+from .mlp import MlpConfig, glorot_init, head, hidden, param_shapes
 
 __all__ = [
     "DeepOnetConfig",
     "LOGSIG_LO",
     "LOGSIG_HI",
-    "init_vanilla",
-    "init_prob",
+    "layout",
+    "init",
     "forward_batch",
     "predict",
 ]
@@ -43,6 +44,9 @@ __all__ = [
 # [4.5e-5, 20] pu, far outside any physical voltage band
 LOGSIG_LO = -10.0
 LOGSIG_HI = 3.0
+
+# (head stem, output bias) per net kind, in checkpoint order
+_HEADS = {"vanilla": (("out", "tau_o"),), "prob": (("mu", "tau_o_mu"), ("ls", "tau_o_ls"))}
 
 
 @dataclass(frozen=True)
@@ -65,36 +69,26 @@ class DeepOnetConfig:
         return MlpConfig(1, self.width, self.depth, self.q)
 
 
-def init_vanilla(cfg: DeepOnetConfig, seed) -> dict[str, np.ndarray]:
-    """Branch params (b_*), trunk params (t_*), and the output bias tau_o."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    params = glorot_init(cfg.branch, rng, prefix="b_")
-    params.update(glorot_init(cfg.trunk, rng, prefix="t_"))
-    params["tau_o"] = np.zeros((1, 1))
-    return params
+def layout(cfg: DeepOnetConfig, kind: str) -> dict[str, tuple[int, int]]:
+    """Parameter names and shapes of a `vanilla` or `prob` net, in checkpoint
+    order: the branch (b_*) and trunk (t_*) sub-nets with their heads, then
+    the output biases."""
+    if kind not in _HEADS:
+        raise ValueError(f"kind must be one of {sorted(_HEADS)}, got {kind!r}")
+    stems = [stem for stem, _ in _HEADS[kind]]
+    shapes = {**param_shapes(cfg.branch, "b_", stems), **param_shapes(cfg.trunk, "t_", stems)}
+    shapes.update((tau, (1, 1)) for _, tau in _HEADS[kind])
+    return shapes
 
 
-def init_prob(cfg: DeepOnetConfig, seed) -> dict[str, np.ndarray]:
-    """Shared layers plus split mu / log-sigma final layers and biases."""
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
-    params = {}
-    for prefix, sub in (("b_", cfg.branch), ("t_", cfg.trunk)):
-        full = glorot_init(sub, rng, prefix=prefix)
-        w, b = full.pop(f"{prefix}out_w"), full.pop(f"{prefix}out_b")
-        params.update(full)
-        params[f"{prefix}mu_w"] = w
-        params[f"{prefix}mu_b"] = b
-        limit = np.sqrt(6.0 / (sub.width + sub.output_dim))
-        params[f"{prefix}ls_w"] = rng.uniform(-limit, limit, (sub.width, sub.output_dim))
-        params[f"{prefix}ls_b"] = np.zeros((1, sub.output_dim))
-    params["tau_o_mu"] = np.zeros((1, 1))
-    params["tau_o_ls"] = np.zeros((1, 1))
-    return params
+def init(cfg: DeepOnetConfig, kind: str, seed) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights and zero biases over `layout(cfg, kind)`."""
+    return glorot_init(layout(cfg, kind), seed)
 
 
 def _heads(params: dict):
     """(stem, output bias) per head: `out` alone, or mu then log-sigma."""
-    return (("out", "tau_o"),) if "tau_o" in params else (("mu", "tau_o_mu"), ("ls", "tau_o_ls"))
+    return _HEADS["vanilla" if "tau_o" in params else "prob"]
 
 
 def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y):

@@ -532,7 +532,7 @@ def sample_scenarios(
     trips = admissible_trips(model, kind)
     if not trips:
         raise ScenarioRejected(f"no admissible {kind} trips in this model")
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     out = []
     for _ in range(count):
         trip = trips[rng.integers(len(trips))]
@@ -559,7 +559,7 @@ def generate_pool(
     Diverged scenarios are dropped and redrawn from the same stream; the
     rejection count is reported so pools stay auditable.
     """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+    rng = np.random.default_rng(seed)
     eq = equilibrium(model)
     reductions = {}
     accepted = []

@@ -36,8 +36,9 @@ class MlpConfig:
                 raise ValueError(f"{f} must be >= 1, got {getattr(self, f)}")
 
 
-def param_shapes(cfg: MlpConfig, prefix: str = "") -> dict[str, tuple[int, int]]:
-    """Parameter names and shapes in fixed insertion order (checkpoint order)."""
+def param_shapes(cfg: MlpConfig, prefix: str = "", heads=("out",)) -> dict[str, tuple[int, int]]:
+    """Parameter names and shapes in fixed insertion order (checkpoint order):
+    the encoders, the gates, then one linear layer per head stem."""
     shapes = {
         f"{prefix}u_w": (cfg.input_dim, cfg.width),
         f"{prefix}u_b": (1, cfg.width),
@@ -48,25 +49,24 @@ def param_shapes(cfg: MlpConfig, prefix: str = "") -> dict[str, tuple[int, int]]
         fan_in = cfg.input_dim if l == 1 else cfg.width
         shapes[f"{prefix}z{l}_w"] = (fan_in, cfg.width)
         shapes[f"{prefix}z{l}_b"] = (1, cfg.width)
-    shapes[f"{prefix}out_w"] = (cfg.width, cfg.output_dim)
-    shapes[f"{prefix}out_b"] = (1, cfg.output_dim)
+    for stem in heads:
+        shapes[f"{prefix}{stem}_w"] = (cfg.width, cfg.output_dim)
+        shapes[f"{prefix}{stem}_b"] = (1, cfg.output_dim)
     return shapes
 
 
-def glorot_init(cfg: MlpConfig, seed, prefix: str = "") -> dict[str, np.ndarray]:
-    """Glorot-uniform weights (limit sqrt(6/(fan_in+fan_out))), zero biases.
-
-    `seed` may be an int (or seed sequence) or an already-built Generator, so
-    composite models can hand one stream through several sub-inits.
-    """
-    rng = seed if isinstance(seed, np.random.Generator) else np.random.default_rng(seed)
+def glorot_init(shapes: dict[str, tuple[int, int]], seed) -> dict[str, np.ndarray]:
+    """Glorot-uniform weights (names ending `_w`, limit sqrt(6/(fan_in+fan_out)))
+    drawn from one stream in the order of `shapes`; every other parameter
+    (biases) starts at zero."""
+    rng = np.random.default_rng(seed)
     params = {}
-    for name, (rows, cols) in param_shapes(cfg, prefix).items():
-        if name.endswith("_b"):
-            params[name] = np.zeros((rows, cols))
-        else:
+    for name, (rows, cols) in shapes.items():
+        if name.endswith("_w"):
             limit = np.sqrt(6.0 / (rows + cols))
             params[name] = rng.uniform(-limit, limit, size=(rows, cols))
+        else:
+            params[name] = np.zeros((rows, cols))
     return params
 
 

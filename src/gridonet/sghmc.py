@@ -26,7 +26,7 @@ import numpy as np
 
 from .checkpoint import flatten, unflatten
 from .deeponet import DeepOnetConfig, forward_batch
-from .train import _mse_graph, _watch_all, batch_arrays
+from .train import _loss_graph, _watch_all, batch_arrays
 
 __all__ = [
     "SamplerError",
@@ -91,8 +91,8 @@ def gaussian_potential(residuals: np.ndarray, theta: np.ndarray, bc: BayesConfig
 
 
 def potential_energy(params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig) -> float:
-    """U(theta) for an operator network over the full dataset."""
-    U, Y, G = data if isinstance(data, tuple) else batch_arrays(data)
+    """U(theta) for a vanilla operator network over the full (U, Y, G) data."""
+    U, Y, G = data
     if len(G) == 0:
         raise ValueError("data must be non-empty")
     pred = forward_batch(params, cfg, U, Y)[0].data
@@ -101,17 +101,19 @@ def potential_energy(params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig) -
 
 
 def grad_potential(params: dict, cfg: DeepOnetConfig, U, Y, G, scale: float, bc: BayesConfig):
-    """Gradient of the scaled likelihood term plus the (unscaled) prior."""
+    """Gradient of the scaled likelihood term plus the (unscaled) prior, for a
+    vanilla net (squared residuals)."""
     tape, tracked = _watch_all(params)
-    grads = tape.backward(_mse_graph(tracked, cfg, U, Y, G, scale / (2.0 * bc.sigma_l**2)))
+    grads = tape.backward(_loss_graph(tracked, cfg, U, Y, G, scale / (2.0 * bc.sigma_l**2)))
     for name in grads:
         grads[name] = grads[name] + bc.prior_lambda * np.asarray(params[name], dtype=float)
     return grads
 
 
 def noisy_grad(params: dict, cfg: DeepOnetConfig, data, idx, bc: BayesConfig):
-    """Minibatch gradient estimate: likelihood rescaled by |D| / |batch|."""
-    U, Y, G = data if isinstance(data, tuple) else batch_arrays(data)
+    """Minibatch gradient estimate over rows idx of the (U, Y, G) data:
+    likelihood rescaled by |D| / |batch|."""
+    U, Y, G = data
     idx = np.asarray(idx)
     return grad_potential(params, cfg, U[idx], Y[idx], G[idx], len(G) / idx.size, bc)
 

@@ -100,28 +100,23 @@ def _watch_all(params: dict):
     return tape, {k: tape.watch(k, v) for k, v in params.items()}
 
 
-def _mse_graph(tracked, cfg, U, Y, G, coef):
-    """coef times the sum of squared residuals (1/B gives the MSE)."""
-    mu, _ = forward_batch(tracked, cfg, T.Tensor(U), T.Tensor(Y))
-    return T.sum_all(T.square(mu - T.Tensor(G))) * coef
-
-
-def _nll_graph(tracked, cfg, U, Y, G, coef):
-    """coef times the summed Gaussian NLL (1/B gives the mean)."""
+def _loss_graph(tracked, cfg, U, Y, G, coef):
+    """coef times the summed loss: squared residuals for a vanilla net,
+    Gaussian NLL for a prob net (1/B gives the batch mean)."""
     mu, ls = forward_batch(tracked, cfg, T.Tensor(U), T.Tensor(Y))
     r = mu - T.Tensor(G)
+    if ls is None:
+        return T.sum_all(T.square(r)) * coef
     # 0.5 r^2 / sigma^2 + 0.5 log(2 pi sigma^2), with sigma = exp(ls)
     point = T.square(r) * T.exp(ls * -2.0) * 0.5 + ls + 0.5 * LOG_2PI
     return T.sum_all(point) * coef
 
 
-_GRAPHS = {"vanilla": _mse_graph, "prob": _nll_graph}
-
-
-def loss_and_grads(kind: str, params: dict, cfg: DeepOnetConfig, U, Y, G):
-    """Batch-mean loss (MSE for vanilla, Gaussian NLL for prob) and its gradients."""
+def loss_and_grads(params: dict, cfg: DeepOnetConfig, U, Y, G):
+    """Batch-mean loss (MSE for a vanilla net, Gaussian NLL for a prob net)
+    and its gradients."""
     tape, tracked = _watch_all(params)
-    loss = _GRAPHS[kind](tracked, cfg, U, Y, G, 1.0 / len(G))
+    loss = _loss_graph(tracked, cfg, U, Y, G, 1.0 / len(G))
     return loss.item(), tape.backward(loss)
 
 
@@ -162,20 +157,12 @@ def adam_step(state: AdamState, params: dict, grads: dict):
     return state, out
 
 
-def fit(
-    kind: str,
-    params: dict,
-    cfg: DeepOnetConfig,
-    train_samples,
-    config: TrainConfig,
-):
-    """Minibatch Adam over shuffled epochs.
+def fit(params: dict, cfg: DeepOnetConfig, train_samples, config: TrainConfig):
+    """Minibatch Adam over shuffled epochs, on the loss of the net's heads.
 
     Returns (best_params, history) where history rows are dicts with keys
     epoch, train_loss, lr. Best = lowest epoch training loss.
     """
-    if kind not in _GRAPHS:
-        raise ValueError(f"kind must be one of {sorted(_GRAPHS)}, got {kind!r}")
     if not train_samples:
         raise ValueError("no training samples")
     U, Y, G = batch_arrays(train_samples)
@@ -192,7 +179,7 @@ def fit(
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
             try:
-                loss, grads = loss_and_grads(kind, params, cfg, U[idx], Y[idx], G[idx])
+                loss, grads = loss_and_grads(params, cfg, U[idx], Y[idx], G[idx])
             except T.NumericError as e:
                 raise TrainingError(f"numeric failure at epoch {epoch}: {e}", history=history)
             if not np.isfinite(loss):

@@ -13,7 +13,7 @@ from gridonet.checkpoint import (
     save_checkpoint,
     unflatten,
 )
-from gridonet.deeponet import DeepOnetConfig, init_vanilla
+from gridonet.deeponet import DeepOnetConfig, init
 
 
 def test_flatten_unflatten_roundtrip():
@@ -34,7 +34,7 @@ def test_unflatten_size_mismatch():
 
 
 def test_container_roundtrip_bit_exact(tmp_path):
-    params = init_vanilla(DeepOnetConfig(m=6, q=4, width=5, depth=2), 7)
+    params = init(DeepOnetConfig(m=6, q=4, width=5, depth=2), "vanilla", 7)
     # make values adversarial: denormals, negatives, exact powers of two
     params["tau_o"] = np.array([[np.nextafter(0.0, 1.0)]])
     path = tmp_path / "p.ckpt"
@@ -65,7 +65,7 @@ def test_manifest_is_readable_json_with_offsets(tmp_path):
 
 
 def test_bytes_deterministic(tmp_path):
-    params = init_vanilla(DeepOnetConfig(m=6, q=4, width=5, depth=2), 3)
+    params = init(DeepOnetConfig(m=6, q=4, width=5, depth=2), "vanilla", 3)
 
     def digest(p):
         save_checkpoint(p, params, meta={"note": "x"})
@@ -86,7 +86,8 @@ def test_bad_magic_rejected(tmp_path):
     lambda raw: raw.replace(b" ", b" x", 1),  # non-numeric manifest length
     lambda raw: raw[: raw.index(b"\n") + 10],  # manifest cut short
     lambda raw: raw[:-1],  # blob one byte short
-], ids=["header", "length", "manifest", "blob"])
+    lambda raw: raw.replace(b'"meta":{}', b'"meta":[]'),  # meta not an object
+], ids=["header", "length", "manifest", "blob", "meta"])
 def test_corrupt_container_rejected(tmp_path, corrupt):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})

@@ -6,6 +6,7 @@ import shutil
 import pytest
 
 from gridonet import cli
+from gridonet.checkpoint import load_checkpoint, save_checkpoint
 
 INI = "[deeponet]\nq = 4\nwidth = 6\ndepth = 2\n[sghmc]\nm_inner = 2\n[evaluate]\nbands = 1\n"
 WHICH = ("vanilla", "prob", "bayes")
@@ -138,6 +139,15 @@ def test_truncated_checkpoint_exits_1(workdir_copy, capsys):
     rc, err = run(capsys, workdir_copy, "predict", "--which", "vanilla")
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0]
+
+
+def test_checkpoint_without_geometry_exits_2(workdir_copy, capsys):
+    ckpt = workdir_copy / "models" / "vanilla.ckpt"
+    save_checkpoint(ckpt, load_checkpoint(ckpt)[0], meta={"kind": "vanilla"})
+    rc, err = run(capsys, workdir_copy, "predict", "--which", "vanilla")
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith("error: ")
+    assert str(ckpt) in err[0] and "'m'" in err[0]
 
 
 @pytest.mark.parametrize("which, source, target", [

@@ -1,11 +1,13 @@
-"""Inner-product composition, probabilistic heads, ensembles."""
+"""Parameter layout and init, inner-product composition, probabilistic heads, ensembles."""
+
+import hashlib
 
 import numpy as np
 import pytest
 
 from gridonet import mlp
 from gridonet import tensor as T
-from gridonet.deeponet import DeepOnetConfig, forward_batch, init_prob, init_vanilla, predict
+from gridonet.deeponet import DeepOnetConfig, forward_batch, init, layout, predict
 
 CFG = DeepOnetConfig(m=10, q=6, width=8, depth=2)
 
@@ -23,18 +25,55 @@ def mu_subparams(prob_params):
     return out
 
 
+def init_digest(params):
+    h = hashlib.sha256()
+    for name, arr in params.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(arr, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("cfg", [CFG, DeepOnetConfig(m=20, q=3, width=5, depth=4)])
+@pytest.mark.parametrize("kind", ["vanilla", "prob"])
+def test_layout_names_init_in_checkpoint_order(cfg, kind):
+    shapes = layout(cfg, kind)
+    for seed in (0, 7):
+        assert {k: v.shape for k, v in init(cfg, kind, seed).items()} == shapes
+        assert list(init(cfg, kind, seed)) == list(shapes)
+    heads = ["out"] if kind == "vanilla" else ["mu", "ls"]
+    taus = ["tau_o"] if kind == "vanilla" else ["tau_o_mu", "tau_o_ls"]
+    body = ["u_w", "u_b", "v_w", "v_b",
+            *(f"z{l}_{p}" for l in range(1, cfg.depth + 1) for p in "wb"),
+            *(f"{h}_{p}" for h in heads for p in "wb")]
+    assert list(shapes) == [f"b_{n}" for n in body] + [f"t_{n}" for n in body] + taus
+
+
+def test_layout_rejects_unknown_kind():
+    with pytest.raises(ValueError, match="kind must be one of"):
+        layout(CFG, "bayes")
+
+
+@pytest.mark.parametrize("kind, digest", [
+    # recorded from the separate vanilla and prob inits this one replaced
+    ("vanilla", "f33c96fdad711edbc29cfe75629414428139f6f123b4c56b13404fe87bf00415"),
+    ("prob", "2ff4a4d09cdfbb326f89c20c5c692b012499ddfd624d8e3982490ada7038354b"),
+])
+def test_init_bytes_pinned(kind, digest):
+    assert init_digest(init(DeepOnetConfig(m=20, q=8, width=8, depth=2), kind, 0)) == digest
+
+
 def test_init_latent_dims_agree():
-    p = init_vanilla(CFG, 0)
+    p = init(CFG, "vanilla", 0)
     assert p["b_out_w"].shape == (8, 6)
     assert p["t_out_w"].shape == (8, 6)
     assert p["tau_o"].shape == (1, 1)
-    pp = init_prob(CFG, 0)
+    pp = init(CFG, "prob", 0)
     for k in ("b_mu_w", "b_ls_w", "t_mu_w", "t_ls_w"):
         assert pp[k].shape == (8, 6), k
 
 
 def test_zero_branch_gives_tau_o():
-    p = init_vanilla(CFG, 1)
+    p = init(CFG, "vanilla", 1)
     p["b_out_w"] = np.zeros_like(p["b_out_w"])
     p["b_out_b"] = np.zeros_like(p["b_out_b"])
     p["tau_o"] = np.array([[0.37]])
@@ -46,7 +85,7 @@ def test_zero_branch_gives_tau_o():
 
 def test_basis_selection_case():
     # branch output forced to e_1 -> prediction equals trunk feature phi_1(y)
-    p = init_vanilla(CFG, 2)
+    p = init(CFG, "vanilla", 2)
     p["b_out_w"] = np.zeros_like(p["b_out_w"])
     b = np.zeros((1, CFG.q))
     b[0, 0] = 1.0
@@ -59,7 +98,7 @@ def test_basis_selection_case():
 
 
 def test_predict_matches_scalar_loop():
-    p = init_vanilla(CFG, 3)
+    p = init(CFG, "vanilla", 3)
     rng = np.random.default_rng(4)
     u = rng.uniform(0.8, 1.1, 10)
     ys = rng.uniform(2.0, 9.0, 7)
@@ -74,7 +113,7 @@ def test_predict_matches_scalar_loop():
 
 
 def test_predict_rejects_bad_sensor_count_and_nonfinite():
-    p = init_vanilla(CFG, 5)
+    p = init(CFG, "vanilla", 5)
     with pytest.raises(ValueError):
         predict([p], CFG, np.ones(9), [2.5])
     with pytest.raises(T.NumericError):
@@ -82,7 +121,7 @@ def test_predict_rejects_bad_sensor_count_and_nonfinite():
 
 
 def test_forward_batch_agrees_with_predict():
-    p = init_vanilla(CFG, 6)
+    p = init(CFG, "vanilla", 6)
     rng = np.random.default_rng(7)
     U = rng.uniform(0.9, 1.05, (4, 10))
     Y = rng.uniform(2.0, 9.0, (4, 1))
@@ -103,15 +142,15 @@ def test_branch_evaluated_once_per_input(monkeypatch):
 
     monkeypatch.setattr(mlp, "hidden", counting)
     monkeypatch.setattr("gridonet.deeponet.hidden", counting)
-    p = init_vanilla(CFG, 8)
+    p = init(CFG, "vanilla", 8)
     predict([p], CFG, np.ones(10), np.linspace(2.1, 9.0, 50))
     assert calls == {"branch": 1, "trunk": 1}
-    predict([init_prob(CFG, 8)], CFG, np.ones(10), np.linspace(2.1, 9.0, 50))
+    predict([init(CFG, "prob", 8)], CFG, np.ones(10), np.linspace(2.1, 9.0, 50))
     assert calls == {"branch": 2, "trunk": 2}
 
 
 def test_linear_in_branch_output():
-    p = init_vanilla(CFG, 9)
+    p = init(CFG, "vanilla", 9)
     p["tau_o"] = np.array([[0.25]])
     u = np.random.default_rng(10).uniform(0.9, 1.1, 10)
     ys = np.linspace(2.2, 8.8, 5)
@@ -124,7 +163,7 @@ def test_linear_in_branch_output():
 
 
 def test_prob_sigma_one_when_logsig_zeroed():
-    pp = init_prob(CFG, 11)
+    pp = init(CFG, "prob", 11)
     for k in ("b_ls_w", "b_ls_b", "t_ls_w", "t_ls_b", "tau_o_ls"):
         pp[k] = np.zeros_like(pp[k])
     _, sigma = predict([pp], CFG, np.ones(10), np.linspace(2.1, 9, 8))
@@ -133,7 +172,7 @@ def test_prob_sigma_one_when_logsig_zeroed():
 
 def test_prob_sigma_analytic_value():
     # force the log-sigma channel to the constant -2 through tau_o_ls
-    pp = init_prob(CFG, 12)
+    pp = init(CFG, "prob", 12)
     for k in ("b_ls_w", "b_ls_b", "t_ls_w", "t_ls_b"):
         pp[k] = np.zeros_like(pp[k])
     pp["tau_o_ls"] = np.array([[-2.0]])
@@ -142,7 +181,7 @@ def test_prob_sigma_analytic_value():
 
 
 def test_prob_mu_channel_equals_vanilla_on_mu_subparams():
-    pp = init_prob(CFG, 13)
+    pp = init(CFG, "prob", 13)
     rng = np.random.default_rng(14)
     u = rng.uniform(0.9, 1.1, 10)
     ys = rng.uniform(2.1, 9.0, 6)
@@ -152,7 +191,7 @@ def test_prob_mu_channel_equals_vanilla_on_mu_subparams():
 
 
 def test_prob_sigma_strictly_positive_and_clamped():
-    pp = init_prob(CFG, 15)
+    pp = init(CFG, "prob", 15)
     pp["tau_o_ls"] = np.array([[500.0]])  # would overflow without the clamp
     _, sigma = predict([pp], CFG, np.ones(10), [2.5])
     assert sigma[0] == np.exp(3.0)
@@ -163,7 +202,7 @@ def test_prob_sigma_strictly_positive_and_clamped():
 
 
 def test_prob_forward_batch_matches_predict():
-    pp = init_prob(CFG, 16)
+    pp = init(CFG, "prob", 16)
     rng = np.random.default_rng(17)
     U = rng.uniform(0.9, 1.1, (3, 10))
     Y = rng.uniform(2.1, 9.0, (3, 1))
@@ -175,7 +214,7 @@ def test_prob_forward_batch_matches_predict():
 
 
 def test_ensemble_degenerate_and_two_point():
-    p = init_vanilla(CFG, 18)
+    p = init(CFG, "vanilla", 18)
     u = np.ones(10)
     ys = np.linspace(2.1, 9.0, 4)
     mean, std = predict([p, p, p], CFG, u, ys)
@@ -184,8 +223,8 @@ def test_ensemble_degenerate_and_two_point():
     assert mean.shape == std.shape == (4,)
 
     # two members predicting constants 1 and 3: mean 2, std sqrt(2)
-    p1 = init_vanilla(CFG, 19)
-    p2 = init_vanilla(CFG, 19)
+    p1 = init(CFG, "vanilla", 19)
+    p2 = init(CFG, "vanilla", 19)
     for pi in (p1, p2):
         pi["b_out_w"] = np.zeros_like(pi["b_out_w"])
         pi["b_out_b"] = np.zeros_like(pi["b_out_b"])
@@ -196,7 +235,7 @@ def test_ensemble_degenerate_and_two_point():
 
 
 def test_ensemble_recomputation_and_permutation_invariance():
-    members = [init_vanilla(CFG, 20 + i) for i in range(16)]
+    members = [init(CFG, "vanilla", 20 + i) for i in range(16)]
     rng = np.random.default_rng(40)
     u = rng.uniform(0.9, 1.1, 10)
     ys = rng.uniform(2.1, 9.0, 5)
@@ -213,7 +252,7 @@ def test_ensemble_recomputation_and_permutation_invariance():
 
 
 def test_predict_rejects_empty_and_prob_ensembles():
-    for members in ([], [init_prob(CFG, 0), init_prob(CFG, 1)],
-                    [init_vanilla(CFG, 0), init_prob(CFG, 1)]):
+    for members in ([], [init(CFG, "prob", 0), init(CFG, "prob", 1)],
+                    [init(CFG, "vanilla", 0), init(CFG, "prob", 1)]):
         with pytest.raises(ValueError):
             predict(members, CFG, np.ones(10), [2.5])

@@ -42,7 +42,7 @@ def test_param_set_matches_architecture():
 def test_glorot_bound_fanin_fanout_3():
     # fan_in = fan_out = 3 gives limit sqrt(6/6) = 1
     cfg = MlpConfig(input_dim=3, width=3, depth=1, output_dim=3)
-    params = glorot_init(cfg, 0)
+    params = glorot_init(param_shapes(cfg), 0)
     for name, arr in params.items():
         if name.endswith("_w"):
             assert np.all(np.abs(arr) <= 1.0), name
@@ -50,13 +50,13 @@ def test_glorot_bound_fanin_fanout_3():
 
 def test_glorot_biases_zero_and_deterministic():
     cfg = MlpConfig(input_dim=4, width=6, depth=2, output_dim=3)
-    p1 = glorot_init(cfg, 42)
-    p2 = glorot_init(cfg, 42)
+    p1 = glorot_init(param_shapes(cfg), 42)
+    p2 = glorot_init(param_shapes(cfg), 42)
     for name in p1:
         assert np.array_equal(p1[name], p2[name]), name
         if name.endswith("_b"):
             assert np.all(p1[name] == 0.0), name
-    p3 = glorot_init(cfg, 43)
+    p3 = glorot_init(param_shapes(cfg), 43)
     assert not np.array_equal(p1["u_w"], p3["u_w"])
 
 
@@ -64,7 +64,7 @@ def test_glorot_variance_matches_uniform_moment():
     # var of U(-a, a) is a^2/3 = 2/(fan_in+fan_out); check on a 100x100 layer
     cfg = MlpConfig(input_dim=100, width=100, depth=1, output_dim=1)
     draws = np.concatenate(
-        [glorot_init(cfg, s)["u_w"].ravel() for s in range(1)]
+        [glorot_init(param_shapes(cfg), s)["u_w"].ravel() for s in range(1)]
     )
     assert draws.size == 10_000
     want = 2.0 / 200.0
@@ -103,7 +103,7 @@ def test_hand_trace_scalar_instance():
 @pytest.mark.parametrize("depth", [1, 2, 3])
 def test_forward_matches_reference_implementation(depth):
     cfg = MlpConfig(input_dim=4, width=9, depth=depth, output_dim=3)
-    params = glorot_init(cfg, 5 + depth)
+    params = glorot_init(param_shapes(cfg), 5 + depth)
     x = np.random.default_rng(9).standard_normal((6, 4))
     got = forward(params, T.Tensor(x), cfg).data
     want = reference_forward(params, x, cfg)
@@ -112,7 +112,7 @@ def test_forward_matches_reference_implementation(depth):
 
 def test_batch_order_equivariance():
     cfg = MlpConfig(input_dim=3, width=8, depth=2, output_dim=2)
-    params = glorot_init(cfg, 1)
+    params = glorot_init(param_shapes(cfg), 1)
     rng = np.random.default_rng(2)
     x = rng.standard_normal((10, 3))
     perm = rng.permutation(10)
@@ -124,7 +124,7 @@ def test_batch_order_equivariance():
 def test_gate_surgery_selects_encoder():
     # saturate each gate at sin(pi/2)=1 -> output follows V only; at 0 -> U only
     cfg = MlpConfig(input_dim=2, width=4, depth=2, output_dim=1)
-    base = glorot_init(cfg, 3)
+    base = glorot_init(param_shapes(cfg), 3)
     x = np.random.default_rng(4).standard_normal((5, 2))
 
     def run(p):
@@ -155,7 +155,7 @@ def test_gate_surgery_selects_encoder():
 
 def test_gradients_match_finite_differences_end_to_end():
     cfg = MlpConfig(input_dim=2, width=3, depth=2, output_dim=1)
-    base = glorot_init(cfg, 8)
+    base = glorot_init(param_shapes(cfg), 8)
     x = np.random.default_rng(12).uniform(-1, 1, (4, 2))
 
     def loss_at(override):

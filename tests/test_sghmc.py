@@ -10,7 +10,7 @@ import numpy as np
 import pytest
 
 from gridonet.dataset import OperatorSample
-from gridonet.deeponet import DeepOnetConfig, init_vanilla
+from gridonet.deeponet import DeepOnetConfig, init
 from gridonet.sghmc import (
     BayesConfig,
     SamplerError,
@@ -75,7 +75,7 @@ def test_potential_matches_scalar_loop():
 
 def test_full_batch_grad_matches_finite_differences():
     rng = np.random.default_rng(3)
-    params = init_vanilla(CFG, seed=4)
+    params = init(CFG, "vanilla", seed=4)
     data = batch_arrays(make_batch(rng, 6))
     bc = unit_bc(sigma_l=0.1, prior_lambda=0.7)
     grads = noisy_grad(params, CFG, data, np.arange(6), bc)
@@ -101,7 +101,7 @@ def test_grad_zero_params_hand_value():
     rng = np.random.default_rng(5)
     batch = make_batch(rng, 5)
     data = batch_arrays(batch)
-    params = {k: np.zeros_like(v) for k, v in init_vanilla(CFG, seed=0).items()}
+    params = {k: np.zeros_like(v) for k, v in init(CFG, "vanilla", seed=0).items()}
     bc = unit_bc(sigma_l=0.2)
     grads = noisy_grad(params, CFG, data, np.arange(5), bc)
     expected = -data[2].sum() / 0.2**2
@@ -112,7 +112,7 @@ def test_minibatch_gradient_is_unbiased():
     # averaging the rescaled estimator over every size-3 subset of 6 points
     # reproduces the full-batch likelihood gradient exactly
     rng = np.random.default_rng(6)
-    params = init_vanilla(CFG, seed=7)
+    params = init(CFG, "vanilla", seed=7)
     data = batch_arrays(make_batch(rng, 6))
     bc = unit_bc(sigma_l=0.15, prior_lambda=0.9)
     full = noisy_grad(params, CFG, data, np.arange(6), bc)
@@ -208,7 +208,7 @@ def test_config_validation():
 def test_run_is_deterministic():
     rng = np.random.default_rng(21)
     batch = make_batch(rng, 6)
-    params = init_vanilla(CFG, seed=3)
+    params = init(CFG, "vanilla", seed=3)
     bc = unit_bc(eps_t=1e-4, C=10.0, n_outer=6, burn_in=2, thinning=2, M=2,
                  m_inner=3, batch_size=4, seed=5)
     a, trace_a = sghmc_run(params, CFG, batch, bc)

@@ -6,7 +6,7 @@ import numpy as np
 import pytest
 
 from gridonet.dataset import OperatorSample
-from gridonet.deeponet import DeepOnetConfig, init_prob, init_vanilla, predict
+from gridonet.deeponet import DeepOnetConfig, init, predict
 from gridonet.train import (
     LOG_2PI,
     AdamState,
@@ -30,12 +30,9 @@ def zeroed(params, **overrides):
     return out
 
 
-def mse_loss(params, cfg, batch):
-    return loss_and_grads("vanilla", params, cfg, *batch_arrays(batch))[0]
-
-
-def nll_loss(params, cfg, batch):
-    return loss_and_grads("prob", params, cfg, *batch_arrays(batch))[0]
+def batch_loss(params, cfg, batch):
+    """MSE for a vanilla net, Gaussian NLL for a prob net."""
+    return loss_and_grads(params, cfg, *batch_arrays(batch))[0]
 
 
 def mu_subparams(prob_params):
@@ -56,42 +53,42 @@ def make_batch(rng, n, m=CFG.m):
 
 def test_mse_hand_values():
     # all-zero weights collapse the network to the constant tau_o
-    params = zeroed(init_vanilla(CFG, seed=0), tau_o=1.0)
+    params = zeroed(init(CFG, "vanilla", seed=0), tau_o=1.0)
     batch = [OperatorSample(0, np.ones(CFG.m), 3.0, 0.8)]
-    assert abs(mse_loss(params, CFG, batch) - 0.04) < 1e-15
-    params_eq = zeroed(init_vanilla(CFG, seed=0), tau_o=0.8)
-    assert mse_loss(params_eq, CFG, batch) == 0.0
+    assert abs(batch_loss(params, CFG, batch) - 0.04) < 1e-15
+    params_eq = zeroed(init(CFG, "vanilla", seed=0), tau_o=0.8)
+    assert batch_loss(params_eq, CFG, batch) == 0.0
     with pytest.raises(ValueError):
-        fit("vanilla", params, CFG, [], TrainConfig(epochs=1))
+        fit(params, CFG, [], TrainConfig(epochs=1))
 
 
 def test_mse_matches_scalar_loop():
     rng = np.random.default_rng(1)
-    params = init_vanilla(CFG, seed=2)
+    params = init(CFG, "vanilla", seed=2)
     batch = make_batch(rng, 17)
     acc = 0.0
     for s in batch:
         pred = predict([params], CFG, s.u_disc, [s.y])[0][0]
         acc += (pred - s.target) ** 2
-    assert abs(mse_loss(params, CFG, batch) - acc / 17) < 1e-12
+    assert abs(batch_loss(params, CFG, batch) - acc / 17) < 1e-12
 
 
 def test_nll_hand_values():
-    base = init_prob(CFG, seed=0)
+    base = init(CFG, "prob", seed=0)
     batch = [OperatorSample(0, np.ones(CFG.m), 3.0, 0.8)]
     # mu = target, sigma = 1 everywhere
     params = zeroed(base, tau_o_mu=0.8)
-    assert abs(nll_loss(params, CFG, batch) - 0.5 * LOG_2PI) < 1e-12
+    assert abs(batch_loss(params, CFG, batch) - 0.5 * LOG_2PI) < 1e-12
     # unit residual at sigma = 1
     params = zeroed(base, tau_o_mu=1.8)
-    assert abs(nll_loss(params, CFG, batch) - (0.5 + 0.5 * LOG_2PI)) < 1e-12
+    assert abs(batch_loss(params, CFG, batch) - (0.5 + 0.5 * LOG_2PI)) < 1e-12
     with pytest.raises(ValueError):
-        fit("prob", params, CFG, [], TrainConfig(epochs=1))
+        fit(params, CFG, [], TrainConfig(epochs=1))
 
 
 def test_nll_matches_scalar_loop():
     rng = np.random.default_rng(3)
-    params = init_prob(CFG, seed=4)
+    params = init(CFG, "prob", seed=4)
     batch = make_batch(rng, 13)
     acc = 0.0
     for s in batch:
@@ -101,26 +98,26 @@ def test_nll_matches_scalar_loop():
             2.0 * np.pi * sigma[0] ** 2
         )
     ref = acc / 13
-    assert abs(nll_loss(params, CFG, batch) - ref) < 1e-12 * max(1.0, abs(ref))
+    assert abs(batch_loss(params, CFG, batch) - ref) < 1e-12 * max(1.0, abs(ref))
 
 
 def test_nll_reduces_to_mse_at_unit_sigma():
     rng = np.random.default_rng(5)
-    prob = dict(init_prob(CFG, seed=6))
+    prob = dict(init(CFG, "prob", seed=6))
     for k in prob:  # freeze the log-sigma heads at zero, so sigma = 1
         if "_ls_" in k or k == "tau_o_ls":
             prob[k] = np.zeros_like(prob[k])
     batch = make_batch(rng, 11)
-    m = mse_loss(mu_subparams(prob), CFG, batch)
-    n = nll_loss(prob, CFG, batch)
+    m = batch_loss(mu_subparams(prob), CFG, batch)
+    n = batch_loss(prob, CFG, batch)
     assert abs(n - (0.5 * m + 0.5 * LOG_2PI)) < 1e-12
 
 
 def test_nll_gradient_at_perfect_mean():
     # with mu = target and sigma = 1, d(nll)/d(tau_o_ls) = 1, d/d(tau_o_mu) = 0
-    params = zeroed(init_prob(CFG, seed=0), tau_o_mu=0.9)
+    params = zeroed(init(CFG, "prob", seed=0), tau_o_mu=0.9)
     batch = [OperatorSample(i, np.ones(CFG.m), 2.0 + i, 0.9) for i in range(4)]
-    _, grads = loss_and_grads("prob", params, CFG, *batch_arrays(batch))
+    _, grads = loss_and_grads(params, CFG, *batch_arrays(batch))
     assert abs(grads["tau_o_ls"].item() - 1.0) < 1e-12
     assert abs(grads["tau_o_mu"].item()) < 1e-12
 
@@ -212,9 +209,9 @@ def test_fit_is_bit_reproducible():
     rng = np.random.default_rng(12)
     batch = make_batch(rng, 16)
     config = TrainConfig(epochs=3, batch_size=8, lr=1e-3, seed=7)
-    p0 = init_vanilla(CFG, seed=11)
-    a, hist_a = fit("vanilla", p0, CFG, batch, config)
-    b, hist_b = fit("vanilla", p0, CFG, batch, config)
+    p0 = init(CFG, "vanilla", seed=11)
+    a, hist_a = fit(p0, CFG, batch, config)
+    b, hist_b = fit(p0, CFG, batch, config)
     for k in a:
         assert np.array_equal(a[k], b[k])
     assert hist_a == hist_b
@@ -229,7 +226,7 @@ def test_fit_raises_on_divergence():
     # the sin gates saturate, so the loss only overflows at an absurd rate
     config = TrainConfig(epochs=50, batch_size=8, lr=1e200, seed=0)
     with pytest.raises(TrainingError) as exc:
-        fit("vanilla", init_vanilla(CFG, seed=2), CFG, batch, config)
+        fit(init(CFG, "vanilla", seed=2), CFG, batch, config)
     assert isinstance(exc.value.history, list)
 
 
@@ -253,6 +250,6 @@ def _integral_benchmark(n_funcs, q_per, seed):
 def test_fit_learns_the_integral_operator():
     cfg, samples = _integral_benchmark(n_funcs=30, q_per=5, seed=20)
     config = TrainConfig(epochs=2000, batch_size=64, lr=1e-3, patience=300, seed=1)
-    params, hist = fit("vanilla", init_vanilla(cfg, seed=3), cfg, samples, config)
-    assert mse_loss(params, cfg, samples) < 1e-4
+    params, hist = fit(init(cfg, "vanilla", seed=3), cfg, samples, config)
+    assert batch_loss(params, cfg, samples) < 1e-4
     assert hist[-1]["train_loss"] < hist[0]["train_loss"]
