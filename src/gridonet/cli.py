@@ -165,6 +165,8 @@ def cmd_simulate(cfg, args) -> int:
     n1, n2, seed = o["n1"], o["n2"], o["seed"]
     if n1 < 1 or n2 < 1:
         raise UsageError(f"pool sizes must be >= 1, got n1={n1}, n2={n2}")
+    if not 0.0 < o["h_max"] < np.inf:
+        raise UsageError(f"h_max must be finite and > 0, got {o['h_max']}")
     model = gs.build_model(load_scale=o["load_scale"], monitor_bus=o["monitor_bus"])
     if not 0 <= model.monitor_bus < model.n_bus:
         raise UsageError(f"monitor_bus must be in [0, {model.n_bus}), got {model.monitor_bus}")
@@ -261,8 +263,8 @@ def cmd_train(cfg, args) -> int:
     config = _build(TrainConfig, **opts(cfg, "train"))
     train_pool, _, spec, doc = _load_split(cfg)
     net = _net_cfg(cfg, spec.m)
-    samples = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
-    params, history = fit(init(net, kind, config.seed), net, samples, config)
+    data = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
+    params, history = fit(init(net, kind, config.seed), net, data, config)
     out = workdir(cfg) / "models"
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / f"{kind}.ckpt"
@@ -274,7 +276,7 @@ def cmd_train(cfg, args) -> int:
     write_json(out / f"{kind}.manifest.json", {
         "config": cfg, "checkpoint_sha256": file_sha256(ckpt),
         "best_train_loss": best, "epochs": len(history),
-        "n_train_samples": len(samples),
+        "n_train_samples": len(data[2]),
     })
     print(f"{kind}: trained {len(history)} epochs, best loss {best:.6g}")
     return 0
@@ -292,8 +294,8 @@ def cmd_sghmc(cfg, args) -> int:
         raise UsageError(f"missing init checkpoint {init_path}")
     params0, _ = load_checkpoint(init_path)
     _check_layout([init_path], [params0], "vanilla", net)
-    samples = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
-    members, trace = sghmc_run(params0, net, samples, bc)
+    data = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
+    members, trace = sghmc_run(params0, net, data, bc)
     out = workdir(cfg) / "models" / "bayes"
     out.mkdir(parents=True, exist_ok=True)
     names, hashes = [], {}
@@ -357,6 +359,14 @@ def _load_model(cfg, which: str, spec: SplitSpec):
     return members, net
 
 
+def _evaluate_opts(cfg) -> dict:
+    """The [evaluate] keys, with the band level checked to lie in (0, 1)."""
+    o = opts(cfg, "evaluate")
+    if not 0.0 < o["level"] < 1.0:
+        raise UsageError(f"level must be in (0, 1), got {o['level']}")
+    return o
+
+
 def _band(mean, std, level: float):
     """(lower, upper) of the central `level` band; (None, None) without a std."""
     if std is None:
@@ -368,12 +378,16 @@ def _band(mean, std, level: float):
 
 def cmd_evaluate(cfg, args) -> int:
     which, noise = args.which, args.noise
-    if noise < 0:
-        raise UsageError(f"--noise must be >= 0, got {noise}")
-    o = opts(cfg, "evaluate")
+    if not 0.0 <= noise < np.inf:
+        raise UsageError(f"--noise must be finite and >= 0, got {noise}")
+    o = _evaluate_opts(cfg)
     level = o["level"]
     if o["count"] < 1:
         raise UsageError(f"count must be >= 1, got {o['count']}")
+    if not 0.0 <= o["chi_max"] < np.inf:
+        raise UsageError(f"chi_max must be finite and >= 0, got {o['chi_max']}")
+    if o["chi_points"] < 1:
+        raise UsageError(f"chi_points must be >= 1, got {o['chi_points']}")
     _, test_pool, spec, _ = _load_split(cfg)
     members, net = _load_model(cfg, which, spec)
 
@@ -446,11 +460,13 @@ def cmd_alarms(cfg, args) -> int:
     which = args.which
     if which == "vanilla":
         raise UsageError("alarm analysis needs a predictive band; use prob or bayes")
-    o = opts(cfg, "evaluate")
+    o = _evaluate_opts(cfg)
     level, y_star = o["level"], o["y_star"]
     _, test_pool, spec, _ = _load_split(cfg)
     if y_star <= spec.t_cl:
         raise UsageError(f"y_star must be after the clearing time t_cl={spec.t_cl}, got {y_star}")
+    if not y_star <= spec.T:
+        raise UsageError(f"y_star must be at most the horizon T={spec.T}, got {y_star}")
     members, net = _load_model(cfg, which, spec)
     cases = build_test(test_pool, spec)
     items = []
@@ -510,7 +526,7 @@ def cmd_residuals(cfg, args) -> int:
 
 def cmd_predict(cfg, args) -> int:
     which, traj_id = args.which, args.traj_id
-    level = opts(cfg, "evaluate")["level"]
+    level = _evaluate_opts(cfg)["level"]
     _, test_pool, spec, _ = _load_split(cfg)
     members, net = _load_model(cfg, which, spec)
     by_id = {tr.traj_id: tr for tr in test_pool}

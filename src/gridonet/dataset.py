@@ -16,7 +16,6 @@ from .gridsim import Trajectory
 
 __all__ = [
     "SplitSpec",
-    "OperatorSample",
     "sensor_times",
     "query_mesh",
     "trajectory_rng",
@@ -43,14 +42,6 @@ class SplitSpec:
             raise ValueError(f"invalid split spec {self}")
         if not (0.0 < self.t_cl < self.T):
             raise ValueError(f"need 0 < t_cl < T, got {self.t_cl}, {self.T}")
-
-
-@dataclass(frozen=True)
-class OperatorSample:
-    traj_id: int
-    u_disc: np.ndarray  # (m,)
-    y: float
-    target: float
 
 
 def sensor_times(spec: SplitSpec) -> np.ndarray:
@@ -80,24 +71,24 @@ def trajectory_rng(seed: int, tr: Trajectory) -> np.random.Generator:
     return np.random.default_rng([seed, _KIND_CODE[tr.scenario.kind], tr.traj_id])
 
 
-def build_train(pool, spec: SplitSpec, seed: int) -> list[OperatorSample]:
-    """Q uniform queries per trajectory, targets linearly interpolated.
+def build_train(pool, spec: SplitSpec, seed: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """Q uniform queries per trajectory, targets linearly interpolated, as
+    arrays (U, Y, G) of shapes (N, m), (N, 1) and (N, 1), N = Q * len(pool).
 
     Queries come from a per-trajectory stream, so the first Q' draws of a
-    larger Q are a superset run's prefix; the assembled list is shuffled with
-    the top-level seed.
+    larger Q are a superset run's prefix; the rows are shuffled with the
+    top-level seed.
     """
-    samples = []
+    us, ys, gs = [], [], []
     for tr in pool:
         _check_coverage(tr, spec)
-        u = _u_disc(tr, spec)
-        rng = trajectory_rng(seed, tr)
-        ys = rng.uniform(spec.t_cl, spec.T, size=spec.Q)
-        targets = np.interp(ys, tr.times, tr.values)
-        for y, g in zip(ys, targets):
-            samples.append(OperatorSample(tr.traj_id, u, float(y), float(g)))
-    order = np.random.default_rng([seed, 0]).permutation(len(samples))
-    return [samples[i] for i in order]
+        y = trajectory_rng(seed, tr).uniform(spec.t_cl, spec.T, size=spec.Q)
+        us.append(_u_disc(tr, spec))
+        ys.append(y)
+        gs.append(np.interp(y, tr.times, tr.values))
+    order = np.random.default_rng([seed, 0]).permutation(len(ys) * spec.Q)
+    U = np.repeat(np.reshape(us, (-1, spec.m)), spec.Q, axis=0)
+    return U[order], np.reshape(ys, (-1, 1))[order], np.reshape(gs, (-1, 1))[order]
 
 
 def build_test(pool, spec: SplitSpec):

@@ -194,8 +194,10 @@ class PowerFlow:
     residual: float
 
 
-def solve_power_flow(model: GridModel, tol: float = 1e-11, max_iter: int = 50) -> PowerFlow:
-    """Newton-Raphson on the intact network with PQ loads."""
+def solve_power_flow(model: GridModel) -> PowerFlow:
+    """Newton-Raphson on the intact network with PQ loads: at most 50
+    iterations, to a largest mismatch below 1e-11."""
+    tol, max_iter = 1e-11, 50
     n = model.n_bus
     Y = ybus(model)
     p_spec = np.zeros(n)
@@ -517,16 +519,9 @@ def admissible_trips(model: GridModel, kind: str) -> list[tuple]:
     return [c for c in cands if _connected(model, c)]
 
 
-def sample_scenarios(
-    model: GridModel,
-    count: int,
-    kind: str,
-    seed,
-    t_cl: float = 2.0,
-    T: float = 9.0,
-    sample_rate: float = 100.0,
-) -> list[FaultScenario]:
-    """Random contingencies: admissible trips, t_f = t_cl - U(0.2, 0.5)."""
+def sample_scenarios(model: GridModel, count: int, kind: str, seed) -> list[FaultScenario]:
+    """Random contingencies on `FaultScenario`'s default timing: admissible
+    trips, t_f = t_cl - U(0.2, 0.5)."""
     if count < 1:
         raise ValueError(f"count must be >= 1, got {count}")
     trips = admissible_trips(model, kind)
@@ -537,11 +532,7 @@ def sample_scenarios(
     for _ in range(count):
         trip = trips[rng.integers(len(trips))]
         dt_f = rng.uniform(0.2, 0.5)
-        out.append(
-            FaultScenario(
-                kind=kind, tripped=trip, t_f=t_cl - dt_f, t_cl=t_cl, T=T, sample_rate=sample_rate
-            )
-        )
+        out.append(FaultScenario(kind=kind, tripped=trip, t_f=FaultScenario.t_cl - dt_f))
     return out
 
 
@@ -551,14 +542,14 @@ def generate_pool(
     kind: str,
     seed,
     id_offset: int = 0,
-    max_reject: int = 1000,
     h_max: float = 1e-3,
 ):
     """Simulate scenarios until `count` trajectories are accepted.
 
-    Diverged scenarios are dropped and redrawn from the same stream; the
-    rejection count is reported so pools stay auditable.
+    Diverged scenarios are dropped and redrawn from the same stream, up to
+    1000 of them; the rejection count is reported so pools stay auditable.
     """
+    max_reject = 1000
     rng = np.random.default_rng(seed)
     eq = equilibrium(model)
     reductions = {}

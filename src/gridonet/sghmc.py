@@ -26,7 +26,7 @@ import numpy as np
 
 from .checkpoint import flatten, unflatten
 from .deeponet import DeepOnetConfig, forward_batch
-from .train import _loss_graph, _watch_all, batch_arrays
+from .train import _loss_graph, _watch_all
 
 __all__ = [
     "SamplerError",
@@ -152,13 +152,13 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
     return retained[-bc.M :], trace
 
 
-def sghmc_run(init_params: dict, cfg: DeepOnetConfig, samples, bc: BayesConfig):
-    """Sample operator-network weights starting from a trained checkpoint.
+def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig):
+    """Sample operator-network weights starting from a trained checkpoint,
+    on the (U, Y, G) training rows.
 
     Returns (members, trace): M parameter dicts and the potential-energy
     trace over the chain.
     """
-    data = batch_arrays(samples)
     n = len(data[2])
     layout, theta0 = flatten(init_params)
     b = min(bc.batch_size, n)

@@ -2,7 +2,9 @@
 
 Storage and arithmetic sit on numpy; the tape, the primitive set and the
 backward pass are implemented here. A tape records primitive ops in creation
-order (define-by-run) and is rebuilt for every forward pass.
+order (define-by-run) and is rebuilt for every forward pass. Each primitive
+hands over one vjp per operand, and the tape keeps only those of operands it
+tracks, so no gradient of a constant is ever formed.
 """
 
 from __future__ import annotations
@@ -19,7 +21,6 @@ __all__ = [
     "mul",
     "sin",
     "exp",
-    "log",
     "square",
     "clip",
     "add_bias",
@@ -46,13 +47,12 @@ def _is_scalar_shape(shape) -> bool:
 class Tensor:
     """Immutable-by-convention value node. Tracked tensors carry a tape index."""
 
-    __slots__ = ("data", "tape", "idx", "name")
+    __slots__ = ("data", "tape", "idx")
 
-    def __init__(self, data, tape: "Tape | None" = None, idx: int = -1, name: str | None = None):
+    def __init__(self, data, tape: "Tape | None" = None, idx: int = -1):
         self.data = as_array(data)
         self.tape = tape
         self.idx = idx
-        self.name = name
 
     @property
     def shape(self):
@@ -60,9 +60,6 @@ class Tensor:
 
     def item(self) -> float:
         return float(self.data.reshape(-1)[0])
-
-    def __repr__(self):
-        return f"Tensor(shape={self.data.shape}, tracked={self.tape is not None})"
 
     # arithmetic sugar; plain numbers/arrays lift to untracked constants
     def __add__(self, other):
@@ -83,36 +80,26 @@ class Tensor:
     def __rmul__(self, other):
         return mul(other, self)
 
-    def __matmul__(self, other):
-        return matmul(self, other)
-
-    def __neg__(self):
-        return mul(self, -1.0)
-
 
 class Tape:
     """Ordered record of primitive ops; backward visits each node exactly once."""
 
     def __init__(self):
-        self._parents: list[tuple[int, ...]] = []
-        self._vjps: list = []  # None for leaves/constants
-        self._shapes: list[tuple[int, ...]] = []
-        self._leaf_names: dict[str, int] = {}
+        self._edges: list[tuple] = []  # per node: (parent index, vjp) of each tracked operand
+        # name -> (index, shape); holding the leaf Tensors would make a
+        # reference cycle that keeps every recorded array alive until a GC pass
+        self._leaves: dict[str, tuple[int, tuple]] = {}
 
-    def _record(self, data: np.ndarray, parents: tuple[int, ...], vjp) -> Tensor:
-        idx = len(self._parents)
-        self._parents.append(parents)
-        self._vjps.append(vjp)
-        self._shapes.append(data.shape)
-        return Tensor(data, tape=self, idx=idx)
+    def _record(self, data: np.ndarray, edges: tuple) -> Tensor:
+        self._edges.append(edges)
+        return Tensor(data, tape=self, idx=len(self._edges) - 1)
 
     def watch(self, name: str, value) -> Tensor:
         """Register a named leaf. Unused leaves still get zero gradients."""
-        if name in self._leaf_names:
+        if name in self._leaves:
             raise ValueError(f"leaf {name!r} already watched on this tape")
-        t = self._record(as_array(value), (), None)
-        t.name = name
-        self._leaf_names[name] = t.idx
+        t = self._record(as_array(value), ())
+        self._leaves[name] = (t.idx, t.shape)
         return t
 
     def backward(self, loss: Tensor) -> dict[str, np.ndarray]:
@@ -121,23 +108,20 @@ class Tape:
             raise ValueError("loss does not belong to this tape")
         if not _is_scalar_shape(loss.data.shape):
             raise ValueError(f"backward requires a scalar loss, got shape {loss.data.shape}")
-        n = len(self._parents)
-        adj: list[np.ndarray | None] = [None] * n
+        adj: list[np.ndarray | None] = [None] * len(self._edges)
         adj[loss.idx] = np.ones_like(loss.data)
         # non-finite values flow through silently; callers check the results
         with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
             for i in range(loss.idx, -1, -1):
                 a = adj[i]
-                if a is None or self._vjps[i] is None:
+                if a is None:
                     continue
-                for pidx, contrib in zip(self._parents[i], self._vjps[i](a)):
+                for pidx, vjp in self._edges[i]:
+                    contrib = vjp(a)
                     # accumulation allocates, so storing a view on first touch is safe
                     adj[pidx] = contrib if adj[pidx] is None else adj[pidx] + contrib
-        grads = {}
-        for name, idx in self._leaf_names.items():
-            g = adj[idx]
-            grads[name] = np.zeros(self._shapes[idx]) if g is None else as_array(g)
-        return grads
+        return {name: np.zeros(shape) if adj[idx] is None else as_array(adj[idx])
+                for name, (idx, shape) in self._leaves.items()}
 
 
 def _lift(x) -> Tensor:
@@ -146,27 +130,18 @@ def _lift(x) -> Tensor:
     return Tensor(x)
 
 
-def _result_tape(a: Tensor, b: Tensor | None = None) -> "Tape | None":
-    ta = a.tape
-    tb = b.tape if b is not None else None
-    if ta is not None and tb is not None and ta is not tb:
-        raise ValueError("operands belong to different tapes")
-    return ta or tb
-
-
-def _emit(tape, data, parent_tensors, vjp_builder) -> Tensor:
-    """Register on the tape when any input is tracked, else return a plain value."""
+def _emit(data, operands, vjps) -> Tensor:
+    """Record the op on its operands' tape, keeping the vjp of each tracked
+    operand; with no tracked operand it is a plain value with no record."""
+    tape = None
+    for t in operands:
+        if t.tape is not None:
+            if tape is not None and t.tape is not tape:
+                raise ValueError("operands belong to different tapes")
+            tape = t.tape
     if tape is None:
         return Tensor(data)
-    tracked = [(i, t.idx) for i, t in enumerate(parent_tensors) if t.tape is tape]
-    parents = tuple(idx for _, idx in tracked)
-    full_vjp = vjp_builder()
-
-    def vjp(adj, keep=tuple(i for i, _ in tracked), f=full_vjp):
-        outs = f(adj)
-        return tuple(outs[i] for i in keep)
-
-    return tape._record(data, parents, vjp)
+    return tape._record(data, tuple((t.idx, f) for t, f in zip(operands, vjps) if t.tape is tape))
 
 
 def matmul(a, b) -> Tensor:
@@ -176,11 +151,7 @@ def matmul(a, b) -> Tensor:
     with np.errstate(over="ignore", invalid="ignore"):
         out = a.data @ b.data
     ad, bd = a.data, b.data
-
-    def build():
-        return lambda adj: (adj @ bd.T, ad.T @ adj)
-
-    return _emit(_result_tape(a, b), out, (a, b), build)
+    return _emit(out, (a, b), (lambda adj: adj @ bd.T, lambda adj: ad.T @ adj))
 
 
 def _binary_elementwise(a, b, f, dfa, dfb, opname):
@@ -197,10 +168,8 @@ def _binary_elementwise(a, b, f, dfa, dfb, opname):
             return g
         return np.sum(g).reshape(shape)  # scalar operand: fold the broadcast axis back
 
-    def build():
-        return lambda adj: (reduce_to(dfa(adj, ad, bd), sa), reduce_to(dfb(adj, ad, bd), sb))
-
-    return _emit(_result_tape(a, b), out, (a, b), build)
+    return _emit(out, (a, b), (lambda adj: reduce_to(dfa(adj, ad, bd), sa),
+                               lambda adj: reduce_to(dfb(adj, ad, bd), sb)))
 
 
 def add(a, b) -> Tensor:
@@ -228,11 +197,7 @@ def _unary(x, f, df, opname, check=None):
     if check is not None and not np.all(np.isfinite(out)):
         raise NumericError(f"{opname} produced non-finite values")
     xd = x.data
-
-    def build():
-        return lambda adj: (df(adj, xd, out),)
-
-    return _emit(_result_tape(x), out, (x,), build)
+    return _emit(out, (x,), (lambda adj: df(adj, xd, out),))
 
 
 def sin(x) -> Tensor:
@@ -241,13 +206,6 @@ def sin(x) -> Tensor:
 
 def exp(x) -> Tensor:
     return _unary(x, np.exp, lambda g, xd, o: g * o, "exp", check=True)
-
-
-def log(x) -> Tensor:
-    x = _lift(x)
-    if np.any(x.data <= 0.0):
-        raise NumericError("log of non-positive value")
-    return _unary(x, np.log, lambda g, xd, o: g / xd, "log")
 
 
 def square(x) -> Tensor:
@@ -269,22 +227,14 @@ def add_bias(x, b) -> Tensor:
     if x.data.ndim != 2 or b.data.shape != (1, x.data.shape[1]):
         raise ValueError(f"add_bias: expected (n,k)+(1,k), got {x.data.shape}+{b.data.shape}")
     out = x.data + b.data
-
-    def build():
-        return lambda adj: (adj, adj.sum(axis=0, keepdims=True))
-
-    return _emit(_result_tape(x, b), out, (x, b), build)
+    return _emit(out, (x, b), (lambda adj: adj, lambda adj: adj.sum(axis=0, keepdims=True)))
 
 
 def sum_all(x) -> Tensor:
     x = _lift(x)
     out = np.array([[x.data.sum()]])
     shape = x.data.shape
-
-    def build():
-        return lambda adj: (np.full(shape, adj.reshape(-1)[0]),)
-
-    return _emit(_result_tape(x), out, (x,), build)
+    return _emit(out, (x,), (lambda adj: np.full(shape, adj.reshape(-1)[0]),))
 
 
 def sum_rows(x) -> Tensor:
@@ -294,8 +244,4 @@ def sum_rows(x) -> Tensor:
         raise ValueError(f"sum_rows expects a 2-d tensor, got shape {x.data.shape}")
     out = x.data.sum(axis=1, keepdims=True)
     k = x.data.shape[1]
-
-    def build():
-        return lambda adj: (np.repeat(adj, k, axis=1),)
-
-    return _emit(_result_tape(x), out, (x,), build)
+    return _emit(out, (x,), (lambda adj: np.repeat(adj, k, axis=1),))

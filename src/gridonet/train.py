@@ -19,7 +19,6 @@ __all__ = [
     "TrainConfig",
     "AdamState",
     "PlateauSchedule",
-    "batch_arrays",
     "loss_and_grads",
     "init_adam",
     "adam_step",
@@ -27,6 +26,8 @@ __all__ = [
 ]
 
 LOG_2PI = float(np.log(2.0 * np.pi))
+REL_IMPROVE = 1e-4  # the plateau schedule's relative improvement threshold
+BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator guard
 
 
 class TrainingError(RuntimeError):
@@ -62,13 +63,11 @@ class PlateauSchedule:
     factor 0.5 halves the rate at epochs 5, 10, 15, ...
     """
 
-    def __init__(self, lr: float, patience: int, factor: float, min_lr: float,
-                 rel_improve: float = 1e-4):
+    def __init__(self, lr: float, patience: int, factor: float, min_lr: float):
         self.lr = lr
         self.patience = patience
         self.factor = factor
         self.min_lr = min_lr
-        self.rel_improve = rel_improve
         self.best = np.inf
         self._last_event = 0
         self._epoch = -1
@@ -78,21 +77,13 @@ class PlateauSchedule:
         self._epoch += 1
         if not np.isfinite(self.best):
             self.best = loss  # first epoch is the baseline, not an improvement
-        elif loss < self.best - self.rel_improve * abs(self.best):
+        elif loss < self.best - REL_IMPROVE * abs(self.best):
             self.best = loss
             self._last_event = self._epoch
         if self._epoch - self._last_event >= self.patience:
             self.lr = max(self.lr * self.factor, self.min_lr)
             self._last_event = self._epoch
         return self.lr
-
-
-def batch_arrays(samples) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """Stack OperatorSamples into (U, Y, G) with shapes (B,m), (B,1), (B,1)."""
-    U = np.stack([s.u_disc for s in samples])
-    Y = np.array([[s.y] for s in samples])
-    G = np.array([[s.target] for s in samples])
-    return U, Y, G
 
 
 def _watch_all(params: dict):
@@ -124,9 +115,6 @@ def loss_and_grads(params: dict, cfg: DeepOnetConfig, U, Y, G):
 class AdamState:
     lr: float
     t: int = 0
-    beta1: float = 0.9
-    beta2: float = 0.999
-    eps: float = 1e-8
     m: dict = field(default_factory=dict)
     v: dict = field(default_factory=dict)
 
@@ -141,32 +129,32 @@ def init_adam(params: dict, lr: float) -> AdamState:
 def adam_step(state: AdamState, params: dict, grads: dict):
     """One bias-corrected Adam update; returns (state, new params)."""
     state.t += 1
-    b1, b2 = state.beta1, state.beta2
-    c1 = 1.0 - b1 ** state.t
-    c2 = 1.0 - b2 ** state.t
+    c1 = 1.0 - BETA1 ** state.t
+    c2 = 1.0 - BETA2 ** state.t
     out = {}
     for name in params:
         g = grads[name]
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for {name!r}", param=name)
-        state.m[name] = b1 * state.m[name] + (1.0 - b1) * g
-        state.v[name] = b2 * state.v[name] + (1.0 - b2) * g * g
+        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
+        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
         mhat = state.m[name] / c1
         vhat = state.v[name] / c2
-        out[name] = params[name] - state.lr * mhat / (np.sqrt(vhat) + state.eps)
+        out[name] = params[name] - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
     return state, out
 
 
-def fit(params: dict, cfg: DeepOnetConfig, train_samples, config: TrainConfig):
-    """Minibatch Adam over shuffled epochs, on the loss of the net's heads.
+def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
+    """Minibatch Adam over shuffled epochs of the (U, Y, G) training rows, on
+    the loss of the net's heads.
 
     Returns (best_params, history) where history rows are dicts with keys
     epoch, train_loss, lr. Best = lowest epoch training loss.
     """
-    if not train_samples:
+    U, Y, G = data
+    n = len(G)
+    if n == 0:
         raise ValueError("no training samples")
-    U, Y, G = batch_arrays(train_samples)
-    n = len(train_samples)
     params = {k: np.asarray(v, dtype=float).copy() for k, v in params.items()}
     state = init_adam(params, config.lr)
     sched = PlateauSchedule(config.lr, config.patience, config.factor, config.min_lr)

@@ -139,7 +139,7 @@ class AlarmOutcome:
     flags: dict
 
 
-def alarm_analysis(items, y_star: float, t_cl: float = 2.0, profile=threshold_profile):
+def alarm_analysis(items, y_star: float, t_cl: float = 2.0):
     """Classify each trajectory's prediction at probe time y_star.
 
     items: iterable of (traj_id, mean, lower, upper, truth) at y_star.
@@ -149,7 +149,7 @@ def alarm_analysis(items, y_star: float, t_cl: float = 2.0, profile=threshold_pr
     safe trajectory is TN (CI above the threshold), FP_conservative (CI
     straddles it) or FP_nonconservative (CI entirely below it).
     """
-    thr = profile(y_star, t_cl)
+    thr = threshold_profile(y_star, t_cl)
     outcomes = []
     for traj_id, mean, lo, hi, truth in items:
         violation = truth < thr
@@ -179,9 +179,9 @@ class NormalityReport:
     hist_edges: np.ndarray
 
 
-def residual_normality(residuals, bins: int = 40, skew_tol: float = 0.2,
-                       kurt_tol: float = 0.5) -> NormalityReport:
-    """Moment-based verdict: |skew| < skew_tol and |excess kurtosis| < kurt_tol."""
+def residual_normality(residuals) -> NormalityReport:
+    """Moment-based verdict: |skew| < 0.2 and |excess kurtosis| < 0.5, with a
+    40-bin histogram of the standardized residuals."""
     r = np.asarray(residuals, dtype=float).ravel()
     if r.size < 8:
         raise ValueError(f"need at least 8 residuals, got {r.size}")
@@ -191,11 +191,11 @@ def residual_normality(residuals, bins: int = 40, skew_tol: float = 0.2,
     z = (r - r.mean()) / s
     skew = float(np.mean(z**3))
     kurt = float(np.mean(z**4) - 3.0)
-    counts, edges = np.histogram(z, bins=bins)
+    counts, edges = np.histogram(z, bins=40)
     return NormalityReport(
         skewness=skew,
         excess_kurtosis=kurt,
-        normal=bool(abs(skew) < skew_tol and abs(kurt) < kurt_tol),
+        normal=bool(abs(skew) < 0.2 and abs(kurt) < 0.5),
         hist_counts=counts,
         hist_edges=edges,
     )

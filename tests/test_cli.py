@@ -119,6 +119,16 @@ def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
      "retains only 4"),
     (("simulate", "--monitor-bus", "99"), "monitor_bus must be in [0, 9)"),
     (("evaluate", "--which", "vanilla", "--count", "0"), "count must be >= 1"),
+    (("simulate", "--h-max", "0"), "h_max must be finite and > 0"),
+    (("simulate", "--h-max", "nan"), "h_max must be finite and > 0"),
+    (("simulate", "--h-max", "-1"), "h_max must be finite and > 0"),
+    (("evaluate", "--which", "prob", "--level", "1.5"), "level must be in (0, 1)"),
+    (("evaluate", "--which", "vanilla", "--level", "nan"), "level must be in (0, 1)"),
+    (("alarms", "--which", "bayes", "--level", "0"), "level must be in (0, 1)"),
+    (("predict", "--which", "vanilla", "--level", "-0.5"), "level must be in (0, 1)"),
+    (("evaluate", "--which", "vanilla", "--noise", "nan"), "--noise must be finite and >= 0"),
+    (("evaluate", "--which", "vanilla", "--chi-max", "-1"), "chi_max must be finite and >= 0"),
+    (("evaluate", "--which", "vanilla", "--chi-points", "-1"), "chi_points must be >= 1"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, argv, message):
     rc, err = run(capsys, tmp_path / "wd", *argv)
@@ -176,6 +186,14 @@ def test_alarm_probe_before_clearing_exits_2(pipeline, workdir_copy, capsys):
                   config=pipeline[3])
     assert rc == 2
     assert err == ["error: y_star must be after the clearing time t_cl=2.0, got 1.0"]
+
+
+@pytest.mark.parametrize("y_star", ["nan", "9.5"])
+def test_alarm_probe_after_horizon_exits_2(pipeline, workdir_copy, capsys, y_star):
+    rc, err = run(capsys, workdir_copy, "alarms", "--which", "bayes", "--y-star", y_star,
+                  config=pipeline[3])
+    assert rc == 2
+    assert err == [f"error: y_star must be at most the horizon T=9.0, got {float(y_star)}"]
 
 
 def test_stale_split_is_refused(pipeline, workdir_copy, capsys):

@@ -5,7 +5,6 @@ import numpy as np
 import pytest
 
 from gridonet.dataset import (
-    OperatorSample,
     SplitSpec,
     add_input_noise,
     build_test,
@@ -36,15 +35,16 @@ def test_sensors_land_on_the_sampling_grid():
     assert st[0] == 0.01 and st[-1] == 2.0
     rng = np.random.default_rng(0)
     tr = make_traj(0, rng.uniform(0.8, 1.1, size=900))
-    samples = build_train([tr], spec, seed=0)
+    U, _, _ = build_train([tr], spec, seed=0)
     # at the default rates every sensor coincides with a recorded sample
-    assert np.array_equal(samples[0].u_disc, tr.values[:200])
+    assert np.array_equal(U[0], tr.values[:200])
 
 
 def test_constant_trajectory_targets():
     tr = make_traj(0, np.ones(900))
-    for s in build_train([tr], SplitSpec(Q=5), seed=1):
-        assert s.target == 1.0
+    U, Y, G = build_train([tr], SplitSpec(Q=5), seed=1)
+    assert U.shape == (5, 200) and Y.shape == G.shape == (5, 1)
+    assert np.all(G == 1.0)
     u, mesh, g = build_test([tr], SplitSpec())[0]
     assert np.all(u == 1.0) and np.all(g == 1.0)
 
@@ -70,10 +70,9 @@ def test_affine_trajectory_is_interpolated_exactly():
     tr = make_traj(0, 0.3 + 0.05 * GRID)
     _, mesh, g = build_test([tr], SplitSpec())[0]
     assert np.allclose(g, 0.3 + 0.05 * mesh, rtol=0, atol=1e-12)
-    samples = build_train([tr], SplitSpec(Q=20), seed=3)
-    for s in samples:
-        assert abs(s.target - (0.3 + 0.05 * s.y)) < 1e-12
-        assert 2.0 < s.y <= 9.0
+    _, Y, G = build_train([tr], SplitSpec(Q=20), seed=3)
+    assert np.max(np.abs(G - (0.3 + 0.05 * Y))) < 1e-12
+    assert np.all((2.0 < Y) & (Y <= 9.0))
 
 
 def _light_pool(ids, kind):
@@ -120,11 +119,9 @@ def test_build_train_determinism():
     pool = [make_traj(i, rng.uniform(0.8, 1.1, 900)) for i in range(5)]
     a = build_train(pool, SplitSpec(Q=4), seed=21)
     b = build_train(pool, SplitSpec(Q=4), seed=21)
-    assert [(s.traj_id, s.y, s.target) for s in a] == [
-        (s.traj_id, s.y, s.target) for s in b
-    ]
+    assert all(np.array_equal(x, y) for x, y in zip(a, b))
     c = build_train(pool, SplitSpec(Q=4), seed=22)
-    assert [s.y for s in a] != [s.y for s in c]
+    assert not np.array_equal(a[1], c[1])
 
 
 def test_queries_nest_across_Q():
@@ -133,25 +130,27 @@ def test_queries_nest_across_Q():
     small = build_train(pool, SplitSpec(Q=3), seed=6)
     large = build_train(pool, SplitSpec(Q=10), seed=6)
 
-    def by_traj(samples):
+    def by_input(rows):
+        """The query times of each input function, keyed by its U row."""
         out = {}
-        for s in samples:
-            out.setdefault(s.traj_id, set()).add(s.y)
+        for u, y in zip(rows[0], rows[1][:, 0]):
+            out.setdefault(u.tobytes(), set()).add(y)
         return out
 
-    big = by_traj(large)
-    for tid, ys in by_traj(small).items():
-        assert ys <= big[tid]
+    big = by_input(large)
+    assert len(big) == len(pool)
+    for u, ys in by_input(small).items():
+        assert ys <= big[u]
 
 
 def test_sample_provenance():
     rng = np.random.default_rng(30)
     tr = make_traj(17, rng.uniform(0.8, 1.1, 900), kind="N2")
     seed = 41
-    samples = [s for s in build_train([tr], SplitSpec(Q=6), seed=seed)]
+    _, Y, G = build_train([tr], SplitSpec(Q=6), seed=seed)
     ys = trajectory_rng(seed, tr).uniform(2.0, 9.0, size=6)
     expected = {(float(y), float(np.interp(y, tr.times, tr.values))) for y in ys}
-    assert {(s.y, s.target) for s in samples} == expected
+    assert set(zip(Y[:, 0].tolist(), G[:, 0].tolist())) == expected
 
 
 def test_noise_zero_sigma_is_identity():

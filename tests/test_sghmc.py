@@ -9,7 +9,6 @@ import math
 import numpy as np
 import pytest
 
-from gridonet.dataset import OperatorSample
 from gridonet.deeponet import DeepOnetConfig, init
 from gridonet.sghmc import (
     BayesConfig,
@@ -21,7 +20,6 @@ from gridonet.sghmc import (
     sghmc_chain,
     sghmc_run,
 )
-from gridonet.train import batch_arrays
 
 CFG = DeepOnetConfig(m=4, q=2, width=3, depth=2)
 
@@ -34,11 +32,8 @@ def unit_bc(**kw):
 
 
 def make_batch(rng, n, m=CFG.m):
-    return [
-        OperatorSample(i, rng.uniform(0.8, 1.1, m), float(rng.uniform(2, 9)),
-                       float(rng.uniform(0.7, 1.0)))
-        for i in range(n)
-    ]
+    """n random (U, Y, G) rows."""
+    return rng.uniform(0.8, 1.1, (n, m)), rng.uniform(2, 9, (n, 1)), rng.uniform(0.7, 1.0, (n, 1))
 
 
 def test_potential_hand_values():
@@ -76,7 +71,7 @@ def test_potential_matches_scalar_loop():
 def test_full_batch_grad_matches_finite_differences():
     rng = np.random.default_rng(3)
     params = init(CFG, "vanilla", seed=4)
-    data = batch_arrays(make_batch(rng, 6))
+    data = make_batch(rng, 6)
     bc = unit_bc(sigma_l=0.1, prior_lambda=0.7)
     grads = noisy_grad(params, CFG, data, np.arange(6), bc)
     h = 1e-6
@@ -99,8 +94,7 @@ def test_grad_zero_params_hand_value():
     # all-zero network predicts tau_o = 0, so the likelihood gradient in
     # tau_o is scale * sum(-G) / sigma^2 and the prior contributes nothing
     rng = np.random.default_rng(5)
-    batch = make_batch(rng, 5)
-    data = batch_arrays(batch)
+    data = make_batch(rng, 5)
     params = {k: np.zeros_like(v) for k, v in init(CFG, "vanilla", seed=0).items()}
     bc = unit_bc(sigma_l=0.2)
     grads = noisy_grad(params, CFG, data, np.arange(5), bc)
@@ -113,7 +107,7 @@ def test_minibatch_gradient_is_unbiased():
     # reproduces the full-batch likelihood gradient exactly
     rng = np.random.default_rng(6)
     params = init(CFG, "vanilla", seed=7)
-    data = batch_arrays(make_batch(rng, 6))
+    data = make_batch(rng, 6)
     bc = unit_bc(sigma_l=0.15, prior_lambda=0.9)
     full = noisy_grad(params, CFG, data, np.arange(6), bc)
     subsets = list(itertools.combinations(range(6), 3))

@@ -2,10 +2,11 @@
 oracles, Adam update algebra, the plateau schedule trace, and a small
 operator-learning benchmark that must actually converge."""
 
+import hashlib
+
 import numpy as np
 import pytest
 
-from gridonet.dataset import OperatorSample
 from gridonet.deeponet import DeepOnetConfig, init, predict
 from gridonet.train import (
     LOG_2PI,
@@ -14,13 +15,13 @@ from gridonet.train import (
     TrainConfig,
     TrainingError,
     adam_step,
-    batch_arrays,
     fit,
     init_adam,
     loss_and_grads,
 )
 
 CFG = DeepOnetConfig(m=4, q=3, width=5, depth=2)
+NO_ROWS = (np.zeros((0, CFG.m)), np.zeros((0, 1)), np.zeros((0, 1)))
 
 
 def zeroed(params, **overrides):
@@ -31,8 +32,8 @@ def zeroed(params, **overrides):
 
 
 def batch_loss(params, cfg, batch):
-    """MSE for a vanilla net, Gaussian NLL for a prob net."""
-    return loss_and_grads(params, cfg, *batch_arrays(batch))[0]
+    """MSE for a vanilla net, Gaussian NLL for a prob net, on (U, Y, G) rows."""
+    return loss_and_grads(params, cfg, *batch)[0]
 
 
 def mu_subparams(prob_params):
@@ -44,22 +45,23 @@ def mu_subparams(prob_params):
 
 
 def make_batch(rng, n, m=CFG.m):
-    return [
-        OperatorSample(i, rng.uniform(0.8, 1.1, m), float(rng.uniform(2, 9)),
-                       float(rng.uniform(0.7, 1.0)))
-        for i in range(n)
-    ]
+    """n random (U, Y, G) rows."""
+    return rng.uniform(0.8, 1.1, (n, m)), rng.uniform(2, 9, (n, 1)), rng.uniform(0.7, 1.0, (n, 1))
+
+
+def one_row(y, target):
+    return np.ones((1, CFG.m)), np.array([[y]]), np.array([[target]])
 
 
 def test_mse_hand_values():
     # all-zero weights collapse the network to the constant tau_o
     params = zeroed(init(CFG, "vanilla", seed=0), tau_o=1.0)
-    batch = [OperatorSample(0, np.ones(CFG.m), 3.0, 0.8)]
+    batch = one_row(3.0, 0.8)
     assert abs(batch_loss(params, CFG, batch) - 0.04) < 1e-15
     params_eq = zeroed(init(CFG, "vanilla", seed=0), tau_o=0.8)
     assert batch_loss(params_eq, CFG, batch) == 0.0
-    with pytest.raises(ValueError):
-        fit(params, CFG, [], TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="no training samples"):
+        fit(params, CFG, NO_ROWS, TrainConfig(epochs=1))
 
 
 def test_mse_matches_scalar_loop():
@@ -67,23 +69,23 @@ def test_mse_matches_scalar_loop():
     params = init(CFG, "vanilla", seed=2)
     batch = make_batch(rng, 17)
     acc = 0.0
-    for s in batch:
-        pred = predict([params], CFG, s.u_disc, [s.y])[0][0]
-        acc += (pred - s.target) ** 2
+    for u, y, g in zip(batch[0], batch[1][:, 0], batch[2][:, 0]):
+        pred = predict([params], CFG, u, [y])[0][0]
+        acc += (pred - g) ** 2
     assert abs(batch_loss(params, CFG, batch) - acc / 17) < 1e-12
 
 
 def test_nll_hand_values():
     base = init(CFG, "prob", seed=0)
-    batch = [OperatorSample(0, np.ones(CFG.m), 3.0, 0.8)]
+    batch = one_row(3.0, 0.8)
     # mu = target, sigma = 1 everywhere
     params = zeroed(base, tau_o_mu=0.8)
     assert abs(batch_loss(params, CFG, batch) - 0.5 * LOG_2PI) < 1e-12
     # unit residual at sigma = 1
     params = zeroed(base, tau_o_mu=1.8)
     assert abs(batch_loss(params, CFG, batch) - (0.5 + 0.5 * LOG_2PI)) < 1e-12
-    with pytest.raises(ValueError):
-        fit(params, CFG, [], TrainConfig(epochs=1))
+    with pytest.raises(ValueError, match="no training samples"):
+        fit(params, CFG, NO_ROWS, TrainConfig(epochs=1))
 
 
 def test_nll_matches_scalar_loop():
@@ -91,10 +93,10 @@ def test_nll_matches_scalar_loop():
     params = init(CFG, "prob", seed=4)
     batch = make_batch(rng, 13)
     acc = 0.0
-    for s in batch:
-        mu, sigma = predict([params], CFG, s.u_disc, [s.y])
+    for u, y, g in zip(batch[0], batch[1][:, 0], batch[2][:, 0]):
+        mu, sigma = predict([params], CFG, u, [y])
         # the division form, independent of the graph's exp(-2 ls) form
-        acc += 0.5 * (mu[0] - s.target) ** 2 / sigma[0] ** 2 + 0.5 * np.log(
+        acc += 0.5 * (mu[0] - g) ** 2 / sigma[0] ** 2 + 0.5 * np.log(
             2.0 * np.pi * sigma[0] ** 2
         )
     ref = acc / 13
@@ -116,10 +118,27 @@ def test_nll_reduces_to_mse_at_unit_sigma():
 def test_nll_gradient_at_perfect_mean():
     # with mu = target and sigma = 1, d(nll)/d(tau_o_ls) = 1, d/d(tau_o_mu) = 0
     params = zeroed(init(CFG, "prob", seed=0), tau_o_mu=0.9)
-    batch = [OperatorSample(i, np.ones(CFG.m), 2.0 + i, 0.9) for i in range(4)]
-    _, grads = loss_and_grads(params, CFG, *batch_arrays(batch))
+    _, grads = loss_and_grads(params, CFG, np.ones((4, CFG.m)),
+                              2.0 + np.arange(4.0).reshape(4, 1), np.full((4, 1), 0.9))
     assert abs(grads["tau_o_ls"].item() - 1.0) < 1e-12
     assert abs(grads["tau_o_mu"].item()) < 1e-12
+
+
+@pytest.mark.parametrize("kind, digest", [
+    ("vanilla", "2e7ce8f08c8c5dfbfbf0906d147ea587917289968060527eb091cd4811dd354d"),
+    ("prob", "b660fd15c21ed2587e0379ad7b9a5c6b68e17357189f131419f20790e08d82d2"),
+])
+def test_gradient_bytes_are_pinned(kind, digest):
+    # names and float64 bytes of every gradient: a change to the backward
+    # pass's arithmetic or to its accumulation order moves them
+    cfg = DeepOnetConfig(m=20, q=8, width=8, depth=2)
+    batch = make_batch(np.random.default_rng(0), 6, m=cfg.m)
+    _, grads = loss_and_grads(init(cfg, kind, seed=0), cfg, *batch)
+    h = hashlib.sha256()
+    for name, g in grads.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(g, dtype="<f8").tobytes())
+    assert h.hexdigest() == digest
 
 
 def test_adam_zero_gradient_is_identity():
@@ -235,21 +254,21 @@ def _integral_benchmark(n_funcs, q_per, seed):
     cfg = DeepOnetConfig(m=20, q=10, width=20, depth=2)
     xs = np.arange(1, cfg.m + 1) / cfg.m
     rng = np.random.default_rng(seed)
-    samples = []
-    for i in range(n_funcs):
+    U, Y, G = [], [], []
+    for _ in range(n_funcs):
         a = rng.uniform(0.5, 1.0)
         w = rng.uniform(np.pi, 2 * np.pi)
         phi = rng.uniform(0.0, 2 * np.pi)
-        u = a * np.sin(w * xs + phi)
-        for y in rng.uniform(0.05, 1.0, size=q_per):
-            target = a * (np.cos(phi) - np.cos(w * y + phi)) / w
-            samples.append(OperatorSample(i, u, float(y), float(target)))
-    return cfg, samples
+        y = rng.uniform(0.05, 1.0, size=q_per)
+        U.append(np.tile(a * np.sin(w * xs + phi), (q_per, 1)))
+        Y.append(y)
+        G.append(a * (np.cos(phi) - np.cos(w * y + phi)) / w)
+    return cfg, (np.concatenate(U), np.concatenate(Y)[:, None], np.concatenate(G)[:, None])
 
 
 def test_fit_learns_the_integral_operator():
-    cfg, samples = _integral_benchmark(n_funcs=30, q_per=5, seed=20)
+    cfg, data = _integral_benchmark(n_funcs=30, q_per=5, seed=20)
     config = TrainConfig(epochs=2000, batch_size=64, lr=1e-3, patience=300, seed=1)
-    params, hist = fit(init(cfg, "vanilla", seed=3), cfg, samples, config)
-    assert batch_loss(params, cfg, samples) < 1e-4
+    params, hist = fit(init(cfg, "vanilla", seed=3), cfg, data, config)
+    assert batch_loss(params, cfg, data) < 1e-4
     assert hist[-1]["train_loss"] < hist[0]["train_loss"]
