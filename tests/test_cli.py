@@ -1,8 +1,12 @@
 """CLI contract: the option table, exit codes, stale inputs, byte-identical reruns."""
 
 import hashlib
+import os
+import platform
 import shutil
+from pathlib import Path
 
+import numpy as np
 import pytest
 
 from gridonet import cli
@@ -23,6 +27,9 @@ PIPELINE = (
     *(("predict", "--which", w) for w in WHICH),
     *(("alarms", "--which", w) for w in ("prob", "bayes")),
 )
+# sha256 of every artifact of the tiny pipeline, under the host it was recorded on;
+# after a declared artifact change, rewrite it with GRIDONET_REPIN=1
+PINS = Path(__file__).with_name("pipeline.sha256")
 
 
 def run(capsys, wd, *argv, config=None):
@@ -37,21 +44,29 @@ def digests(root):
             for p in sorted(root.rglob("*")) if p.is_file()}
 
 
+def host() -> list[str]:
+    """What the artifact bytes depend on besides the code: numpy, its BLAS, the CPU."""
+    blas = getattr(np.__config__, "CONFIG", {}).get("Build Dependencies", {}).get("blas", {})
+    return [f"numpy {np.__version__}", f"blas {blas.get('name')} {blas.get('version')}",
+            f"machine {platform.machine()}"]
+
+
 @pytest.fixture(scope="module")
 def pipeline(tmp_path_factory):
-    """A finished tiny pipeline, run twice into the same path: (workdir, first
-    run's digests, second run's digests, INI path)."""
+    """A finished tiny pipeline, run twice into the same relative workdir from a
+    fixed cwd, so that the paths the manifests echo do not depend on the tmp
+    dir: (workdir, first run's digests, second run's digests, INI path)."""
     base = tmp_path_factory.mktemp("cli")
-    ini = base / "tiny.ini"
-    ini.write_text(INI)
-    wd = base / "wd"
+    (base / "tiny.ini").write_text(INI)
     runs = []
-    for _ in range(2):
-        shutil.rmtree(wd, ignore_errors=True)
-        for argv in PIPELINE:
-            assert cli.main(["--config", str(ini), "--workdir", str(wd), *argv]) == 0, argv
-        runs.append(digests(wd))
-    return wd, runs[0], runs[1], ini
+    with pytest.MonkeyPatch.context() as mp:
+        mp.chdir(base)
+        for _ in range(2):
+            shutil.rmtree("wd", ignore_errors=True)
+            for argv in PIPELINE:
+                assert cli.main(["--config", "tiny.ini", "--workdir", "wd", *argv]) == 0, argv
+            runs.append(digests(base / "wd"))
+    return base / "wd", runs[0], runs[1], base / "tiny.ini"
 
 
 @pytest.fixture
@@ -65,6 +80,22 @@ def test_rerun_is_byte_identical(pipeline):
     _, first, second, _ = pipeline
     assert len(first) >= 40
     assert first == second
+
+
+def test_artifacts_match_the_pins(pipeline):
+    got = pipeline[1]
+    if os.environ.get("GRIDONET_REPIN") == "1":
+        PINS.write_text("".join(f"# {line}\n" for line in host())
+                        + "".join(f"{d}  {name}\n" for name, d in got.items()))
+    lines = PINS.read_text().splitlines()
+    recorded = [line[2:] for line in lines if line.startswith("# ")]
+    pins = {name: d for d, name in (line.split("  ", 1) for line in lines
+                                    if not line.startswith("#"))}
+    moved = sorted(name for name in pins.keys() | got.keys() if pins.get(name) != got.get(name))
+    assert not moved or recorded == host(), (
+        f"{len(moved)} artifacts differ from {PINS.name}, which was recorded on "
+        f"{recorded}; this host runs {host()}")
+    assert not moved, f"artifacts moved from {PINS.name}: {moved}"
 
 
 def _flag_cases():
