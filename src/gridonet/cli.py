@@ -5,10 +5,12 @@ write byte-identical artifacts. The effective merged configuration is echoed
 into each output manifest. Usage errors exit 2, runtime failures exit 1.
 
 Settings live in one place, the `OPTIONS` table: one row per config key,
-with its INI section, default string, type, help and the commands that take
-it as a flag. The INI defaults, every command's config flags, the flag ->
-config override and the typed reads (`opts`) all come from that table, so a
-new setting is one new row there.
+with its INI section, default string, type, domain, help and the commands
+that take it as a flag. The INI defaults, every command's config flags, the
+flag -> config override and the typed, range-checked reads (`opts`) all come
+from that table, so a new setting is one new row there. A domain names the
+`DOMAINS` rule of the key's values, or is None where a config dataclass or
+the split (`y_star`) holds the rule.
 """
 
 from __future__ import annotations
@@ -35,52 +37,61 @@ TOP = "gridonet"  # the top-level parser: its flags come before the command
 NET = ("train", "sghmc")  # the commands that build a network from [deeponet]
 
 OPTIONS = (
-    # section, key, default, type, help, commands that take the key as a flag
-    ("paths", "workdir", "runs/desk", str, "artifact directory", (TOP,)),
-    ("simulate", "load_scale", "1.51", float, "uniform load/generation stress", ("simulate",)),
-    ("simulate", "monitor_bus", "4", int, "recorded bus (0-based)", ("simulate",)),
-    ("simulate", "n1", "300", int, "N-1 pool size", ("simulate",)),
-    ("simulate", "n2", "300", int, "N-2 pool size", ("simulate",)),
-    ("simulate", "seed", "0", int, "pool sampling seed", ("simulate",)),
-    ("simulate", "h_max", "1e-3", float, "max RK4 step, s", ("simulate",)),
-    ("dataset", "m", "200", int, "branch sensors", ("dataset",)),
-    ("dataset", "queries", "10", int, "training queries per trajectory", ("dataset",)),
-    ("dataset", "train_frac", "0.7", float, "train fraction", ("dataset",)),
-    ("dataset", "seed", "0", int, "split shuffle seed", ("dataset",)),
-    ("dataset", "query_seed", "0", int, "query sampling seed", ("dataset",)),
-    ("deeponet", "q", "100", int, "latent feature dimension", NET),
-    ("deeponet", "width", "100", int, "hidden layer width", NET),
-    ("deeponet", "depth", "3", int, "hidden layers per sub-net", NET),
-    ("train", "epochs", "2000", int, "training epochs", ("train",)),
-    ("train", "batch_size", "256", int, "minibatch size", ("train",)),
-    ("train", "lr", "1e-4", float, "initial learning rate", ("train",)),
-    ("train", "patience", "200", int, "epochs without improvement before a drop",
+    # section, key, default, type, domain, help, commands that take the key as a flag
+    ("paths", "workdir", "runs/desk", str, None, "artifact directory", (TOP,)),
+    ("simulate", "load_scale", "1.51", float, "pos", "load and generation scale", ("simulate",)),
+    ("simulate", "monitor_bus", "4", int, "bus", "recorded bus (0-based)", ("simulate",)),
+    ("simulate", "n1", "300", int, "int>=1", "N-1 pool size", ("simulate",)),
+    ("simulate", "n2", "300", int, "int>=1", "N-2 pool size", ("simulate",)),
+    ("simulate", "seed", "0", int, "int>=0", "pool sampling seed", ("simulate",)),
+    ("simulate", "h_max", "1e-3", float, "pos", "max RK4 step, s", ("simulate",)),
+    ("dataset", "m", "200", int, None, "branch sensors", ("dataset",)),
+    ("dataset", "queries", "10", int, None, "training queries per trajectory", ("dataset",)),
+    ("dataset", "train_frac", "0.7", float, None, "train fraction", ("dataset",)),
+    ("dataset", "seed", "0", int, "int>=0", "split shuffle seed", ("dataset",)),
+    ("dataset", "query_seed", "0", int, "int>=0", "query sampling seed", ("dataset",)),
+    ("deeponet", "q", "100", int, None, "latent feature dimension", NET),
+    ("deeponet", "width", "100", int, None, "hidden layer width", NET),
+    ("deeponet", "depth", "3", int, None, "hidden layers per sub-net", NET),
+    ("train", "epochs", "2000", int, None, "training epochs", ("train",)),
+    ("train", "batch_size", "256", int, None, "minibatch size", ("train",)),
+    ("train", "lr", "1e-4", float, None, "initial learning rate", ("train",)),
+    ("train", "patience", "200", int, None, "epochs without improvement before a drop",
      ("train",)),
-    ("train", "factor", "0.5", float, "learning-rate drop factor", ("train",)),
-    ("train", "min_lr", "1e-6", float, "learning-rate floor", ("train",)),
-    ("train", "seed", "0", int, "init and minibatch seed", ("train",)),
-    ("sghmc", "sigma_l", "0.01", float, "likelihood noise scale, pu", ("sghmc",)),
-    ("sghmc", "prior_lambda", "1.0", float, "Gaussian prior precision", ("sghmc",)),
-    ("sghmc", "eps_t", "1e-5", float, "step size", ("sghmc",)),
-    ("sghmc", "c", "10.0", float, "friction constant", ("sghmc",)),
-    ("sghmc", "b_hat", "0.0", float, "gradient-noise estimate, at most c", ("sghmc",)),
-    ("sghmc", "m_inner", "50", int, "inner steps per outer iteration", ("sghmc",)),
-    ("sghmc", "n_outer", "2000", int, "outer iterations", ("sghmc",)),
-    ("sghmc", "burn_in", "1000", int, "outer iterations discarded", ("sghmc",)),
-    ("sghmc", "thinning", "5", int, "keep every k-th retained sample", ("sghmc",)),
-    ("sghmc", "m_ensemble", "100", int, "retained ensemble size", ("sghmc",)),
-    ("sghmc", "batch_size", "256", int, "minibatch size", ("sghmc",)),
-    ("sghmc", "seed", "0", int, "chain seed", ("sghmc",)),
-    ("evaluate", "level", "0.95", float, "CI level", ("evaluate", "alarms", "predict")),
-    ("evaluate", "count", "100", int, "random test trajectories to score", ("evaluate",)),
-    ("evaluate", "seed", "0", int, "test subsample seed", ("evaluate",)),
-    ("evaluate", "bands", "5", int, "scored trajectories written to the bands CSV",
+    ("train", "factor", "0.5", float, None, "learning-rate drop factor", ("train",)),
+    ("train", "min_lr", "1e-6", float, None, "learning-rate floor", ("train",)),
+    ("train", "seed", "0", int, "int>=0", "init and minibatch seed", ("train",)),
+    ("sghmc", "sigma_l", "0.01", float, None, "likelihood noise scale, pu", ("sghmc",)),
+    ("sghmc", "prior_lambda", "1.0", float, None, "Gaussian prior precision", ("sghmc",)),
+    ("sghmc", "eps_t", "1e-5", float, None, "step size", ("sghmc",)),
+    ("sghmc", "c", "10.0", float, None, "friction constant", ("sghmc",)),
+    ("sghmc", "b_hat", "0.0", float, None, "gradient-noise estimate, at most c", ("sghmc",)),
+    ("sghmc", "m_inner", "50", int, None, "inner steps per outer iteration", ("sghmc",)),
+    ("sghmc", "n_outer", "2000", int, None, "outer iterations", ("sghmc",)),
+    ("sghmc", "burn_in", "1000", int, None, "outer iterations discarded", ("sghmc",)),
+    ("sghmc", "thinning", "5", int, None, "keep every k-th retained sample", ("sghmc",)),
+    ("sghmc", "m_ensemble", "100", int, None, "retained ensemble size", ("sghmc",)),
+    ("sghmc", "batch_size", "256", int, None, "minibatch size", ("sghmc",)),
+    ("sghmc", "seed", "0", int, "int>=0", "chain seed", ("sghmc",)),
+    ("evaluate", "level", "0.95", float, "unit", "CI level", ("evaluate", "alarms", "predict")),
+    ("evaluate", "count", "100", int, "int>=1", "test trajectories to score", ("evaluate",)),
+    ("evaluate", "seed", "0", int, "int>=0", "test subsample seed", ("evaluate",)),
+    ("evaluate", "bands", "5", int, "int>=0", "scored trajectories written to the bands CSV",
      ("evaluate",)),
-    ("evaluate", "chi_max", "3.0", float, "largest chi of the coverage curve", ("evaluate",)),
-    ("evaluate", "chi_points", "31", int, "points on the coverage curve", ("evaluate",)),
-    ("evaluate", "y_star", "2.2", float, "alarm probe time, s", ("alarms",)),
-    ("evaluate", "noise_seed", "0", int, "sensor-noise seed", ("evaluate",)),
+    ("evaluate", "chi_max", "3.0", float, "nonneg", "coverage curve's largest chi", ("evaluate",)),
+    ("evaluate", "chi_points", "31", int, "int>=1", "points on the coverage curve", ("evaluate",)),
+    ("evaluate", "y_star", "2.2", float, None, "alarm probe time, s", ("alarms",)),
+    ("evaluate", "noise_seed", "0", int, "int>=0", "sensor-noise seed", ("evaluate",)),
 )
+
+DOMAINS = {  # name: (test, phrase) of the values an option may take
+    "int>=0": (lambda v: v >= 0, "must be >= 0"),
+    "int>=1": (lambda v: v >= 1, "must be >= 1"),
+    "pos": (lambda v: 0.0 < v < np.inf, "must be finite and > 0"),
+    "nonneg": (lambda v: 0.0 <= v < np.inf, "must be finite and >= 0"),
+    "unit": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
+    "bus": (lambda v: 0 <= v < gs.GridModel.n_bus, f"must be in [0, {gs.GridModel.n_bus})"),
+}
 
 DEFAULTS = {section: {key: default for sec, key, default, *_ in OPTIONS if sec == section}
             for section, *_ in OPTIONS}
@@ -121,16 +132,25 @@ def load_config(path: str | None) -> dict:
     return cfg
 
 
+def check(name: str, value, domain: str | None):
+    """`value`, or a usage error if it lies outside the named `DOMAINS` entry."""
+    if domain and not DOMAINS[domain][0](value):
+        raise UsageError(f"{name} {DOMAINS[domain][1]}, got {value}")
+    return value
+
+
 def opts(cfg: dict, section: str) -> dict:
-    """The keys of one config section, cast to their `OPTIONS` types."""
+    """The keys of one config section, cast to their `OPTIONS` types and
+    checked against their domains."""
     out = {}
-    for sec, key, _, cast, *_ in OPTIONS:
+    for sec, key, _, cast, domain, *_ in OPTIONS:
         if sec == section:
             raw = cfg[sec][key]
             try:
                 out[key] = cast(raw)
             except ValueError:
                 raise UsageError(f"bad value for [{sec}] {key}: {raw!r}") from None
+            check(key, out[key], domain)
     return out
 
 
@@ -163,13 +183,7 @@ def _net_cfg(cfg, m: int) -> DeepOnetConfig:
 def cmd_simulate(cfg, args) -> int:
     o = opts(cfg, "simulate")
     n1, n2, seed = o["n1"], o["n2"], o["seed"]
-    if n1 < 1 or n2 < 1:
-        raise UsageError(f"pool sizes must be >= 1, got n1={n1}, n2={n2}")
-    if not 0.0 < o["h_max"] < np.inf:
-        raise UsageError(f"h_max must be finite and > 0, got {o['h_max']}")
     model = gs.build_model(load_scale=o["load_scale"], monitor_bus=o["monitor_bus"])
-    if not 0 <= model.monitor_bus < model.n_bus:
-        raise UsageError(f"monitor_bus must be in [0, {model.n_bus}), got {model.monitor_bus}")
     out = workdir(cfg) / "pools"
     out.mkdir(parents=True, exist_ok=True)
     report = {}
@@ -359,14 +373,6 @@ def _load_model(cfg, which: str, spec: SplitSpec):
     return members, net
 
 
-def _evaluate_opts(cfg) -> dict:
-    """The [evaluate] keys, with the band level checked to lie in (0, 1)."""
-    o = opts(cfg, "evaluate")
-    if not 0.0 < o["level"] < 1.0:
-        raise UsageError(f"level must be in (0, 1), got {o['level']}")
-    return o
-
-
 def _band(mean, std, level: float):
     """(lower, upper) of the central `level` band; (None, None) without a std."""
     if std is None:
@@ -377,17 +383,9 @@ def _band(mean, std, level: float):
 # ---------------------------------------------------------------- evaluate
 
 def cmd_evaluate(cfg, args) -> int:
-    which, noise = args.which, args.noise
-    if not 0.0 <= noise < np.inf:
-        raise UsageError(f"--noise must be finite and >= 0, got {noise}")
-    o = _evaluate_opts(cfg)
+    which, noise = args.which, check("--noise", args.noise, "nonneg")
+    o = opts(cfg, "evaluate")
     level = o["level"]
-    if o["count"] < 1:
-        raise UsageError(f"count must be >= 1, got {o['count']}")
-    if not 0.0 <= o["chi_max"] < np.inf:
-        raise UsageError(f"chi_max must be finite and >= 0, got {o['chi_max']}")
-    if o["chi_points"] < 1:
-        raise UsageError(f"chi_points must be >= 1, got {o['chi_points']}")
     _, test_pool, spec, _ = _load_split(cfg)
     members, net = _load_model(cfg, which, spec)
 
@@ -460,7 +458,7 @@ def cmd_alarms(cfg, args) -> int:
     which = args.which
     if which == "vanilla":
         raise UsageError("alarm analysis needs a predictive band; use prob or bayes")
-    o = _evaluate_opts(cfg)
+    o = opts(cfg, "evaluate")
     level, y_star = o["level"], o["y_star"]
     _, test_pool, spec, _ = _load_split(cfg)
     if y_star <= spec.t_cl:
@@ -526,7 +524,7 @@ def cmd_residuals(cfg, args) -> int:
 
 def cmd_predict(cfg, args) -> int:
     which, traj_id = args.which, args.traj_id
-    level = _evaluate_opts(cfg)["level"]
+    level = opts(cfg, "evaluate")["level"]
     _, test_pool, spec, _ = _load_split(cfg)
     members, net = _load_model(cfg, which, spec)
     by_id = {tr.traj_id: tr for tr in test_pool}
@@ -576,12 +574,13 @@ def build_parser() -> argparse.ArgumentParser:
         "--out", metavar="CSV", help="output CSV path (default eval/predict_WHICH_ID.csv)")
     parsers["evaluate"].add_argument(
         "--noise", type=float, default=0.0, metavar="SIGMA",
-        help="sensor noise sigma (pu) applied to test inputs (default 0.0)")
-    for section, key, default, cast, text, commands in OPTIONS:
+        help=f"sensor noise sigma (pu) on test inputs (default 0.0; {DOMAINS['nonneg'][1]})")
+    for section, key, default, cast, domain, text, commands in OPTIONS:
+        rule = f"; {DOMAINS[domain][1]}" if domain else ""
         for name in commands:
             parsers[name].add_argument("--" + key.replace("_", "-"), dest=f"{section}.{key}",
                                        type=cast, metavar=key.upper(),
-                                       help=f"{text} (default {default})")
+                                       help=f"{text} (default {default}{rule})")
     return p
 
 

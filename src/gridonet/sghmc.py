@@ -63,10 +63,11 @@ class BayesConfig:
     trace_every: int = 20  # cadence of the potential-energy diagnostic trace
 
     def __post_init__(self):
-        if not (self.C >= self.B_hat >= 0.0):
-            raise ValueError(f"need C >= B_hat >= 0, got C={self.C}, B_hat={self.B_hat}")
-        if self.eps_t <= 0 or self.sigma_l <= 0 or self.prior_lambda <= 0:
-            raise ValueError("eps_t, sigma_l, prior_lambda must be positive")
+        if not (np.inf > self.C >= self.B_hat >= 0.0):
+            raise ValueError(f"need finite C >= B_hat >= 0, got C={self.C}, B_hat={self.B_hat}")
+        for name in ("eps_t", "sigma_l", "prior_lambda"):
+            if not (0.0 < getattr(self, name) < np.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if self.m_inner < 1 or self.n_outer < 1 or self.thinning < 1 or self.batch_size < 1:
             raise ValueError("m_inner, n_outer, thinning, batch_size must be >= 1")
         if not (0 <= self.burn_in < self.n_outer):

@@ -52,8 +52,11 @@ class TrainConfig:
             raise ValueError(f"epochs must be >= 1, got {self.epochs}")
         if not (0.0 < self.factor < 1.0):
             raise ValueError(f"factor must be in (0,1), got {self.factor}")
-        if self.batch_size < 1 or self.lr <= 0 or self.min_lr <= 0:
-            raise ValueError("batch_size, lr, min_lr must be positive")
+        if self.batch_size < 1:
+            raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        for name, x in (("lr", self.lr), ("min_lr", self.min_lr)):
+            if not (0.0 < x < np.inf):
+                raise ValueError(f"{name} must be finite and > 0, got {x}")
 
 
 class PlateauSchedule:

@@ -99,7 +99,7 @@ def test_artifacts_match_the_pins(pipeline):
 
 
 def _flag_cases():
-    for section, key, default, cast, _, commands in cli.OPTIONS:
+    for section, key, default, cast, _, _, commands in cli.OPTIONS:
         for command in commands:
             yield pytest.param(section, key, default, cast, command,
                                id=f"{command}-{section}.{key}")
@@ -132,8 +132,9 @@ def test_options_table_has_one_row_per_key():
     pairs = [(row[0], row[1]) for row in cli.OPTIONS]
     assert len(pairs) == len(set(pairs))
     assert sum(len(keys) for keys in cli.DEFAULTS.values()) == len(pairs)
-    for section, key, default, cast, _, _ in cli.OPTIONS:
-        cast(default)
+    for section, key, default, cast, domain, _, _ in cli.OPTIONS:
+        assert domain is None or domain in cli.DOMAINS, (section, key)
+        assert cli.check(key, cast(default), domain) == cast(default)
 
 
 def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
@@ -160,6 +161,21 @@ def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
     (("evaluate", "--which", "vanilla", "--noise", "nan"), "--noise must be finite and >= 0"),
     (("evaluate", "--which", "vanilla", "--chi-max", "-1"), "chi_max must be finite and >= 0"),
     (("evaluate", "--which", "vanilla", "--chi-points", "-1"), "chi_points must be >= 1"),
+    (("train", "--model", "vanilla", "--lr", "nan"), "lr must be finite and > 0, got nan"),
+    (("train", "--model", "vanilla", "--lr", "inf"), "lr must be finite and > 0, got inf"),
+    (("train", "--model", "prob", "--min-lr", "nan"), "min_lr must be finite and > 0, got nan"),
+    (("sghmc", "--eps-t", "nan"), "eps_t must be finite and > 0, got nan"),
+    (("sghmc", "--c", "inf"), "need finite C >= B_hat >= 0"),
+    (("simulate", "--load-scale", "-1"), "load_scale must be finite and > 0, got -1.0"),
+    (("simulate", "--load-scale", "nan"), "load_scale must be finite and > 0, got nan"),
+    (("simulate", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("dataset", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("train", "--model", "vanilla", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("sghmc", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("evaluate", "--which", "bayes", "--seed", "-1"), "seed must be >= 0, got -1"),
+    (("dataset", "--query-seed", "-1"), "query_seed must be >= 0, got -1"),
+    (("evaluate", "--which", "prob", "--noise-seed", "-1"), "noise_seed must be >= 0, got -1"),
+    (("evaluate", "--which", "vanilla", "--bands", "-1"), "bands must be >= 0, got -1"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, argv, message):
     rc, err = run(capsys, tmp_path / "wd", *argv)

@@ -195,8 +195,13 @@ def test_config_validation():
         unit_bc(burn_in=10, n_outer=10)
     with pytest.raises(ValueError):
         unit_bc(n_outer=10, burn_in=0, thinning=1, M=11)
-    with pytest.raises(ValueError):
-        unit_bc(sigma_l=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        for name in ("eps_t", "sigma_l", "prior_lambda"):
+            with pytest.raises(ValueError):
+                unit_bc(**{name: bad})
+    for C in (np.nan, np.inf):
+        with pytest.raises(ValueError):
+            unit_bc(C=C)
 
 
 def test_run_is_deterministic():

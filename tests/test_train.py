@@ -220,8 +220,11 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=5, factor=1.0)
-    with pytest.raises(ValueError):
-        TrainConfig(epochs=5, lr=0.0)
+    for bad in (0.0, np.nan, np.inf):
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=5, lr=bad)
+        with pytest.raises(ValueError):
+            TrainConfig(epochs=5, min_lr=bad)
 
 
 def test_fit_is_bit_reproducible():
