@@ -6,12 +6,12 @@ from __future__ import annotations
 import csv
 import math
 from dataclasses import dataclass
+from statistics import NormalDist
 
 import numpy as np
 
 __all__ = [
     "relative_errors",
-    "inverse_normal_cdf",
     "confidence_interval",
     "epsilon_ratio",
     "chi_coverage_curve",
@@ -42,51 +42,14 @@ def relative_errors(pred, target) -> tuple[float, float]:
     return float(l1), float(l2)
 
 
-# Acklam's rational approximation of the standard normal quantile, refined by
-# one Halley step through erfc; the result is accurate to well under 1e-8.
-_IN_A = (-3.969683028665376e01, 2.209460984245205e02, -2.759285104469687e02,
-         1.383577518672690e02, -3.066479806614716e01, 2.506628277459239e00)
-_IN_B = (-5.447609879822406e01, 1.615858368580409e02, -1.556989798598866e02,
-         6.680131188771972e01, -1.328068155288572e01)
-_IN_C = (-7.784894002430293e-03, -3.223964580411365e-01, -2.400758277161838e00,
-         -2.549732539343734e00, 4.374664141464968e00, 2.938163982698783e00)
-_IN_D = (7.784695709041462e-03, 3.224671290700398e-01, 2.445134137142996e00,
-         3.754408661907416e00)
-
-
-def inverse_normal_cdf(p: float) -> float:
-    if not (0.0 < p < 1.0):
-        raise ValueError(f"quantile argument must be in (0,1), got {p}")
-    a, b, c, d = _IN_A, _IN_B, _IN_C, _IN_D
-    p_low = 0.02425
-    if p < p_low:
-        q = math.sqrt(-2.0 * math.log(p))
-        x = (((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    elif p <= 1.0 - p_low:
-        q = p - 0.5
-        r = q * q
-        x = (((((a[0] * r + a[1]) * r + a[2]) * r + a[3]) * r + a[4]) * r + a[5]) * q / (
-            ((((b[0] * r + b[1]) * r + b[2]) * r + b[3]) * r + b[4]) * r + 1.0
-        )
-    else:
-        q = math.sqrt(-2.0 * math.log(1.0 - p))
-        x = -(((((c[0] * q + c[1]) * q + c[2]) * q + c[3]) * q + c[4]) * q + c[5]) / (
-            (((d[0] * q + d[1]) * q + d[2]) * q + d[3]) * q + 1.0
-        )
-    # Halley refinement
-    e = 0.5 * math.erfc(-x / math.sqrt(2.0)) - p
-    u = e * math.sqrt(2.0 * math.pi) * math.exp(0.5 * x * x)
-    return x - u / (1.0 + 0.5 * x * u)
-
-
 def confidence_interval(mean, std, level: float = 0.95):
     mean = np.asarray(mean, dtype=float)
     std = np.asarray(std, dtype=float)
     if np.any(std < 0):
         raise ValueError("std must be non-negative")
-    z = inverse_normal_cdf(0.5 + 0.5 * level)
+    if not (0.0 < level < 1.0):
+        raise ValueError(f"level must be in (0, 1), got {level}")
+    z = NormalDist().inv_cdf(0.5 + 0.5 * level)
     return mean - z * std, mean + z * std
 
 

@@ -1,10 +1,13 @@
-"""Alarm outcome partition and the normal quantile."""
+"""Alarm outcome partition and the normal confidence band."""
 
 import math
 
+from statistics import NormalDist
+
+import numpy as np
 import pytest
 
-from gridonet.uqeval import alarm_analysis, inverse_normal_cdf
+from gridonet.uqeval import alarm_analysis, confidence_interval
 
 # threshold_profile gives 0.70 pu at y* = 2.2 s (t_cl = 2.0)
 THR = 0.70
@@ -29,8 +32,13 @@ def test_alarm_outcomes_partition(truth, lo, hi, expected):
     assert sum(summary[f"{k}_rate"] for k in OUTCOMES) == pytest.approx(100.0)
 
 
-@pytest.mark.parametrize("p", [1e-6, 0.01, 0.02425, 0.5, 0.975, 1 - 1e-6])
-def test_inverse_normal_cdf_round_trips_through_erf(p):
-    x = inverse_normal_cdf(p)
-    cdf = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
-    assert abs(cdf - p) <= 1e-9 * min(p, 1.0 - p)
+@pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.98, 1 - 2e-6])
+def test_confidence_interval_is_mean_plus_minus_normal_quantile(level):
+    mean, std = np.array([0.9, 1.0, 1.1]), np.array([0.0, 0.01, 0.02])
+    lo, hi = confidence_interval(mean, std, level)
+    z = NormalDist().inv_cdf(0.5 + 0.5 * level)
+    assert np.array_equal(lo, mean - z * std) and np.array_equal(hi, mean + z * std)
+    if level == 0.95:
+        assert z == NormalDist().inv_cdf(0.975)
+    # the band of a unit normal holds `level` of its mass, through math.erf
+    assert abs(math.erf(z / math.sqrt(2.0)) - level) <= 1e-9 * (1.0 - level)
