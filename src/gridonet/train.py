@@ -54,6 +54,8 @@ class TrainConfig:
             raise ValueError(f"factor must be in (0,1), got {self.factor}")
         if self.batch_size < 1:
             raise ValueError(f"batch_size must be >= 1, got {self.batch_size}")
+        if self.patience < 0:
+            raise ValueError(f"patience must be >= 0, got {self.patience}")
         for name, x in (("lr", self.lr), ("min_lr", self.min_lr)):
             if not (0.0 < x < np.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {x}")

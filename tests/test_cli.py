@@ -164,6 +164,7 @@ def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
     (("train", "--model", "vanilla", "--lr", "nan"), "lr must be finite and > 0, got nan"),
     (("train", "--model", "vanilla", "--lr", "inf"), "lr must be finite and > 0, got inf"),
     (("train", "--model", "prob", "--min-lr", "nan"), "min_lr must be finite and > 0, got nan"),
+    (("train", "--model", "vanilla", "--patience", "-1"), "patience must be >= 0, got -1"),
     (("sghmc", "--eps-t", "nan"), "eps_t must be finite and > 0, got nan"),
     (("sghmc", "--c", "inf"), "need finite C >= B_hat >= 0"),
     (("simulate", "--load-scale", "-1"), "load_scale must be finite and > 0, got -1.0"),

@@ -220,6 +220,8 @@ def test_config_validation():
         TrainConfig(epochs=0)
     with pytest.raises(ValueError):
         TrainConfig(epochs=5, factor=1.0)
+    with pytest.raises(ValueError):
+        TrainConfig(epochs=5, patience=-1)
     for bad in (0.0, np.nan, np.inf):
         with pytest.raises(ValueError):
             TrainConfig(epochs=5, lr=bad)
