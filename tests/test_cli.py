@@ -1,7 +1,6 @@
 """CLI contract: the option table, exit codes, stale inputs, byte-identical reruns."""
 
 import hashlib
-import os
 import platform
 import shutil
 from pathlib import Path
@@ -27,8 +26,7 @@ PIPELINE = (
     *(("predict", "--which", w) for w in WHICH),
     *(("alarms", "--which", w) for w in ("prob", "bayes")),
 )
-# sha256 of every artifact of the tiny pipeline, under the host it was recorded on;
-# after a declared artifact change, rewrite it with GRIDONET_REPIN=1
+# sha256 of every artifact of the tiny pipeline, under the host it was recorded on
 PINS = Path(__file__).with_name("pipeline.sha256")
 
 
@@ -82,11 +80,11 @@ def test_rerun_is_byte_identical(pipeline):
     assert first == second
 
 
-def test_artifacts_match_the_pins(pipeline):
+def test_artifacts_match_the_pins(pipeline, tmp_path):
     got = pipeline[1]
-    if os.environ.get("GRIDONET_REPIN") == "1":
-        PINS.write_text("".join(f"# {line}\n" for line in host())
-                        + "".join(f"{d}  {name}\n" for name, d in got.items()))
+    fresh = tmp_path / PINS.name  # what to commit after a declared artifact change
+    fresh.write_text("".join(f"# {line}\n" for line in host())
+                     + "".join(f"{d}  {name}\n" for name, d in got.items()))
     lines = PINS.read_text().splitlines()
     recorded = [line[2:] for line in lines if line.startswith("# ")]
     pins = {name: d for d, name in (line.split("  ", 1) for line in lines
@@ -95,7 +93,7 @@ def test_artifacts_match_the_pins(pipeline):
     assert not moved or recorded == host(), (
         f"{len(moved)} artifacts differ from {PINS.name}, which was recorded on "
         f"{recorded}; this host runs {host()}")
-    assert not moved, f"artifacts moved from {PINS.name}: {moved}"
+    assert not moved, f"artifacts moved from {PINS.name}: {moved}; this run's pins: {fresh}"
 
 
 def _flag_cases():
