@@ -42,3 +42,12 @@ def test_confidence_interval_is_mean_plus_minus_normal_quantile(level):
         assert z == NormalDist().inv_cdf(0.975)
     # the band of a unit normal holds `level` of its mass, through math.erf
     assert abs(math.erf(z / math.sqrt(2.0)) - level) <= 1e-9 * (1.0 - level)
+
+
+@pytest.mark.parametrize("p", [1e-6, 1 - 1e-6])
+def test_inverse_normal_cdf_round_trips_through_erf(p):
+    # a unit band of level |2p - 1| has its edge at the p-quantile, deep in a tail
+    lo, hi = confidence_interval(0.0, 1.0, abs(2.0 * p - 1.0))
+    x = float(lo if p < 0.5 else hi)
+    cdf = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
+    assert abs(cdf - p) <= 1e-9 * min(p, 1.0 - p)
