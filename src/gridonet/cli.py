@@ -374,9 +374,9 @@ def _load_model(cfg, which: str, spec: SplitSpec):
 
 
 def _band(mean, std, level: float):
-    """(lower, upper) of the central `level` band; (None, None) without a std."""
+    """(lower, upper) of the central `level` band; NaN curves without a std."""
     if std is None:
-        return None, None
+        return np.full_like(mean, np.nan), np.full_like(mean, np.nan)
     return uqeval.confidence_interval(mean, std, level)
 
 
@@ -389,55 +389,44 @@ def cmd_evaluate(cfg, args) -> int:
     _, test_pool, spec, _ = _load_split(cfg)
     members, net = _load_model(cfg, which, spec)
 
-    cases = build_test(test_pool, spec)
-    ids = [tr.traj_id for tr in test_pool]
-    if o["count"] < len(cases):
+    U, mesh, G = build_test(test_pool, spec)
+    if o["count"] < len(G):
         sel = np.sort(np.random.default_rng([o["seed"], 4]).choice(
-            len(cases), size=o["count"], replace=False))
+            len(G), size=o["count"], replace=False))
     else:
-        sel = np.arange(len(cases))
-
-    reports, mus, sigmas, truths, band_rows = [], [], [], [], []
-    for i, k in enumerate(sel):
-        u, mesh, truth = cases[k]
-        u = add_input_noise(u, noise, [o["noise_seed"], 5, ids[k]])
-        mean, std = predict(members, net, u, mesh)
-        lo, hi = _band(mean, std, level)
-        l1, l2 = uqeval.relative_errors(mean, truth)
-        eps = np.nan if std is None else uqeval.epsilon_ratio(lo, hi, truth)
-        reports.append(uqeval.TrajectoryReport(ids[k], l1, l2, eps))
-        if std is not None:
-            mus.append(mean)
-            sigmas.append(std)
-            truths.append(truth)
-        if i < o["bands"]:
-            band_rows += [[ids[k], float(mesh[j]), float(truth[j]), float(mean[j]),
-                           np.nan if lo is None else float(lo[j]),
-                           np.nan if hi is None else float(hi[j])]
-                          for j in range(len(mesh))]
+        sel = np.arange(len(G))
+    ids = [test_pool[k].traj_id for k in sel]
+    U = np.array([add_input_noise(U[k], noise, [o["noise_seed"], 5, i]) for k, i in zip(sel, ids)])
+    G = G[sel]
+    mean, std = predict(members, net, U, mesh)
+    lo, hi = _band(mean, std, level)
+    l1, l2 = uqeval.relative_errors(mean, G)
+    eps = np.full(len(G), np.nan) if std is None else uqeval.epsilon_ratio(lo, hi, G)
 
     out = workdir(cfg) / "eval"
     out.mkdir(parents=True, exist_ok=True)
     tag = which if noise == 0.0 else f"{which}_noise"
-    agg = uqeval.aggregate_reports(reports)
+    agg = uqeval.aggregate_reports(l1, l2, eps)
     _write_csv(out / f"{tag}_report.csv",
                ["count", "mean_L1", "sd_L1", "mean_L2", "sd_L2", "eps_ratio"],
                [[agg["count"], agg["mean_L1"], agg["sd_L1"], agg["mean_L2"],
                  agg["sd_L2"], agg["eps_ratio"]]])
     _write_csv(out / f"{tag}_per_traj.csv",
                ["traj_id", "l1_pct", "l2_pct", "eps_ratio"],
-               [[r.traj_id, r.l1, r.l2, r.eps_ratio] for r in reports])
+               zip(ids, l1.tolist(), l2.tolist(), eps.tolist()))
 
     outputs = [f"{tag}_report.csv", f"{tag}_per_traj.csv"]
-    if mus:
+    if std is not None:
         chis = np.linspace(0.0, o["chi_max"], o["chi_points"])
-        emp, ana = uqeval.chi_coverage_curve(mus, sigmas, truths, chis)
+        emp, ana = uqeval.chi_coverage_curve(mean, std, G, chis)
         _write_csv(out / f"{tag}_chi.csv", ["chi", "empirical", "analytic"],
                    [[float(c), float(e), float(a)] for c, e, a in zip(chis, emp, ana)])
         outputs.append(f"{tag}_chi.csv")
 
-    _write_csv(out / f"{tag}_bands.csv",
-               ["traj_id", "y", "truth", "mean", "lower", "upper"], band_rows)
+    b = min(o["bands"], len(G))
+    band_cols = [np.repeat(ids[:b], len(mesh)), np.tile(mesh, b), G[:b], mean[:b], lo[:b], hi[:b]]
+    _write_csv(out / f"{tag}_bands.csv", ["traj_id", "y", "truth", "mean", "lower", "upper"],
+               zip(*(np.ravel(c).tolist() for c in band_cols)))
     outputs.append(f"{tag}_bands.csv")
 
     write_json(out / f"{tag}_eval.manifest.json", {
@@ -466,13 +455,12 @@ def cmd_alarms(cfg, args) -> int:
     if not y_star <= spec.T:
         raise UsageError(f"y_star must be at most the horizon T={spec.T}, got {y_star}")
     members, net = _load_model(cfg, which, spec)
-    cases = build_test(test_pool, spec)
-    items = []
-    for tr, (u, _, _) in zip(test_pool, cases):
-        mean, std = predict(members, net, u, np.array([y_star]))
-        lo, hi = _band(mean, std, level)
-        truth = float(np.interp(y_star, tr.times, tr.values))
-        items.append((tr.traj_id, float(mean[0]), float(lo[0]), float(hi[0]), truth))
+    U = build_test(test_pool, spec)[0]
+    mean, std = (c[:, 0] for c in predict(members, net, U, [y_star]))
+    lo, hi = _band(mean, std, level)
+    ids = [tr.traj_id for tr in test_pool]
+    truth = [float(np.interp(y_star, tr.times, tr.values)) for tr in test_pool]
+    items = zip(ids, mean.tolist(), lo.tolist(), hi.tolist(), truth)
     outcomes, summary = uqeval.alarm_analysis(items, y_star=y_star, t_cl=spec.t_cl)
     out = workdir(cfg) / "eval"
     out.mkdir(parents=True, exist_ok=True)
@@ -499,10 +487,8 @@ def cmd_residuals(cfg, args) -> int:
     which = args.which
     _, test_pool, spec, _ = _load_split(cfg)
     members, net = _load_model(cfg, which, spec)
-    res = []
-    for u, mesh, truth in build_test(test_pool, spec):
-        res.append(predict(members, net, u, mesh)[0] - truth)
-    res = np.concatenate(res)
+    U, mesh, G = build_test(test_pool, spec)
+    res = predict(members, net, U, mesh)[0] - G
     report = uqeval.residual_normality(res)
     out = workdir(cfg) / "eval"
     out.mkdir(parents=True, exist_ok=True)
@@ -532,7 +518,7 @@ def cmd_predict(cfg, args) -> int:
         traj_id = min(by_id)
     if traj_id not in by_id:
         raise UsageError(f"trajectory {traj_id} is not in the test split")
-    u, mesh, truth = build_test([by_id[traj_id]], spec)[0]
+    (u,), mesh, (truth,) = build_test([by_id[traj_id]], spec)
     mean, std = predict(members, net, u, mesh)
     lo, hi = _band(mean, std, level)
     out = workdir(cfg) / "eval"
@@ -541,9 +527,8 @@ def cmd_predict(cfg, args) -> int:
     nanv = float("nan")
     _write_csv(path, ["y", "truth", "mean", "std", "lower", "upper"],
                [[float(mesh[j]), float(truth[j]), float(mean[j]),
-                 nanv if std is None else float(std[j]),
-                 nanv if lo is None else float(lo[j]),
-                 nanv if hi is None else float(hi[j])] for j in range(len(mesh))])
+                 nanv if std is None else float(std[j]), float(lo[j]), float(hi[j])]
+                for j in range(len(mesh))])
     print(f"wrote {path}")
     return 0
 

@@ -3,7 +3,9 @@
 An input function u is the fault-on window [0, t_cl] of a trajectory sampled
 at m sensor times; a target is the post-fault value at a query time y in
 (t_cl, T]. Training draws Q random queries per trajectory; testing evaluates
-on a fixed 500-point mesh over the post-fault interval.
+on a fixed 500-point mesh over the post-fault interval. Both sides are
+arrays: training rows (U, Y, G) pair one input with one query, and the test
+set (U, mesh, G) holds one input row and one target row per trajectory.
 """
 
 from __future__ import annotations
@@ -91,14 +93,16 @@ def build_train(pool, spec: SplitSpec, seed: int) -> tuple[np.ndarray, np.ndarra
     return U[order], np.reshape(ys, (-1, 1))[order], np.reshape(gs, (-1, 1))[order]
 
 
-def build_test(pool, spec: SplitSpec):
-    """(u_disc, Y_mesh, targets) per trajectory on the fixed evaluation mesh."""
+def build_test(pool, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """The fixed evaluation mesh as arrays (U, mesh, G) of shapes (N, m),
+    (n_mesh,) and (N, n_mesh), row i from the i-th trajectory of the pool."""
     mesh = query_mesh(spec)
-    out = []
+    us, gs = [], []
     for tr in pool:
         _check_coverage(tr, spec)
-        out.append((_u_disc(tr, spec), mesh, np.interp(mesh, tr.times, tr.values)))
-    return out
+        us.append(_u_disc(tr, spec))
+        gs.append(np.interp(mesh, tr.times, tr.values))
+    return np.reshape(us, (-1, spec.m)), mesh, np.reshape(gs, (-1, spec.n_mesh))
 
 
 def split_pools(n1_pool, n2_pool, train_frac: float, seed: int):

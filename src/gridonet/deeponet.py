@@ -19,6 +19,11 @@ the parameter names.
 * one probabilistic net: the mu curve and exp(clamped log-sigma);
 * two or more vanilla nets (an ensemble): the pointwise mean and the
   unbiased (ddof=1) std over the members' curves.
+
+Input functions lie on the last axis: an (m,) input gives (k,) curves at k
+query times, and an (n, m) input gives (n, k) curves, one row per input.
+Each net runs its branch and its trunk once per call, whatever n is; an
+ensemble holds all members' curves, M * n * k floats, while it reduces them.
 """
 
 from __future__ import annotations
@@ -105,30 +110,34 @@ def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y):
 
 
 def _curves(params: dict, cfg: DeepOnetConfig, u, y) -> list[np.ndarray]:
-    """Each head's values at the query column y (log-sigma clamped); the
-    branch runs once."""
-    bh = hidden(params, T.Tensor(u), cfg.branch, "b_")  # (1, width)
+    """Each head's (n, k) values for the n rows of u at the query column y
+    (log-sigma clamped); the branch and the trunk run once."""
+    bh = hidden(params, T.Tensor(u), cfg.branch, "b_")  # (n, width)
     th = hidden(params, T.Tensor(y), cfg.trunk, "t_")  # (k, width)
     out = [T.matmul(head(params, th, "t_", stem), T.Tensor(head(params, bh, "b_", stem).data.T))
            + float(np.asarray(params[tau]).item()) for stem, tau in _heads(params)]
     if len(out) == 2:
         out[1] = T.clip(out[1], LOGSIG_LO, LOGSIG_HI)
-    return [c.data.ravel() for c in out]
+    return [np.ascontiguousarray(c.data.T) for c in out]  # (n, k)
 
 
 def predict(members: list[dict], cfg: DeepOnetConfig, u_disc, ys):
-    """(mean, std) curves at query times ys for one input function, from one
-    vanilla net, one prob net or a vanilla ensemble (see the module doc)."""
-    u = np.asarray(u_disc, dtype=float).reshape(1, -1)
+    """(mean, std) curves at query times ys from one vanilla net, one prob net
+    or a vanilla ensemble (see the module doc). Input functions lie on the
+    last axis of u_disc: one of shape (m,) gives (k,) curves, and n of shape
+    (n, m) give (n, k) curves, row i being the curve of input row i."""
+    u_disc = np.asarray(u_disc, dtype=float)
+    u = u_disc.reshape(-1, u_disc.shape[-1])
     y = np.asarray(ys, dtype=float).reshape(-1, 1)
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise T.NumericError("non-finite network input")
     if u.shape[1] != cfg.m:
         raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
+    shape = u_disc.shape[:-1] + (len(y),)
     if len(members) == 1:
-        curves = _curves(members[0], cfg, u, y)
+        curves = [c.reshape(shape) for c in _curves(members[0], cfg, u, y)]
         return curves[0], (np.exp(curves[1]) if len(curves) == 2 else None)
     if not members or any(len(_heads(p)) != 1 for p in members):
         raise ValueError("an ensemble needs two or more vanilla members")
-    matrix = np.stack([_curves(p, cfg, u, y)[0] for p in members])
-    return matrix.mean(axis=0), matrix.std(axis=0, ddof=1)
+    stack = np.stack([_curves(p, cfg, u, y)[0].reshape(shape) for p in members])
+    return stack.mean(axis=0), stack.std(axis=0, ddof=1)

@@ -20,6 +20,7 @@ leaving the prior term unscaled.
 
 from __future__ import annotations
 
+from collections import deque
 from dataclasses import dataclass
 
 import numpy as np
@@ -132,7 +133,7 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
     p = theta.size
     eps = bc.eps_t
     noise_std = np.sqrt(2.0 * (bc.C - bc.B_hat) * eps)
-    retained = []
+    retained = deque(maxlen=bc.M)  # only the last M positions are ever returned
     trace = {}
     for k in range(1, bc.n_outer + 1):
         r = rng.standard_normal(p)
@@ -150,7 +151,7 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
             retained.append(theta.copy())
         if diag_fn is not None and (k % bc.trace_every == 0 or k == bc.n_outer):
             trace[k] = diag_fn(theta)
-    return retained[-bc.M :], trace
+    return list(retained), trace
 
 
 def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig):

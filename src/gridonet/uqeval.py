@@ -1,5 +1,10 @@
 """Evaluation metrics: relative errors, confidence intervals, coverage
-calibration, under-voltage alarm classification, residual normality."""
+calibration, under-voltage alarm classification, residual normality.
+
+Curves arrive as arrays with one trajectory per row and the query mesh on
+the last axis. The relative errors and the eps ratio are per row, reduced
+over the last axis; the coverage curve and the residual histogram pool every
+point of every row."""
 
 from __future__ import annotations
 
@@ -21,25 +26,24 @@ __all__ = [
     "alarm_analysis",
     "NormalityReport",
     "residual_normality",
-    "TrajectoryReport",
     "aggregate_reports",
     "write_csv",
 ]
 
 
-def relative_errors(pred, target) -> tuple[float, float]:
-    """(L1, L2) relative errors in percent."""
+def relative_errors(pred, target):
+    """(L1, L2) relative errors in percent, per row."""
     p = np.asarray(pred, dtype=float)
     t = np.asarray(target, dtype=float)
     if p.shape != t.shape:
         raise ValueError(f"shape mismatch {p.shape} vs {t.shape}")
-    l1_den = np.sum(np.abs(t))
-    l2_den = np.sqrt(np.sum(t * t))
-    if l1_den == 0.0 or l2_den == 0.0:
+    l1_den = np.sum(np.abs(t), axis=-1)
+    l2_den = np.sqrt(np.sum(t * t, axis=-1))
+    if np.any(l1_den == 0.0) or np.any(l2_den == 0.0):
         raise ValueError("target has zero norm")
-    l1 = 100.0 * np.sum(np.abs(p - t)) / l1_den
-    l2 = 100.0 * np.sqrt(np.sum((p - t) ** 2)) / l2_den
-    return float(l1), float(l2)
+    l1 = 100.0 * np.sum(np.abs(p - t), axis=-1) / l1_den
+    l2 = 100.0 * np.sqrt(np.sum((p - t) ** 2, axis=-1)) / l2_den
+    return l1, l2
 
 
 def confidence_interval(mean, std, level: float = 0.95):
@@ -53,14 +57,14 @@ def confidence_interval(mean, std, level: float = 0.95):
     return mean - z * std, mean + z * std
 
 
-def epsilon_ratio(lower, upper, targets) -> float:
-    """Percent of target points inside the band."""
+def epsilon_ratio(lower, upper, targets):
+    """Percent of target points inside the band, per row."""
     lo = np.asarray(lower, dtype=float)
     hi = np.asarray(upper, dtype=float)
     t = np.asarray(targets, dtype=float)
     if not (lo.shape == hi.shape == t.shape):
         raise ValueError("band and target lengths differ")
-    return float(100.0 * np.mean((lo <= t) & (t <= hi)))
+    return 100.0 * np.mean((lo <= t) & (t <= hi), axis=-1)
 
 
 def analytic_coverage(chi) -> np.ndarray:
@@ -76,10 +80,8 @@ def chi_coverage_curve(mu, sigma, target, chis):
     chis = np.asarray(chis, dtype=float)
     if chis.size > 1 and np.any(np.diff(chis) < 0):
         raise ValueError("chis must be non-decreasing")
-    mu = np.concatenate([np.ravel(m) for m in np.atleast_1d(mu)]) if isinstance(mu, list) else np.ravel(mu)
-    sigma = np.concatenate([np.ravel(s) for s in np.atleast_1d(sigma)]) if isinstance(sigma, list) else np.ravel(sigma)
-    target = np.concatenate([np.ravel(t) for t in np.atleast_1d(target)]) if isinstance(target, list) else np.ravel(target)
-    err = np.abs(mu - target)
+    err = np.abs(np.asarray(mu, dtype=float) - np.asarray(target, dtype=float))
+    sigma = np.asarray(sigma, dtype=float)
     empirical = np.array([np.mean(err <= c * sigma) for c in chis])
     return empirical, analytic_coverage(chis)
 
@@ -164,25 +166,17 @@ def residual_normality(residuals) -> NormalityReport:
     )
 
 
-@dataclass(frozen=True)
-class TrajectoryReport:
-    traj_id: int
-    l1: float
-    l2: float
-    eps_ratio: float
-
-
-def aggregate_reports(reports) -> dict:
-    l1 = np.array([r.l1 for r in reports])
-    l2 = np.array([r.l2 for r in reports])
-    eps = np.array([r.eps_ratio for r in reports])
+def aggregate_reports(l1, l2, eps) -> dict:
+    """Mean and sample sd of the per-trajectory L1 and L2 errors, and the
+    mean eps ratio (NaN for a model without a band)."""
+    n = len(l1)
     return {
-        "count": len(reports),
-        "mean_L1": float(l1.mean()),
-        "sd_L1": float(l1.std(ddof=1)) if len(reports) > 1 else 0.0,
-        "mean_L2": float(l2.mean()),
-        "sd_L2": float(l2.std(ddof=1)) if len(reports) > 1 else 0.0,
-        "eps_ratio": float(eps.mean()),
+        "count": n,
+        "mean_L1": float(np.mean(l1)),
+        "sd_L1": float(np.std(l1, ddof=1)) if n > 1 else 0.0,
+        "mean_L2": float(np.mean(l2)),
+        "sd_L2": float(np.std(l2, ddof=1)) if n > 1 else 0.0,
+        "eps_ratio": float(np.mean(eps)),
     }
 
 

@@ -251,12 +251,13 @@ def test_stale_split_is_refused(pipeline, workdir_copy, capsys):
     assert err == ["error: pools changed since `dataset`; rerun `dataset`"]
 
 
-def test_evaluate_predicts_each_trajectory_once(pipeline, workdir_copy, monkeypatch, capsys):
-    calls = []
+@pytest.mark.parametrize("argv", [("evaluate", "--which", "vanilla", "--bands", "2"),
+                                  ("residuals",), ("alarms", "--which", "prob")],
+                         ids=["evaluate", "residuals", "alarms"])
+def test_read_commands_predict_once(pipeline, workdir_copy, monkeypatch, capsys, argv):
+    """One batched predict call scores both test trajectories of the tiny split."""
+    inputs = []
     predict = cli.predict
-    monkeypatch.setattr(cli, "predict", lambda *a: calls.append(1) or predict(*a))
-    rc, _ = run(capsys, workdir_copy, "evaluate", "--which", "vanilla", "--bands", "2",
-                config=pipeline[3])
-    assert rc == 0
-    per_traj = (workdir_copy / "eval" / "vanilla_per_traj.csv").read_text().splitlines()
-    assert len(calls) == len(per_traj) - 1 == 2
+    monkeypatch.setattr(cli, "predict", lambda *a: inputs.append(np.shape(a[2])) or predict(*a))
+    assert run(capsys, workdir_copy, *argv, config=pipeline[3])[0] == 0
+    assert inputs == [(2, 20)]  # (test trajectories, m)

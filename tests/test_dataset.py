@@ -45,8 +45,8 @@ def test_constant_trajectory_targets():
     U, Y, G = build_train([tr], SplitSpec(Q=5), seed=1)
     assert U.shape == (5, 200) and Y.shape == G.shape == (5, 1)
     assert np.all(G == 1.0)
-    u, mesh, g = build_test([tr], SplitSpec())[0]
-    assert np.all(u == 1.0) and np.all(g == 1.0)
+    U, _, G = build_test([tr], SplitSpec())
+    assert np.all(U == 1.0) and np.all(G == 1.0)
 
 
 def test_midpoint_interpolation():
@@ -54,8 +54,8 @@ def test_midpoint_interpolation():
     y = query_mesh(spec)[0]
     times = np.array([0.0, y - 0.007, y + 0.007, 9.0])
     values = np.array([0.9, 0.9, 1.1, 1.1])
-    _, _, g = build_test([make_traj(0, values, times=times)], spec)[0]
-    assert abs(g[0] - 1.0) < 1e-9
+    _, _, G = build_test([make_traj(0, values, times=times)], spec)
+    assert abs(G[0, 0] - 1.0) < 1e-9
 
 
 def test_query_mesh_shape():
@@ -64,12 +64,17 @@ def test_query_mesh_shape():
     assert mesh[0] > 2.0
     assert mesh[-1] == 9.0
     assert np.all(np.diff(mesh) > 0)
+    pool = [make_traj(i, np.full(900, 0.9 + 0.01 * i)) for i in range(3)]
+    U, test_mesh, G = build_test(pool, SplitSpec())
+    assert U.shape == (3, 200) and test_mesh.shape == (500,) and G.shape == (3, 500)
+    assert np.array_equal(test_mesh, mesh)
+    assert np.array_equal(G[:, 0], [0.9 + 0.01 * i for i in range(3)])  # pool order
 
 
 def test_affine_trajectory_is_interpolated_exactly():
     tr = make_traj(0, 0.3 + 0.05 * GRID)
-    _, mesh, g = build_test([tr], SplitSpec())[0]
-    assert np.allclose(g, 0.3 + 0.05 * mesh, rtol=0, atol=1e-12)
+    _, mesh, G = build_test([tr], SplitSpec())
+    assert np.allclose(G, 0.3 + 0.05 * mesh, rtol=0, atol=1e-12)
     _, Y, G = build_train([tr], SplitSpec(Q=20), seed=3)
     assert np.max(np.abs(G - (0.3 + 0.05 * Y))) < 1e-12
     assert np.all((2.0 < Y) & (Y <= 9.0))

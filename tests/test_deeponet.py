@@ -130,6 +130,11 @@ def test_forward_batch_agrees_with_predict():
     batch = mu.data.ravel()
     single = np.array([curve(p, U[i], [Y[i, 0]])[0] for i in range(4)])
     assert np.max(np.abs(batch - single)) < 1e-12
+    # a batched predict: row i is the curve of input row i alone
+    ys = np.linspace(2.1, 9.0, 7)
+    rows = curve(p, U, ys)
+    assert rows.shape == (4, 7)
+    assert max(np.max(np.abs(rows[i] - curve(p, U[i], ys))) for i in range(4)) < 1e-12
 
 
 def test_branch_evaluated_once_per_input(monkeypatch):
@@ -147,6 +152,9 @@ def test_branch_evaluated_once_per_input(monkeypatch):
     assert calls == {"branch": 1, "trunk": 1}
     predict([init(CFG, "prob", 8)], CFG, np.ones(10), np.linspace(2.1, 9.0, 50))
     assert calls == {"branch": 2, "trunk": 2}
+    mean, _ = predict([p], CFG, np.ones((5, 10)), np.linspace(2.1, 9.0, 50))
+    assert mean.shape == (5, 50)
+    assert calls == {"branch": 3, "trunk": 3}  # once per net, not once per input row
 
 
 def test_linear_in_branch_output():
@@ -211,6 +219,13 @@ def test_prob_forward_batch_matches_predict():
         mu, sigma = predict([pp], CFG, U[i], [Y[i, 0]])
         assert abs(mu_t.data[i, 0] - mu[0]) < 1e-12
         assert abs(np.exp(ls_t.data[i, 0]) - sigma[0]) < 1e-12
+    ys = np.linspace(2.1, 9.0, 7)
+    mu_rows, sigma_rows = predict([pp], CFG, U, ys)
+    assert mu_rows.shape == sigma_rows.shape == (3, 7)
+    for i in range(3):
+        mu, sigma = predict([pp], CFG, U[i], ys)
+        assert np.max(np.abs(mu_rows[i] - mu)) < 1e-12
+        assert np.max(np.abs(sigma_rows[i] - sigma)) < 1e-12
 
 
 def test_ensemble_degenerate_and_two_point():
@@ -249,6 +264,13 @@ def test_ensemble_recomputation_and_permutation_invariance():
     perm = rng.permutation(16)
     mean_p, std_p = predict([members[i] for i in perm], CFG, u, ys)
     assert np.allclose(mean, mean_p, atol=1e-12) and np.allclose(std, std_p, atol=1e-12)
+    U = np.stack([u, *rng.uniform(0.9, 1.1, (3, 10))])
+    mean_rows, std_rows = predict(members, CFG, U, ys)
+    assert mean_rows.shape == std_rows.shape == (4, 5)
+    for i in range(4):
+        mean_i, std_i = predict(members, CFG, U[i], ys)
+        assert np.max(np.abs(mean_rows[i] - mean_i)) < 1e-12
+        assert np.max(np.abs(std_rows[i] - std_i)) < 1e-12
 
 
 def test_predict_rejects_empty_and_prob_ensembles():

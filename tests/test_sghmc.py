@@ -165,16 +165,19 @@ def test_injected_noise_statistics():
 def test_chain_retention_and_trace():
     bc = unit_bc(n_outer=10, burn_in=4, thinning=2, M=2, m_inner=1,
                  trace_every=4, seed=1)
-    calls = []
+    positions = []
 
     def grad_fn(theta, rng):
         return np.zeros_like(theta)
 
     members, trace = sghmc_chain(grad_fn, np.zeros(2), bc,
-                                 diag_fn=lambda th: calls.append(1) or 0.0)
+                                 diag_fn=lambda th: positions.append(th.copy()) or 0.0)
     # retained at outers 6, 8, 10; the last M=2 survive
     assert len(members) == 2
     assert sorted(trace) == [4, 8, 10]
+    # diag_fn ran at outers 4, 8 and 10: the members are the positions at 8 and 10
+    assert np.array_equal(members[0], positions[1]) and np.array_equal(members[1], positions[2])
+    assert not np.array_equal(positions[1], positions[2])
 
 
 def test_chain_divergence_raises():
