@@ -459,19 +459,15 @@ def cmd_alarms(cfg, args) -> int:
     mean, std = (c[:, 0] for c in predict(members, net, U, [y_star]))
     lo, hi = _band(mean, std, level)
     ids = [tr.traj_id for tr in test_pool]
-    truth = [float(np.interp(y_star, tr.times, tr.values)) for tr in test_pool]
-    items = zip(ids, mean.tolist(), lo.tolist(), hi.tolist(), truth)
-    outcomes, summary = uqeval.alarm_analysis(items, y_star=y_star, t_cl=spec.t_cl)
+    truth = np.array([np.interp(y_star, tr.times, tr.values) for tr in test_pool])
+    flags, summary = uqeval.alarm_analysis(lo, hi, truth, y_star=y_star, t_cl=spec.t_cl)
     out = workdir(cfg) / "eval"
     out.mkdir(parents=True, exist_ok=True)
     _write_csv(out / f"{which}_alarms.csv",
                ["traj_id", "truth", "mean", "lower", "upper",
-                "fn", "tp", "fp_conservative", "fp_nonconservative", "tn"],
-               [[a.traj_id, a.truth, a.mean, a.lower, a.upper,
-                 int(a.flags["FN"]), int(a.flags["TP"]),
-                 int(a.flags["FP_conservative"]),
-                 int(a.flags["FP_nonconservative"]), int(a.flags["TN"])]
-                for a in outcomes])
+                *(key.lower() for key in uqeval.ALARM_FLAGS)],
+               zip(ids, truth.tolist(), mean.tolist(), lo.tolist(), hi.tolist(),
+                   *(flags[key].astype(int).tolist() for key in uqeval.ALARM_FLAGS)))
     write_json(out / f"{which}_alarms.manifest.json",
                {"config": cfg, "which": which, "level": level, "summary": summary})
     print(f"{which} alarms at y*={y_star}: FN={summary['FN']} "
@@ -583,7 +579,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, SamplerError, gs.SimulationDiverged, gs.PowerFlowError,
-            CheckpointError) as e:
+            gs.PoolError, CheckpointError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -23,7 +23,7 @@ from __future__ import annotations
 
 import hashlib
 import json
-from dataclasses import dataclass, field
+from dataclasses import dataclass, replace
 from pathlib import Path
 
 import numpy as np
@@ -32,6 +32,7 @@ __all__ = [
     "ScenarioRejected",
     "SimulationDiverged",
     "PowerFlowError",
+    "PoolError",
     "Branch",
     "GridModel",
     "FaultScenario",
@@ -70,6 +71,10 @@ class SimulationDiverged(RuntimeError):
 
 class PowerFlowError(RuntimeError):
     """The pre-fault power flow has no solution Newton-Raphson can find."""
+
+
+class PoolError(ValueError):
+    """A pool file holds a record that is not a trajectory of its scenario."""
 
 
 @dataclass(frozen=True)
@@ -414,9 +419,20 @@ class FaultScenario:
             raise ValueError("tripped lines must be distinct")
         if len(self.tripped) != (1 if self.kind == "N1" else 2):
             raise ValueError(f"{self.kind} scenario must trip {1 if self.kind == 'N1' else 2} lines")
-        no_fault = self.t_f >= self.T  # equilibrium run, fault never applied
-        if not no_fault and not (0 < self.t_f < self.t_cl < self.T):
-            raise ValueError(f"need 0 < t_f < t_cl < T, got {self.t_f}, {self.t_cl}, {self.T}")
+        if not (0 < self.T < np.inf and 0 < self.sample_rate < np.inf):
+            raise ValueError(f"need finite T, sample_rate > 0, got {self.T}, {self.sample_rate}")
+        # t_f at or past the horizon is an equilibrium run: its window [t_f, t_cl] is empty
+        if not (0 < self.t_f < self.t_cl < self.T or self.t_cl < self.T <= self.t_f):
+            raise ValueError(
+                f"need 0 < t_f < t_cl < T, or t_cl < T <= t_f for no fault, "
+                f"got {self.t_f}, {self.t_cl}, {self.T}"
+            )
+
+    @property
+    def times(self) -> np.ndarray:
+        """The sample grid dt, 2 dt, ..., T with dt = 1 / sample_rate."""
+        n = int(round(self.T * self.sample_rate))
+        return (np.arange(n) + 1) * (1.0 / self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -439,63 +455,38 @@ def simulate(
 
     The integration is deterministic. `eq`/`reductions` allow pool
     generation to reuse the power-flow solution and Kron reductions across
-    scenarios.
+    scenarios. Each sample interval is cut at t_f and t_cl where they lie
+    strictly inside it; a segment follows the topology at its midpoint, and a
+    sample is recovered with the topology at its time. The fault window is
+    the closed interval [t_f, t_cl].
     """
     if eq is None:
         eq = equilibrium(model)
     if reductions is None:
         reductions = {}
 
-    def reduction(tripped):
+    def phase(tripped):
+        """(stepper, monitor-bus recovery row) of one topology."""
         key = frozenset(tripped)
         if key not in reductions:
             reductions[key] = kron_reduce(model, key, eq)
-        return reductions[key]
+        y_red, recovery = reductions[key]
+        return make_fast_stepper(model, y_red, eq.E, eq.Pm), recovery[model.monitor_bus]
 
-    y_intact, r_intact = reduction(())
-    faulted = scenario.t_f < scenario.T
-    if faulted:
-        y_fault, r_fault = reduction(scenario.tripped)
-
-    step_intact = make_fast_stepper(model, y_intact, eq.E, eq.Pm)
-    step_fault = make_fast_stepper(model, y_fault, eq.E, eq.Pm) if faulted else None
-
-    def topo_at(t):
-        # fault-on window is the closed interval [t_f, t_cl]
-        if faulted and scenario.t_f <= t <= scenario.t_cl:
-            return step_fault, r_fault
-        return step_intact, r_intact
-
-    n_samples = int(round(scenario.T * scenario.sample_rate))
-    dt_out = 1.0 / scenario.sample_rate
-    times = (np.arange(n_samples) + 1) * dt_out
-    values = np.empty(n_samples)
+    t_f, t_cl = scenario.t_f, scenario.t_cl
+    phases = (phase(()), phase(scenario.tripped))  # phases[t_f <= t <= t_cl]
+    times = scenario.times
+    values = np.empty(len(times))
     state = (*eq.delta0, 0.0, 0.0, 0.0)
-    mon = model.monitor_bus
-    rec_mon = {id(r_intact): r_intact[mon]}
-    if faulted:
-        rec_mon[id(r_fault)] = r_fault[mon]
     t_prev = 0.0
-    for k in range(n_samples):
-        t_next = times[k]
-        cuts = [t_prev]
-        if faulted:
-            for b in (scenario.t_f, scenario.t_cl):
-                if t_prev < b < t_next:
-                    cuts.append(b)
-        cuts.append(t_next)
+    for k, t_next in enumerate(times.tolist()):  # Python floats: a window test is a bool
+        cuts = [t_prev, *(b for b in (t_f, t_cl) if t_prev < b < t_next), t_next]
         for a, b in zip(cuts[:-1], cuts[1:]):
-            span = b - a
-            if span <= 0:
-                continue
-            # dynamics on (a, b] follow the topology at the segment midpoint
-            stepper, _ = topo_at(0.5 * (a + b))
-            n = max(1, int(np.ceil(span / h_max - 1e-12)))
-            state = stepper(state, span / n, n)
-        _, rec = topo_at(t_next)
-        row = rec_mon[id(rec)]
-        eph = eq.E * np.exp(1j * np.asarray(state[:3]))
-        v = abs(row @ eph)
+            stepper, _ = phases[t_f <= 0.5 * (a + b) <= t_cl]
+            n = max(1, int(np.ceil((b - a) / h_max - 1e-12)))
+            state = stepper(state, (b - a) / n, n)
+        _, row = phases[t_f <= t_next <= t_cl]
+        v = abs(row @ (eq.E * np.exp(1j * np.asarray(state[:3]))))
         if not (0.0 < v < 2.0) or not all(np.isfinite(s) for s in state):
             raise SimulationDiverged(
                 f"non-physical state at t={t_next:.2f}s (|V|={v:.3f})", scenario
@@ -503,7 +494,7 @@ def simulate(
         values[k] = v
         t_prev = t_next
     return Trajectory(
-        traj_id=-1, scenario=scenario, bus_id=mon, times=times, values=values
+        traj_id=-1, scenario=scenario, bus_id=model.monitor_bus, times=times, values=values
     )
 
 
@@ -566,15 +557,7 @@ def generate_pool(
                     f"rejection budget exhausted after {rejections} failures", sc
                 )
             continue
-        accepted.append(
-            Trajectory(
-                traj_id=id_offset + len(accepted),
-                scenario=tr.scenario,
-                bus_id=tr.bus_id,
-                times=tr.times,
-                values=tr.values,
-            )
-        )
+        accepted.append(replace(tr, traj_id=id_offset + len(accepted)))
     return accepted, rejections
 
 
@@ -625,29 +608,31 @@ def save_pool(path, trajectories, model: GridModel, seed, rejections: int) -> No
 
 
 def load_pool(path):
+    """(trajectories, manifest) of a pool file; a bad record raises PoolError."""
     path = Path(path)
     trajectories = []
     with open(path) as f:
-        for line in f:
-            rec = json.loads(line)
-            sc = FaultScenario(
-                kind=rec["kind"],
-                tripped=tuple(rec["tripped"]),
-                t_f=rec["t_f"],
-                t_cl=rec["t_cl"],
-                T=rec["T"],
-                sample_rate=rec["sample_rate"],
-            )
-            values = np.asarray(rec["values"])
-            n = len(values)
-            # same expression as simulate(), so times round-trip bit-exactly
-            times = (np.arange(n) + 1) * (1.0 / rec["sample_rate"])
-            trajectories.append(
-                Trajectory(
-                    traj_id=rec["id"], scenario=sc, bus_id=rec["bus_id"],
-                    times=times, values=values,
+        for line_no, line in enumerate(f, 1):
+            try:
+                rec = json.loads(line)
+                sc = FaultScenario(
+                    kind=rec["kind"],
+                    tripped=tuple(rec["tripped"]),
+                    t_f=rec["t_f"],
+                    t_cl=rec["t_cl"],
+                    T=rec["T"],
+                    sample_rate=rec["sample_rate"],
                 )
-            )
+                times, values = sc.times, np.asarray(rec["values"], dtype=float)
+                if values.shape != times.shape:
+                    raise ValueError(f"{values.size} values, expected {times.size}")
+                tr = Trajectory(traj_id=rec["id"], scenario=sc, bus_id=rec["bus_id"],
+                                times=times, values=values)
+            except KeyError as e:
+                raise PoolError(f"{path} line {line_no}: record lacks key {e}") from None
+            except (TypeError, ValueError) as e:
+                raise PoolError(f"{path} line {line_no}: {e}") from None
+            trajectories.append(tr)
     mpath = Path(str(path) + ".manifest.json")
     manifest = json.loads(mpath.read_text()) if mpath.exists() else {}
     return trajectories, manifest

@@ -232,7 +232,8 @@ def add_bias(x, b) -> Tensor:
 
 def sum_all(x) -> Tensor:
     x = _lift(x)
-    out = np.array([[x.data.sum()]])
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = np.array([[x.data.sum()]])
     shape = x.data.shape
     return _emit(out, (x,), (lambda adj: np.full(shape, adj.reshape(-1)[0]),))
 
@@ -242,6 +243,7 @@ def sum_rows(x) -> Tensor:
     x = _lift(x)
     if x.data.ndim != 2:
         raise ValueError(f"sum_rows expects a 2-d tensor, got shape {x.data.shape}")
-    out = x.data.sum(axis=1, keepdims=True)
+    with np.errstate(over="ignore", invalid="ignore"):
+        out = x.data.sum(axis=1, keepdims=True)
     k = x.data.shape[1]
     return _emit(out, (x,), (lambda adj: np.repeat(adj, k, axis=1),))

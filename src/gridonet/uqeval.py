@@ -22,7 +22,7 @@ __all__ = [
     "chi_coverage_curve",
     "analytic_coverage",
     "threshold_profile",
-    "AlarmOutcome",
+    "ALARM_FLAGS",
     "alarm_analysis",
     "NormalityReport",
     "residual_normality",
@@ -94,45 +94,39 @@ def threshold_profile(t: float, t_cl: float = 2.0) -> float:
     return 0.70 if t <= t_cl + 0.5 else 0.90
 
 
-@dataclass(frozen=True)
-class AlarmOutcome:
-    traj_id: int
-    mean: float
-    lower: float
-    upper: float
-    truth: float
-    flags: dict
+ALARM_FLAGS = ("FN", "TP", "FP_conservative", "FP_nonconservative", "TN")
 
 
-def alarm_analysis(items, y_star: float, t_cl: float = 2.0):
-    """Classify each trajectory's prediction at probe time y_star.
+def alarm_analysis(lower, upper, truth, y_star: float, t_cl: float = 2.0):
+    """Classify each trajectory's band at probe time y_star.
 
-    items: iterable of (traj_id, mean, lower, upper, truth) at y_star.
-    An under-voltage violation means truth < threshold; the alarm region is
-    below the threshold, so a CI entirely above it never raises an alarm.
-    Exactly one flag is set per trajectory: a violation is TP or FN, and a
-    safe trajectory is TN (CI above the threshold), FP_conservative (CI
-    straddles it) or FP_nonconservative (CI entirely below it).
+    lower, upper, truth: one value per trajectory at y_star. An under-voltage
+    violation means truth < threshold; the alarm region is below the
+    threshold, so a CI entirely above it never raises an alarm. Exactly one
+    flag is set per trajectory: a violation is TP or FN, and a safe
+    trajectory is TN (CI above the threshold), FP_conservative (CI straddles
+    it) or FP_nonconservative (CI entirely below it).
+
+    Returns (flags, summary): one boolean array per name in ALARM_FLAGS, and
+    the threshold with each flag's count and rate.
     """
     thr = threshold_profile(y_star, t_cl)
-    outcomes = []
-    for traj_id, mean, lo, hi, truth in items:
-        violation = truth < thr
-        flags = {
-            "FN": bool(violation and lo >= thr),
-            "TP": bool(violation and lo < thr),
-            "FP_conservative": bool(not violation and lo < thr <= hi),
-            "FP_nonconservative": bool(not violation and hi < thr),
-            "TN": bool(not violation and lo >= thr),
-        }
-        outcomes.append(AlarmOutcome(traj_id, mean, lo, hi, truth, flags))
-    n = max(len(outcomes), 1)
-    summary = {"threshold": thr, "y_star": y_star, "count": len(outcomes)}
-    for key in ("FN", "TP", "FP_conservative", "FP_nonconservative", "TN"):
-        hits = sum(o.flags[key] for o in outcomes)
+    lo, hi, truth = (np.asarray(x, dtype=float) for x in (lower, upper, truth))
+    violation = truth < thr
+    flags = {
+        "FN": violation & (lo >= thr),
+        "TP": violation & (lo < thr),
+        "FP_conservative": ~violation & (lo < thr) & (thr <= hi),
+        "FP_nonconservative": ~violation & (hi < thr),
+        "TN": ~violation & (lo >= thr),
+    }
+    n = max(truth.size, 1)
+    summary = {"threshold": thr, "y_star": y_star, "count": truth.size}
+    for key in ALARM_FLAGS:
+        hits = int(np.sum(flags[key]))
         summary[key] = hits
         summary[f"{key}_rate"] = 100.0 * hits / n
-    return outcomes, summary
+    return flags, summary
 
 
 @dataclass(frozen=True)

@@ -1,6 +1,7 @@
 """CLI contract: the option table, exit codes, stale inputs, byte-identical reruns."""
 
 import hashlib
+import json
 import platform
 import shutil
 from pathlib import Path
@@ -195,6 +196,25 @@ def test_truncated_checkpoint_exits_1(workdir_copy, capsys):
     rc, err = run(capsys, workdir_copy, "predict", "--which", "vanilla")
     assert rc == 1
     assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0]
+
+
+def test_truncated_pool_exits_1(workdir_copy, capsys):
+    pool = workdir_copy / "pools" / "n1.jsonl"
+    pool.write_bytes(pool.read_bytes()[:3000])
+    rc, err = run(capsys, workdir_copy, "dataset")
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {pool} line 1: ")
+
+
+def test_pool_record_of_the_wrong_length_exits_1(workdir_copy, capsys):
+    pool = workdir_copy / "pools" / "n2.jsonl"
+    first, *rest = pool.read_text().splitlines(keepends=True)
+    rec = json.loads(first)
+    rec["values"] = rec["values"][:10]
+    pool.write_text(json.dumps(rec, sort_keys=True) + "\n" + "".join(rest))
+    rc, err = run(capsys, workdir_copy, "dataset")
+    assert rc == 1
+    assert err == [f"error: {pool} line 1: 10 values, expected 900"]
 
 
 def test_checkpoint_without_geometry_exits_2(workdir_copy, capsys):

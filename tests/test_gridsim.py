@@ -93,14 +93,23 @@ def test_no_fault_run_stays_at_equilibrium(base_model):
     assert np.max(np.abs(tr.values - v0)) < 1e-6
 
 
-def test_pre_fault_segment_is_flat(base_model):
-    sc = G.FaultScenario(kind="N1", tripped=(5,), t_f=1.62)
+def test_pre_fault_segment_is_flat(base_model, base_eq):
+    sc = G.FaultScenario(kind="N1", tripped=(5,), t_f=1.62)  # on the 100 Hz grid
     tr = G.simulate(base_model, sc)
-    v0 = abs(G.equilibrium(base_model).V0[base_model.monitor_bus])
+    mon = base_model.monitor_bus
+    v0 = abs(base_eq.V0[mon])
     pre = tr.values[tr.times < sc.t_f]
     post = tr.values[tr.times > sc.t_f]
     assert np.max(np.abs(pre - v0)) < 1e-6
     assert np.max(np.abs(post - v0)) > 1e-3  # the fault actually bites
+    # the window [t_f, t_cl] is closed: the sample at t_f is recovered through the
+    # faulted network from the equilibrium angles, since no step crossed t_f yet
+    k = int(np.flatnonzero(tr.times == sc.t_f)[0])
+    _, rec_fault = G.kron_reduce(base_model, sc.tripped, base_eq)
+    v_fault = abs(rec_fault[mon] @ (base_eq.E * np.exp(1j * base_eq.delta0)))
+    assert abs(tr.values[k] - v_fault) < 1e-9
+    assert abs(v_fault - v0) > 1e-3
+    assert abs(tr.values[k - 1] - v0) < 1e-6
 
 
 def test_rk4_step_refinement(base_model):
@@ -123,7 +132,24 @@ def test_fast_stepper_matches_generic_rk4(base_model, base_eq):
     assert np.max(np.abs(np.array(out[3:]) - w_ref)) < 1e-12
 
 
-def test_lossless_undamped_energy_conservation():
+def _oracle_segment(model, y_red, eq):
+    rhs = G.make_rhs(model, y_red, eq.E, eq.Pm)
+    return lambda delta, omega: G.rk4_segment(rhs, delta, omega, 0.0, 0.1, 1e-3)
+
+
+def _fast_segment(model, y_red, eq):
+    step = G.make_fast_stepper(model, y_red, eq.E, eq.Pm)
+
+    def segment(delta, omega):
+        state = step((*delta, *omega), 1e-3, 100)
+        return np.array(state[:3]), np.array(state[3:])
+
+    return segment
+
+
+@pytest.mark.parametrize("make_segment", [_oracle_segment, _fast_segment],
+                         ids=["oracle", "fast"])
+def test_lossless_undamped_energy_conservation(make_segment):
     model = G.build_model(damping=(0.0, 0.0, 0.0), lossless=True)
     eq = G.equilibrium(model)
     y_red, _ = G.kron_reduce(model, (), eq)
@@ -140,13 +166,13 @@ def test_lossless_undamped_energy_conservation():
                 potential -= E[i] * E[j] * B[i, j] * np.cos(delta[i] - delta[j])
         return kinetic + potential
 
-    rhs = G.make_rhs(model, y_red, E, eq.Pm)
+    segment = make_segment(model, y_red, eq)  # 0.1 s in 100 RK4 steps
     delta = eq.delta0 + np.array([0.05, -0.08, 0.12])
     omega = np.zeros(3)
     e0 = energy(delta, omega)
     drift = 0.0
     for _ in range(50):
-        delta, omega = G.rk4_segment(rhs, delta, omega, 0.0, 0.1, 1e-3)
+        delta, omega = segment(delta, omega)
         drift = max(drift, abs(energy(delta, omega) - e0))
     assert drift / max(1.0, abs(e0)) < 1e-6
 

@@ -7,14 +7,11 @@ from statistics import NormalDist
 import numpy as np
 import pytest
 
-from gridonet.uqeval import alarm_analysis, confidence_interval
+from gridonet.uqeval import ALARM_FLAGS, alarm_analysis, confidence_interval
 
 # threshold_profile gives 0.70 pu at y* = 2.2 s (t_cl = 2.0)
 THR = 0.70
-OUTCOMES = ("FN", "TP", "FP_conservative", "FP_nonconservative", "TN")
-
-
-@pytest.mark.parametrize("truth, lo, hi, expected", [
+CASES = [
     (0.60, 0.75, 0.85, "FN"),  # violation, band entirely above the threshold
     (0.60, 0.50, 0.80, "TP"),  # violation, band reaches below it
     (0.60, 0.50, 0.65, "TP"),
@@ -23,13 +20,24 @@ OUTCOMES = ("FN", "TP", "FP_conservative", "FP_nonconservative", "TN")
     (0.80, 0.50, 0.65, "FP_nonconservative"),  # safe, band entirely below it
     (0.80, THR, 0.90, "TN"),  # lower bound on the threshold
     (0.80, 0.75, 0.90, "TN"),
-])
+]
+
+
+@pytest.mark.parametrize("truth, lo, hi, expected", CASES)
 def test_alarm_outcomes_partition(truth, lo, hi, expected):
-    mean = 0.5 * (lo + hi)
-    outcomes, summary = alarm_analysis([(7, mean, lo, hi, truth)], y_star=2.2)
+    flags, summary = alarm_analysis([lo], [hi], [truth], y_star=2.2)
     assert summary["threshold"] == THR
-    assert [k for k in OUTCOMES if outcomes[0].flags[k]] == [expected]
-    assert sum(summary[f"{k}_rate"] for k in OUTCOMES) == pytest.approx(100.0)
+    assert [k for k in ALARM_FLAGS if flags[k][0]] == [expected]
+    assert sum(summary[f"{k}_rate"] for k in ALARM_FLAGS) == pytest.approx(100.0)
+
+
+def test_alarm_outcomes_partition_in_one_call():
+    truth, lo, hi, expected = zip(*CASES)
+    flags, summary = alarm_analysis(lo, hi, truth, y_star=2.2)
+    got = [[k for k in ALARM_FLAGS if flags[k][i]] for i in range(len(CASES))]
+    assert got == [[e] for e in expected]
+    assert summary["count"] == len(CASES)
+    assert all(summary[k] == expected.count(k) for k in ALARM_FLAGS)
 
 
 @pytest.mark.parametrize("level", [0.5, 0.9, 0.95, 0.98, 1 - 2e-6])
