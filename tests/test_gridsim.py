@@ -2,6 +2,9 @@
 reduction against first-principles KCL, RK4 against step refinement, energy
 conservation in the lossless undamped limit, and the scenario machinery."""
 
+import hashlib
+import platform
+
 import numpy as np
 import pytest
 
@@ -132,6 +135,21 @@ def test_fast_stepper_matches_generic_rk4(base_model, base_eq):
     assert np.max(np.abs(np.array(out[3:]) - w_ref)) < 1e-12
 
 
+def test_fast_stepper_runs_on_floats():
+    # numpy coefficients (y_red, E, Pm, a damping array) and a numpy-scalar state
+    # must not put the loop on numpy scalars, nor change a bit of its result
+    model = G.build_model(damping=np.array([0.1254, 0.0339, 0.0160]))
+    eq = G.equilibrium(model)
+    y_red, _ = G.kron_reduce(model, (4,), eq)
+    step = G.make_fast_stepper(model, y_red, eq.E, eq.Pm)
+    state = (*(eq.delta0 + np.array([0.0, 0.3, -0.2])), *np.array([0.1, -0.5, 0.4]))
+    assert all(type(x) is np.float64 for x in state)
+    out = step(state, np.float64(1e-3), 100)
+    ref = step(tuple(float(x) for x in state), 1e-3, 100)
+    assert [type(x) for x in out] == [float] * 6
+    assert np.array(out).tobytes() == np.array(ref).tobytes()
+
+
 def _oracle_segment(model, y_red, eq):
     rhs = G.make_rhs(model, y_red, eq.E, eq.Pm)
     return lambda delta, omega: G.rk4_segment(rhs, delta, omega, 0.0, 0.1, 1e-3)
@@ -182,6 +200,54 @@ def test_simulate_is_deterministic(base_model):
     a = G.simulate(base_model, sc)
     b = G.simulate(base_model, sc)
     assert np.array_equal(a.values, b.values)
+
+
+# sha256 of simulate's |V| bytes and the rejection count of each case in
+# _pinned_runs, recorded on the host below: math.sin and math.cos come from its
+# libm, np.exp and the recovery matmul from its numpy
+SIM_PINS_HOST = ["numpy 2.4.6", "glibc 2.36", "machine x86_64"]
+SIM_PINS = {
+    "N1 pool": ("b50120879465ef6a56d4f37ae76a1fe5d8f064ce96ed472e3dffadef6f1971ec", 0),
+    "N2 pool": ("c37326141b54bb85d616feb762148985d205d12687cbda51d2ce5d01664ee2e3", 0),
+    "no fault": ("cbd1b7d4a95a682a2788004134a894fdd25fb4dfedb8a44e6dd1acfda96a8282", 0),
+    "t_f on the grid": ("97074300c37a9935dc2a805ffd76f275320f62046b6e5884bead30c70ee9c0c3", 0),
+    "h_max 1e-4": ("f2ebe949471b0d0af63375574eb4b90fb97a91bfe7a6a6ffb34e69023cbbbb49", 0),
+    "h_max 3e-3, t_cl 1.955": ("f2d875b9f223f490ab6006180d5dc72223d74746dc5ea9b602c48d7ab50e8d4a", 0),
+}
+
+
+def _sim_host() -> list[str]:
+    return [f"numpy {np.__version__}", " ".join(platform.libc_ver()),
+            f"machine {platform.machine()}"]
+
+
+def _pinned_runs():
+    """(case, |V| bytes, rejections): generated pools on a stressed grid, then
+    single runs off the default step and timing on the default grid."""
+    stressed = G.build_model(load_scale=1.51)
+    for kind, count, seed in (("N1", 4, 3), ("N2", 6, 4)):
+        pool, rejections = G.generate_pool(stressed, count, kind, seed=seed)
+        yield f"{kind} pool", b"".join(tr.values.tobytes() for tr in pool), rejections
+    runs = {
+        "no fault": (G.FaultScenario(kind="N1", tripped=(3,), t_f=9.0), 1e-3),
+        "t_f on the grid": (G.FaultScenario(kind="N1", tripped=(5,), t_f=1.62), 1e-3),
+        "h_max 1e-4": (G.FaultScenario(kind="N2", tripped=(9, 10), t_f=1.5), 1e-4),
+        "h_max 3e-3, t_cl 1.955": (
+            G.FaultScenario(kind="N2", tripped=(3, 8), t_f=1.6213, t_cl=1.955), 3e-3),
+    }
+    base = G.build_model()
+    for case, (sc, h_max) in runs.items():
+        yield case, G.simulate(base, sc, h_max=h_max).values.tobytes(), 0
+
+
+def test_simulate_bytes_are_pinned():
+    got = {case: (hashlib.sha256(values).hexdigest(), rejections)
+           for case, values, rejections in _pinned_runs()}
+    moved = sorted(case for case in SIM_PINS.keys() | got.keys()
+                   if SIM_PINS.get(case) != got.get(case))
+    assert not moved, (
+        f"simulate moved from its pins in {moved}: {[got.get(c) for c in moved]}; "
+        f"pinned on {SIM_PINS_HOST}, this host runs {_sim_host()}")
 
 
 def test_admissible_trips_counts(base_model):
