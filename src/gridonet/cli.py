@@ -114,6 +114,10 @@ class UsageError(ValueError):
     pass
 
 
+class ArtifactError(ValueError):
+    """A JSON artifact that does not parse or lacks a key its reader needs."""
+
+
 def load_config(path: str | None) -> dict:
     cfg = {section: dict(keys) for section, keys in DEFAULTS.items()}
     if path is None:
@@ -121,7 +125,11 @@ def load_config(path: str | None) -> dict:
     if not Path(path).exists():
         raise UsageError(f"config file not found: {path}")
     parser = configparser.ConfigParser(interpolation=None)
-    parser.read(path)
+    try:
+        with open(path) as f:
+            parser.read_file(f)
+    except (OSError, UnicodeDecodeError, configparser.Error) as e:
+        raise UsageError(f"bad config file {path}: {' '.join(str(e).split())}") from None
     for section in parser.sections():
         if section not in cfg:
             raise UsageError(f"unknown config section [{section}]")
@@ -170,6 +178,22 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def read_json(path, *keys) -> dict:
+    """The JSON object in `path`, which must hold each of `keys`; a dotted key
+    names a nested one. ArtifactError if it does not parse or lacks a key."""
+    try:
+        doc = json.loads(Path(path).read_text())
+    except (UnicodeDecodeError, json.JSONDecodeError) as e:
+        raise ArtifactError(f"{path} is not valid JSON: {e}") from None
+    for key in keys:
+        node = doc
+        for part in key.split("."):
+            if not isinstance(node, dict) or part not in node:
+                raise ArtifactError(f"{path} lacks key {key!r}")
+            node = node[part]
+    return doc
+
+
 def workdir(cfg) -> Path:
     return Path(cfg["paths"]["workdir"])
 
@@ -193,7 +217,7 @@ def cmd_simulate(cfg, args) -> int:
             model, count, kind, seed=[seed, sub], id_offset=offset, h_max=o["h_max"]
         )
         path = out / f"{kind.lower()}.jsonl"
-        gs.save_pool(path, pool, model, seed=[seed, sub], rejections=rejections)
+        gs.save_pool(path, pool)
         report[kind] = {
             "accepted": len(pool),
             "rejections": rejections,
@@ -213,7 +237,7 @@ def _load_pools(cfg):
         path = out / f"{kind}.jsonl"
         if not path.exists():
             raise UsageError(f"missing pool file {path}; run `simulate` first")
-        pools[kind] = gs.load_pool(path)[0]
+        pools[kind] = gs.load_pool(path)
     return pools["n1"], pools["n2"]
 
 
@@ -250,7 +274,8 @@ def _load_split(cfg):
     path = workdir(cfg) / "dataset" / "split.json"
     if not path.exists():
         raise UsageError(f"missing split manifest {path}; run `dataset` first")
-    doc = json.loads(path.read_text())
+    doc = read_json(path, "train_ids", "test_ids", "seeds.queries",
+                    *(f"spec.{k}" for k in ("m", "queries", "train_frac", "t_cl", "T", "n_mesh")))
     n1, n2 = _load_pools(cfg)
     if doc.get("pool_sha256") != _pool_sha256(cfg):
         raise UsageError("pools changed since `dataset`; rerun `dataset`")
@@ -353,7 +378,7 @@ def _load_model(cfg, which: str, spec: SplitSpec):
         manifest = models / "bayes" / "chain.manifest.json"
         if not manifest.exists():
             raise UsageError(f"missing ensemble manifest {manifest}; run `sghmc`")
-        paths = [models / "bayes" / n for n in json.loads(manifest.read_text())["members"]]
+        paths = [models / "bayes" / n for n in read_json(manifest, "members")["members"]]
         if len(paths) < 2:
             raise UsageError("ensemble has fewer than 2 members")
     else:
@@ -521,10 +546,13 @@ def cmd_predict(cfg, args) -> int:
     out.mkdir(parents=True, exist_ok=True)
     path = Path(args.out) if args.out else out / f"predict_{which}_{traj_id}.csv"
     nanv = float("nan")
-    _write_csv(path, ["y", "truth", "mean", "std", "lower", "upper"],
-               [[float(mesh[j]), float(truth[j]), float(mean[j]),
-                 nanv if std is None else float(std[j]), float(lo[j]), float(hi[j])]
-                for j in range(len(mesh))])
+    try:
+        _write_csv(path, ["y", "truth", "mean", "std", "lower", "upper"],
+                   [[float(mesh[j]), float(truth[j]), float(mean[j]),
+                     nanv if std is None else float(std[j]), float(lo[j]), float(hi[j])]
+                    for j in range(len(mesh))])
+    except OSError as e:
+        raise UsageError(f"cannot write --out {path}: {e.strerror}") from None
     print(f"wrote {path}")
     return 0
 
@@ -579,7 +607,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, SamplerError, gs.SimulationDiverged, gs.PowerFlowError,
-            gs.PoolError, CheckpointError) as e:
+            gs.PoolError, CheckpointError, ArtifactError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

@@ -24,8 +24,7 @@ from __future__ import annotations
 import hashlib
 import json
 import math
-from dataclasses import dataclass, replace
-from pathlib import Path
+from dataclasses import asdict, dataclass, replace
 
 import numpy as np
 
@@ -43,8 +42,6 @@ __all__ = [
     "solve_power_flow",
     "equilibrium",
     "kron_reduce",
-    "make_rhs",
-    "rk4_segment",
     "make_fast_stepper",
     "simulate",
     "admissible_trips",
@@ -102,11 +99,6 @@ class GridModel:
     monitor_bus: int = 4
     n_bus: int = 9
 
-    @property
-    def inertia_coeff(self) -> np.ndarray:
-        """M_i = H_i / (pi f0): coefficient of the angular acceleration."""
-        return np.asarray(self.H) / (np.pi * F0)
-
 
 # corridor data: (from, to, r, x, total charging b) in the 0-based numbering
 _CORRIDORS = (
@@ -120,39 +112,26 @@ _CORRIDORS = (
 _TRANSFORMERS = ((0, 3, 0.0576), (1, 6, 0.0625), (2, 8, 0.0586))
 
 
-def build_model(
-    load_scale: float = 1.0,
-    damping: tuple | None = None,
-    monitor_bus: int = 4,
-    lossless: bool = False,
-) -> GridModel:
+def build_model(load_scale: float = 1.0, monitor_bus: int = 4) -> GridModel:
     """Assemble the default 9-bus model.
 
     `load_scale` multiplies every load and the machine-2/3 setpoints together,
-    stressing the grid uniformly. `lossless` zeroes series resistance and
-    keeps only the reactive part of loads (used by the energy-drift check).
+    stressing the grid uniformly.
     """
     branches = []
     for f, t, x in _TRANSFORMERS:
         branches.append(Branch(f, t, 0.0, x, 0.0, trippable=False))
     for f, t, r, x, b in _CORRIDORS:
-        rr = 0.0 if lossless else r
         # two parallel circuits at doubled impedance and half charging each
         for _ in range(2):
-            branches.append(Branch(f, t, 2.0 * rr, 2.0 * x, b / 2.0, trippable=True))
+            branches.append(Branch(f, t, 2.0 * r, 2.0 * x, b / 2.0, trippable=True))
     s = load_scale
-    loads = tuple(
-        (bus, 0.0 if lossless else p * s, q * s) for bus, p, q in GridModel.loads
-    )
-    kwargs = dict(
+    return GridModel(
         branches=tuple(branches),
         gen_p=tuple(p * s for p in GridModel.gen_p),
-        loads=loads,
+        loads=tuple((bus, p * s, q * s) for bus, p, q in GridModel.loads),
         monitor_bus=monitor_bus,
     )
-    if damping is not None:
-        kwargs["D"] = tuple(damping)
-    return GridModel(**kwargs)
 
 
 def trippable_ids(model: GridModel) -> list[int]:
@@ -251,7 +230,7 @@ def solve_power_flow(model: GridModel) -> PowerFlow:
     else:
         raise PowerFlowError(f"power flow did not converge in {max_iter} iterations")
     f, V = mismatch(x)
-    S = V * np.conj(ybus(model) @ V)
+    S = V * np.conj(Y @ V)
     S_gen = S[list(model.gen_bus)].copy()
     # machine injection = bus injection plus the local load, if any
     for bus, p, q in model.loads:
@@ -311,48 +290,18 @@ def kron_reduce(model: GridModel, tripped, eq: Equilibrium):
     return y_red, recovery
 
 
-def make_rhs(model: GridModel, y_red: np.ndarray, E: np.ndarray, Pm: np.ndarray):
-    """Swing-equation right-hand side for one network topology."""
-    k = np.pi * F0 / np.asarray(model.H)
-    D = np.asarray(model.D)
-
-    def rhs(delta, omega):
-        eph = E * np.exp(1j * delta)
-        pe = (eph * np.conj(y_red @ eph)).real
-        return omega, k * (Pm - pe - D * omega)
-
-    return rhs
-
-
 def _n_steps(span: float, h_max: float) -> int:
     """The fewest uniform steps of size <= h_max that cover `span` (at least one)."""
     return max(1, math.ceil(span / h_max - 1e-12))
 
 
-def rk4_segment(rhs, delta, omega, t0: float, t1: float, h_max: float):
-    """Classic RK4 from t0 to t1 with uniform steps of size <= h_max."""
-    span = t1 - t0
-    if span <= 0:
-        return delta, omega
-    n = _n_steps(span, h_max)
-    h = span / n
-    for _ in range(n):
-        k1d, k1w = rhs(delta, omega)
-        k2d, k2w = rhs(delta + 0.5 * h * k1d, omega + 0.5 * h * k1w)
-        k3d, k3w = rhs(delta + 0.5 * h * k2d, omega + 0.5 * h * k2w)
-        k4d, k4w = rhs(delta + h * k3d, omega + h * k3w)
-        delta = delta + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
-        omega = omega + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
-    return delta, omega
-
-
 def make_fast_stepper(model: GridModel, y_red: np.ndarray, E: np.ndarray, Pm: np.ndarray):
     """Specialized 3-machine RK4 stepper on Python floats.
 
-    Identical arithmetic to make_rhs + rk4_segment up to float associativity;
-    9-12x faster than that numpy path at one scenario (1,000 steps in 3.5 against
-    33 ms, 2 vCPUs). Returns step(state, h, n), which advances any six reals
-    (d0,d1,d2,w0,w1,w2) by n steps of size h and returns six Python floats.
+    Identical arithmetic, up to float associativity, to the generic numpy RK4
+    oracle in tests/test_gridsim.py, which checks it. Returns step(state, h, n),
+    which advances any six reals (d0,d1,d2,w0,w1,w2) by n steps of size h and
+    returns six Python floats.
     """
     from math import cos, sin
 
@@ -570,25 +519,12 @@ def generate_pool(
 
 
 def model_hash(model: GridModel) -> str:
-    """Stable digest of every physical parameter, for pool manifests."""
-    desc = {
-        "branches": [[b.f, b.t, b.r, b.x, b.b_ch, b.trippable] for b in model.branches],
-        "gen_bus": list(model.gen_bus),
-        "H": list(model.H),
-        "D": list(model.D),
-        "xdp": list(model.xdp),
-        "slack_v": model.slack_v,
-        "pv_v": list(model.pv_v),
-        "gen_p": list(model.gen_p),
-        "loads": [list(l) for l in model.loads],
-        "monitor_bus": model.monitor_bus,
-    }
-    return hashlib.sha256(json.dumps(desc, sort_keys=True).encode()).hexdigest()
+    """Stable digest of every `GridModel` field, for the pool manifest."""
+    return hashlib.sha256(json.dumps(asdict(model), sort_keys=True).encode()).hexdigest()
 
 
-def save_pool(path, trajectories, model: GridModel, seed, rejections: int) -> None:
-    """Newline-delimited records plus a sidecar manifest."""
-    path = Path(path)
+def save_pool(path, trajectories) -> None:
+    """One JSON record per line; `simulate.manifest.json` describes the pool."""
     with open(path, "w") as f:
         for tr in trajectories:
             rec = {
@@ -603,21 +539,10 @@ def save_pool(path, trajectories, model: GridModel, seed, rejections: int) -> No
                 "values": tr.values.tolist(),
             }
             f.write(json.dumps(rec, sort_keys=True) + "\n")
-    manifest = {
-        "model_hash": model_hash(model),
-        "seed": seed,
-        "count": len(trajectories),
-        "rejections": rejections,
-        "kinds": sorted({tr.scenario.kind for tr in trajectories}),
-    }
-    Path(str(path) + ".manifest.json").write_text(
-        json.dumps(manifest, sort_keys=True, indent=1) + "\n"
-    )
 
 
-def load_pool(path):
-    """(trajectories, manifest) of a pool file; a bad record raises PoolError."""
-    path = Path(path)
+def load_pool(path) -> list[Trajectory]:
+    """The trajectories of a pool file; a bad record raises PoolError."""
     trajectories = []
     with open(path) as f:
         for line_no, line in enumerate(f, 1):
@@ -641,6 +566,4 @@ def load_pool(path):
             except (TypeError, ValueError) as e:
                 raise PoolError(f"{path} line {line_no}: {e}") from None
             trajectories.append(tr)
-    mpath = Path(str(path) + ".manifest.json")
-    manifest = json.loads(mpath.read_text()) if mpath.exists() else {}
-    return trajectories, manifest
+    return trajectories

@@ -10,6 +10,7 @@ import numpy as np
 import pytest
 
 from gridonet import cli
+from gridonet import gridsim as gs
 from gridonet.checkpoint import load_checkpoint, save_checkpoint
 
 INI = "[deeponet]\nq = 4\nwidth = 6\ndepth = 2\n[sghmc]\nm_inner = 2\n[evaluate]\nbands = 1\n"
@@ -183,6 +184,25 @@ def test_invalid_config_value_exits_2(tmp_path, capsys, argv, message):
     assert len(err) == 1 and err[0].startswith("error: ") and message in err[0]
 
 
+@pytest.mark.parametrize("text", [
+    "epochs = 3\n",
+    "[train]\nepochs = 3\n[train]\nlr = 1e-3\n",
+    "[train]\nepochs = 3\nepochs = 4\n",
+    None,
+], ids=["no-section-header", "duplicate-section", "duplicate-key",
+        "directory"])
+def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text):
+    ini = tmp_path / "bad.ini"
+    if text is None:
+        ini.mkdir()
+    else:
+        ini.write_text(text)
+    rc, err = run(capsys, tmp_path / "wd", "simulate", "--n1", "1", "--n2", "1", config=ini)
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: bad config file {ini}: ")
+    assert not (tmp_path / "wd").exists()
+
+
 def test_power_flow_failure_exits_1(tmp_path, capsys):
     rc, err = run(capsys, tmp_path / "wd", "simulate", "--load-scale", "3.0",
                   "--n1", "1", "--n2", "1")
@@ -215,6 +235,53 @@ def test_pool_record_of_the_wrong_length_exits_1(workdir_copy, capsys):
     rc, err = run(capsys, workdir_copy, "dataset")
     assert rc == 1
     assert err == [f"error: {pool} line 1: 10 values, expected 900"]
+
+
+def _drop(key):
+    """An edit that deletes the (dotted) `key` from a JSON document."""
+    def edit(text):
+        doc = node = json.loads(text)
+        *parents, last = key.split(".")
+        for part in parents:
+            node = node[part]
+        del node[last]
+        return json.dumps(doc)
+    return edit
+
+
+@pytest.mark.parametrize("artifact, edit, which, message", [
+    ("dataset/split.json", lambda text: text[:100], "vanilla", "is not valid JSON: "),
+    ("dataset/split.json", _drop("train_ids"), "vanilla", "lacks key 'train_ids'"),
+    ("dataset/split.json", _drop("spec"), "vanilla", "lacks key 'spec.m'"),
+    ("dataset/split.json", _drop("seeds.queries"), "vanilla", "lacks key 'seeds.queries'"),
+    ("models/bayes/chain.manifest.json", lambda text: text[:-20], "bayes",
+     "is not valid JSON: "),
+    ("models/bayes/chain.manifest.json", _drop("members"), "bayes", "lacks key 'members'"),
+], ids=["split-cut", "split-no-train-ids", "split-no-spec", "split-no-query-seed",
+        "chain-cut", "chain-no-members"])
+def test_corrupt_json_artifact_exits_1(workdir_copy, capsys, artifact, edit, which, message):
+    path = workdir_copy / artifact
+    path.write_text(edit(path.read_text()))
+    rc, err = run(capsys, workdir_copy, "predict", "--which", which)
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {path} {message}")
+
+
+def test_predict_out_in_a_missing_directory_exits_2(workdir_copy, capsys):
+    out = workdir_copy / "nodir" / "x.csv"
+    rc, err = run(capsys, workdir_copy, "predict", "--which", "vanilla", "--out", str(out))
+    assert rc == 2
+    assert err == [f"error: cannot write --out {out}: No such file or directory"]
+
+
+def test_pools_are_described_once(pipeline):
+    pools = pipeline[0] / "pools"
+    assert sorted(p.name for p in pools.iterdir()) == [
+        "n1.jsonl", "n2.jsonl", "simulate.manifest.json"]
+    manifest = json.loads((pools / "simulate.manifest.json").read_text())
+    o = manifest["config"]["simulate"]
+    model = gs.build_model(float(o["load_scale"]), int(o["monitor_bus"]))
+    assert manifest["model_hash"] == gs.model_hash(model)
 
 
 def test_checkpoint_without_geometry_exits_2(workdir_copy, capsys):

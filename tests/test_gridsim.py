@@ -2,6 +2,7 @@
 reduction against first-principles KCL, RK4 against step refinement, energy
 conservation in the lossless undamped limit, and the scenario machinery."""
 
+import dataclasses
 import hashlib
 import platform
 
@@ -9,6 +10,37 @@ import numpy as np
 import pytest
 
 from gridonet import gridsim as G
+
+
+def make_rhs(model: G.GridModel, y_red: np.ndarray, E: np.ndarray, Pm: np.ndarray):
+    """Swing-equation right-hand side for one network topology."""
+    k = np.pi * G.F0 / np.asarray(model.H)
+    D = np.asarray(model.D)
+
+    def rhs(delta, omega):
+        eph = E * np.exp(1j * delta)
+        pe = (eph * np.conj(y_red @ eph)).real
+        return omega, k * (Pm - pe - D * omega)
+
+    return rhs
+
+
+def rk4_segment(rhs, delta, omega, t0: float, t1: float, h_max: float):
+    """Classic RK4 from t0 to t1 with uniform steps of size <= h_max: the
+    generic numpy oracle of gridsim.make_fast_stepper."""
+    span = t1 - t0
+    if span <= 0:
+        return delta, omega
+    n = G._n_steps(span, h_max)
+    h = span / n
+    for _ in range(n):
+        k1d, k1w = rhs(delta, omega)
+        k2d, k2w = rhs(delta + 0.5 * h * k1d, omega + 0.5 * h * k1w)
+        k3d, k3w = rhs(delta + 0.5 * h * k2d, omega + 0.5 * h * k2w)
+        k4d, k4w = rhs(delta + h * k3d, omega + h * k3w)
+        delta = delta + (h / 6.0) * (k1d + 2.0 * k2d + 2.0 * k3d + k4d)
+        omega = omega + (h / 6.0) * (k1w + 2.0 * k2w + 2.0 * k3w + k4w)
+    return delta, omega
 
 
 @pytest.fixture(scope="module")
@@ -81,7 +113,7 @@ def test_reduction_satisfies_kcl_random_trips(base_model, base_eq):
 
 def test_equilibrium_is_ode_fixed_point(base_model, base_eq):
     y_red, _ = G.kron_reduce(base_model, (), base_eq)
-    rhs = G.make_rhs(base_model, y_red, base_eq.E, base_eq.Pm)
+    rhs = make_rhs(base_model, y_red, base_eq.E, base_eq.Pm)
     ddelta, domega = rhs(base_eq.delta0, np.zeros(3))
     assert np.max(np.abs(ddelta)) == 0.0
     assert np.max(np.abs(domega)) < 1e-8
@@ -125,20 +157,20 @@ def test_rk4_step_refinement(base_model):
 
 def test_fast_stepper_matches_generic_rk4(base_model, base_eq):
     y_red, _ = G.kron_reduce(base_model, (4,), base_eq)
-    rhs = G.make_rhs(base_model, y_red, base_eq.E, base_eq.Pm)
+    rhs = make_rhs(base_model, y_red, base_eq.E, base_eq.Pm)
     step = G.make_fast_stepper(base_model, y_red, base_eq.E, base_eq.Pm)
     delta = base_eq.delta0 + np.array([0.0, 0.3, -0.2])
     omega = np.array([0.1, -0.5, 0.4])
-    d_ref, w_ref = G.rk4_segment(rhs, delta, omega, 0.0, 1.0, 1e-3)
+    d_ref, w_ref = rk4_segment(rhs, delta, omega, 0.0, 1.0, 1e-3)
     out = step((*delta, *omega), 1e-3, 1000)
     assert np.max(np.abs(np.array(out[:3]) - d_ref)) < 1e-12
     assert np.max(np.abs(np.array(out[3:]) - w_ref)) < 1e-12
 
 
-def test_fast_stepper_runs_on_floats():
-    # numpy coefficients (y_red, E, Pm, a damping array) and a numpy-scalar state
+def test_fast_stepper_runs_on_floats(base_model):
+    # numpy coefficients (y_red, E, Pm, numpy damping) and a numpy-scalar state
     # must not put the loop on numpy scalars, nor change a bit of its result
-    model = G.build_model(damping=np.array([0.1254, 0.0339, 0.0160]))
+    model = dataclasses.replace(base_model, D=tuple(np.array([0.1254, 0.0339, 0.0160])))
     eq = G.equilibrium(model)
     y_red, _ = G.kron_reduce(model, (4,), eq)
     step = G.make_fast_stepper(model, y_red, eq.E, eq.Pm)
@@ -151,8 +183,8 @@ def test_fast_stepper_runs_on_floats():
 
 
 def _oracle_segment(model, y_red, eq):
-    rhs = G.make_rhs(model, y_red, eq.E, eq.Pm)
-    return lambda delta, omega: G.rk4_segment(rhs, delta, omega, 0.0, 0.1, 1e-3)
+    rhs = make_rhs(model, y_red, eq.E, eq.Pm)
+    return lambda delta, omega: rk4_segment(rhs, delta, omega, 0.0, 0.1, 1e-3)
 
 
 def _fast_segment(model, y_red, eq):
@@ -167,14 +199,18 @@ def _fast_segment(model, y_red, eq):
 
 @pytest.mark.parametrize("make_segment", [_oracle_segment, _fast_segment],
                          ids=["oracle", "fast"])
-def test_lossless_undamped_energy_conservation(make_segment):
-    model = G.build_model(damping=(0.0, 0.0, 0.0), lossless=True)
+def test_lossless_undamped_energy_conservation(base_model, make_segment):
+    # no damping, no series resistance, purely reactive loads
+    model = dataclasses.replace(
+        base_model, D=(0.0, 0.0, 0.0),
+        branches=tuple(dataclasses.replace(br, r=0.0) for br in base_model.branches),
+        loads=tuple((bus, 0.0, q) for bus, _, q in base_model.loads))
     eq = G.equilibrium(model)
     y_red, _ = G.kron_reduce(model, (), eq)
     assert np.max(np.abs(y_red.real)) < 1e-12  # purely reactive reduction
     B = y_red.imag
     E = eq.E
-    M = model.inertia_coeff
+    M = np.asarray(model.H) / (np.pi * G.F0)  # coefficient of the angular acceleration
 
     def energy(delta, omega):
         kinetic = 0.5 * np.sum(M * omega**2)
@@ -292,13 +328,12 @@ def test_scenario_validation():
 
 
 def test_pool_roundtrip(tmp_path, base_model):
-    pool, rejections = G.generate_pool(base_model, 3, "N2", seed=5)
+    pool, _ = G.generate_pool(base_model, 3, "N2", seed=5)
     assert [tr.traj_id for tr in pool] == [0, 1, 2]
     path = tmp_path / "pool.jsonl"
-    G.save_pool(path, pool, base_model, seed=5, rejections=rejections)
-    loaded, manifest = G.load_pool(path)
-    assert manifest["model_hash"] == G.model_hash(base_model)
-    assert manifest["count"] == 3 and manifest["kinds"] == ["N2"]
+    G.save_pool(path, pool)
+    loaded = G.load_pool(path)
+    assert len(loaded) == 3
     for a, b in zip(pool, loaded):
         assert a.traj_id == b.traj_id
         assert a.scenario == b.scenario
@@ -308,9 +343,29 @@ def test_pool_roundtrip(tmp_path, base_model):
 
 
 def test_model_hash_tracks_physical_changes(base_model):
-    assert G.model_hash(base_model) == G.model_hash(G.build_model())
-    assert G.model_hash(base_model) != G.model_hash(G.build_model(load_scale=1.1))
-    assert G.model_hash(base_model) != G.model_hash(G.build_model(monitor_bus=5))
+    digest = G.model_hash(base_model)
+    assert digest == G.model_hash(G.build_model())
+    assert digest != G.model_hash(G.build_model(load_scale=1.1))
+    assert digest != G.model_hash(G.build_model(monitor_bus=5))
+    br = base_model.branches[3]
+    changed = {  # one change per GridModel field
+        "branches": base_model.branches[:3] + (dataclasses.replace(br, x=br.x * 1.01),)
+                    + base_model.branches[4:],
+        "gen_bus": (0, 2, 1),
+        "H": (23.64, 6.40, 3.02),
+        "D": (0.1254, 0.0339, 0.0161),
+        "xdp": (0.0608, 0.1198, 0.1814),
+        "slack_v": 1.03,
+        "pv_v": (1.025, 1.02),
+        "gen_p": (1.63, 0.86),
+        "loads": base_model.loads[:2] + ((7, 1.00, 0.36),),
+        "monitor_bus": 7,
+        "n_bus": 10,
+    }
+    assert set(changed) == {f.name for f in dataclasses.fields(G.GridModel)}
+    for field, value in changed.items():
+        assert getattr(base_model, field) != value, field
+        assert G.model_hash(dataclasses.replace(base_model, **{field: value})) != digest, field
 
 
 def test_monitor_bus_selects_channel(base_model):
