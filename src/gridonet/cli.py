@@ -11,12 +11,19 @@ flag -> config override and the typed, range-checked reads (`opts`) all come
 from that table, so a new setting is one new row there. A domain names the
 `DOMAINS` rule of the key's values, or is None where a config dataclass or
 the split (`y_star`) holds the rule.
+
+Every input a command reads comes through one loader here (`_load_pools`,
+`_load_split`, `_load_model`), and each input file through `_need`, whose
+error names the command that writes it. A model's geometry is read from its
+checkpoint, so only `train` takes the `[deeponet]` keys.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import csv
+import dataclasses
 import hashlib
 import json
 import sys
@@ -34,7 +41,6 @@ from . import uqeval
 
 
 TOP = "gridonet"  # the top-level parser: its flags come before the command
-NET = ("train", "sghmc")  # the commands that build a network from [deeponet]
 
 OPTIONS = (
     # section, key, default, type, domain, help, commands that take the key as a flag
@@ -50,9 +56,9 @@ OPTIONS = (
     ("dataset", "train_frac", "0.7", float, None, "train fraction", ("dataset",)),
     ("dataset", "seed", "0", int, "int>=0", "split shuffle seed", ("dataset",)),
     ("dataset", "query_seed", "0", int, "int>=0", "query sampling seed", ("dataset",)),
-    ("deeponet", "q", "100", int, None, "latent feature dimension", NET),
-    ("deeponet", "width", "100", int, None, "hidden layer width", NET),
-    ("deeponet", "depth", "3", int, None, "hidden layers per sub-net", NET),
+    ("deeponet", "q", "100", int, None, "latent feature dimension", ("train",)),
+    ("deeponet", "width", "100", int, None, "hidden layer width", ("train",)),
+    ("deeponet", "depth", "3", int, None, "hidden layers per sub-net", ("train",)),
     ("train", "epochs", "2000", int, None, "training epochs", ("train",)),
     ("train", "batch_size", "256", int, None, "minibatch size", ("train",)),
     ("train", "lr", "1e-4", float, None, "initial learning rate", ("train",)),
@@ -107,7 +113,6 @@ COMMANDS = {
     "residuals": "residual normality report",
 }
 WHICH = ("vanilla", "prob", "bayes")
-GEOMETRY = ("m", "q", "width", "depth")  # checkpoint meta keys of DeepOnetConfig
 
 
 class UsageError(ValueError):
@@ -178,6 +183,15 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
+def _write_csv(path, header, rows) -> None:
+    """Deterministic CSV: fixed header order, repr-style floats, newline \\n."""
+    with open(path, "w", newline="") as f:
+        w = csv.writer(f, lineterminator="\n")
+        w.writerow(header)
+        for row in rows:
+            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+
+
 def read_json(path, *keys) -> dict:
     """The JSON object in `path`, which must hold each of `keys`; a dotted key
     names a nested one. ArtifactError if it does not parse or lacks a key."""
@@ -198,8 +212,12 @@ def workdir(cfg) -> Path:
     return Path(cfg["paths"]["workdir"])
 
 
-def _net_cfg(cfg, m: int) -> DeepOnetConfig:
-    return _build(DeepOnetConfig, m=m, **opts(cfg, "deeponet"))
+def _need(path: Path, writer: str) -> Path:
+    """`path`, an input file; a usage error naming `writer`, the command that
+    writes it, if it does not exist."""
+    if not path.exists():
+        raise UsageError(f"missing {path}; run `{writer}` first")
+    return path
 
 
 # ---------------------------------------------------------------- simulate
@@ -231,18 +249,14 @@ def cmd_simulate(cfg, args) -> int:
 
 
 def _load_pools(cfg):
-    out = workdir(cfg) / "pools"
-    pools = {}
+    """(N-1 pool, N-2 pool, sha256 of each pool file), from one read of each."""
+    pools, sha256 = [], {}
     for kind in ("n1", "n2"):
-        path = out / f"{kind}.jsonl"
-        if not path.exists():
-            raise UsageError(f"missing pool file {path}; run `simulate` first")
-        pools[kind] = gs.load_pool(path)
-    return pools["n1"], pools["n2"]
-
-
-def _pool_sha256(cfg) -> dict:
-    return {k: file_sha256(workdir(cfg) / "pools" / f"{k}.jsonl") for k in ("n1", "n2")}
+        path = _need(workdir(cfg) / "pools" / f"{kind}.jsonl", "simulate")
+        data = path.read_bytes()
+        pools.append(gs.load_pool(path, data))
+        sha256[kind] = hashlib.sha256(data).hexdigest()
+    return *pools, sha256
 
 
 # ----------------------------------------------------------------- dataset
@@ -250,7 +264,7 @@ def _pool_sha256(cfg) -> dict:
 def cmd_dataset(cfg, args) -> int:
     o = opts(cfg, "dataset")
     spec = _build(SplitSpec, m=o["m"], Q=o["queries"], train_frac=o["train_frac"])
-    n1, n2 = _load_pools(cfg)
+    n1, n2, pool_sha256 = _load_pools(cfg)
     train, test = split_pools(n1, n2, spec.train_frac, seed=o["seed"])
     out = workdir(cfg) / "dataset"
     out.mkdir(parents=True, exist_ok=True)
@@ -262,7 +276,7 @@ def cmd_dataset(cfg, args) -> int:
             "t_cl": spec.t_cl, "T": spec.T, "n_mesh": spec.n_mesh,
         },
         "seeds": {"split": o["seed"], "queries": o["query_seed"]},
-        "pool_sha256": _pool_sha256(cfg),
+        "pool_sha256": pool_sha256,
         "config": cfg,
     }
     write_json(out / "split.json", doc)
@@ -271,43 +285,39 @@ def cmd_dataset(cfg, args) -> int:
 
 
 def _load_split(cfg):
-    path = workdir(cfg) / "dataset" / "split.json"
-    if not path.exists():
-        raise UsageError(f"missing split manifest {path}; run `dataset` first")
+    path = _need(workdir(cfg) / "dataset" / "split.json", "dataset")
     doc = read_json(path, "train_ids", "test_ids", "seeds.queries",
                     *(f"spec.{k}" for k in ("m", "queries", "train_frac", "t_cl", "T", "n_mesh")))
-    n1, n2 = _load_pools(cfg)
-    if doc.get("pool_sha256") != _pool_sha256(cfg):
+    n1, n2, pool_sha256 = _load_pools(cfg)
+    if doc.get("pool_sha256") != pool_sha256:
         raise UsageError("pools changed since `dataset`; rerun `dataset`")
     by_id = {tr.traj_id: tr for tr in n1 + n2}
+    s = doc["spec"]
     try:
         train = [by_id[i] for i in doc["train_ids"]]
         test = [by_id[i] for i in doc["test_ids"]]
+        spec = SplitSpec(m=s["m"], Q=s["queries"], train_frac=s["train_frac"],
+                         t_cl=s["t_cl"], T=s["T"], n_mesh=s["n_mesh"])
     except KeyError as e:
-        raise UsageError(f"split references unknown trajectory id {e}")
-    s = doc["spec"]
-    spec = _build(SplitSpec, m=s["m"], Q=s["queries"], train_frac=s["train_frac"],
-                  t_cl=s["t_cl"], T=s["T"], n_mesh=s["n_mesh"])
+        raise UsageError(f"split references unknown trajectory id {e}") from None
+    except (TypeError, ValueError) as e:
+        raise ArtifactError(f"{path} is not a valid split: {e}") from None
     return train, test, spec, doc
 
 
 # ------------------------------------------------------------------- train
 
-def _write_csv(path, header, rows):
-    uqeval.write_csv(path, header, rows)
-
-
 def cmd_train(cfg, args) -> int:
     kind = args.model
     config = _build(TrainConfig, **opts(cfg, "train"))
     train_pool, _, spec, doc = _load_split(cfg)
-    net = _net_cfg(cfg, spec.m)
+    net = _build(DeepOnetConfig, m=spec.m, **opts(cfg, "deeponet"))
     data = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
     params, history = fit(init(net, kind, config.seed), net, data, config)
     out = workdir(cfg) / "models"
     out.mkdir(parents=True, exist_ok=True)
     ckpt = out / f"{kind}.ckpt"
-    save_checkpoint(ckpt, params, meta={"kind": kind, **{k: getattr(net, k) for k in GEOMETRY}})
+    save_checkpoint(ckpt, params, meta={"kind": kind, **dataclasses.asdict(net)})
     _write_csv(out / f"{kind}_loss.csv",
                ["epoch", "train_loss", "lr"],
                [[h["epoch"], h["train_loss"], h["lr"]] for h in history])
@@ -327,18 +337,14 @@ def cmd_sghmc(cfg, args) -> int:
     o = opts(cfg, "sghmc")
     bc = _build(BayesConfig, C=o.pop("c"), B_hat=o.pop("b_hat"), M=o.pop("m_ensemble"), **o)
     train_pool, _, spec, doc = _load_split(cfg)
-    net = _net_cfg(cfg, spec.m)
-    init_path = Path(args.init or (workdir(cfg) / "models" / "vanilla.ckpt"))
-    if not init_path.exists():
-        raise UsageError(f"missing init checkpoint {init_path}")
-    params0, _ = load_checkpoint(init_path)
-    _check_layout([init_path], [params0], "vanilla", net)
+    (params0,), net = _load_model(cfg, "vanilla", spec)
+    init_path = workdir(cfg) / "models" / "vanilla.ckpt"
     data = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
     members, trace = sghmc_run(params0, net, data, bc)
     out = workdir(cfg) / "models" / "bayes"
     out.mkdir(parents=True, exist_ok=True)
     names, hashes = [], {}
-    meta = {"kind": "bayes-member", **{k: getattr(net, k) for k in GEOMETRY}}
+    meta = {"kind": "bayes-member", **dataclasses.asdict(net)}
     for i, member in enumerate(members):
         path = out / f"member_{i:03d}.ckpt"
         save_checkpoint(path, member, meta=meta)
@@ -349,18 +355,37 @@ def cmd_sghmc(cfg, args) -> int:
     write_json(out / "chain.manifest.json", {
         "config": cfg, "members": names, "member_sha256": hashes,
         "init": str(init_path), "init_sha256": file_sha256(init_path),
-        "final_potential": trace[max(trace)] if trace else None,
+        "final_potential": trace[max(trace)],
     })
     print(f"sghmc: retained ensemble of {len(members)}, "
           f"final U = {trace[max(trace)]:.6g}")
     return 0
 
 
-# ------------------------------------------------------- prediction loading
+# ------------------------------------------------------------ model loading
 
-def _check_layout(paths, members: list[dict], which: str, net: DeepOnetConfig):
-    """Each checkpoint must hold exactly the parameters (names and shapes) of
-    the net its model is made of: a prob net for `prob`, else a vanilla one."""
+def _load_model(cfg, which: str, spec: SplitSpec):
+    """(members, net): the checkpoints of one model and the geometry their
+    meta records. Each must hold exactly the parameters (names and shapes) of
+    the net its model is made of, a prob net for `prob`, else a vanilla one,
+    and take the dataset's sensor count."""
+    models = workdir(cfg) / "models"
+    if which == "bayes":
+        manifest = _need(models / "bayes" / "chain.manifest.json", "sghmc")
+        paths = [_need(models / "bayes" / name, "sghmc")
+                 for name in read_json(manifest, "members")["members"]]
+        if len(paths) < 2:
+            raise UsageError("ensemble has fewer than 2 members")
+    else:
+        paths = [_need(models / f"{which}.ckpt", f"train --model {which}")]
+    loaded = [load_checkpoint(path) for path in paths]
+    members = [params for params, _ in loaded]
+    meta = loaded[0][1]
+    geometry = [f.name for f in dataclasses.fields(DeepOnetConfig)]
+    for k in geometry:
+        if not isinstance(meta.get(k), int):
+            raise UsageError(f"{paths[0]} has no integer {k!r} in its meta")
+    net = _build(DeepOnetConfig, **{k: meta[k] for k in geometry})
     want = layout(net, "prob" if which == "prob" else "vanilla")
     for path, params in zip(paths, members):
         got = {k: v.shape for k, v in params.items()}
@@ -368,31 +393,6 @@ def _check_layout(paths, members: list[dict], which: str, net: DeepOnetConfig):
             bad = sorted(set(got) ^ set(want)) or sorted(k for k in got if got[k] != want[k])
             raise UsageError(f"{path} does not hold a {which} net of {net} "
                              f"(differs at {bad[0]})")
-
-
-def _load_model(cfg, which: str, spec: SplitSpec):
-    """(members, net) for `predict`: the checkpoints of one model, checked
-    against its parameter layout and the dataset, and their geometry."""
-    models = workdir(cfg) / "models"
-    if which == "bayes":
-        manifest = models / "bayes" / "chain.manifest.json"
-        if not manifest.exists():
-            raise UsageError(f"missing ensemble manifest {manifest}; run `sghmc`")
-        paths = [models / "bayes" / n for n in read_json(manifest, "members")["members"]]
-        if len(paths) < 2:
-            raise UsageError("ensemble has fewer than 2 members")
-    else:
-        paths = [models / f"{which}.ckpt"]
-        if not paths[0].exists():
-            raise UsageError(f"missing checkpoint {paths[0]}; run `train --model {which}`")
-    loaded = [load_checkpoint(path) for path in paths]
-    members = [params for params, _ in loaded]
-    meta = loaded[0][1]
-    for k in GEOMETRY:
-        if not isinstance(meta.get(k), int):
-            raise UsageError(f"{paths[0]} has no integer {k!r} in its meta")
-    net = _build(DeepOnetConfig, **{k: meta[k] for k in GEOMETRY})
-    _check_layout(paths, members, which, net)
     if net.m != spec.m:
         raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
     return members, net
@@ -570,8 +570,6 @@ def build_parser() -> argparse.ArgumentParser:
                           for name, text in COMMANDS.items()}}
     parsers["train"].add_argument("--model", required=True, choices=WHICH[:2],
                                   help="model to train")
-    parsers["sghmc"].add_argument("--init", metavar="CKPT",
-                                  help="starting checkpoint (default models/vanilla.ckpt)")
     for name in ("predict", "evaluate", "alarms", "residuals"):
         required = name != "residuals"
         parsers[name].add_argument(

@@ -176,7 +176,6 @@ def _connected(model: GridModel, tripped) -> bool:
 class PowerFlow:
     V: np.ndarray  # complex bus voltages
     S_gen: np.ndarray  # complex power injected by each machine
-    residual: float
 
 
 def solve_power_flow(model: GridModel) -> PowerFlow:
@@ -229,14 +228,13 @@ def solve_power_flow(model: GridModel) -> PowerFlow:
         x = x - np.linalg.solve(J, f)
     else:
         raise PowerFlowError(f"power flow did not converge in {max_iter} iterations")
-    f, V = mismatch(x)
     S = V * np.conj(Y @ V)
     S_gen = S[list(model.gen_bus)].copy()
     # machine injection = bus injection plus the local load, if any
     for bus, p, q in model.loads:
         if bus in model.gen_bus:
             S_gen[model.gen_bus.index(bus)] += complex(p, q)
-    return PowerFlow(V=V, S_gen=S_gen, residual=float(np.max(np.abs(f))))
+    return PowerFlow(V=V, S_gen=S_gen)
 
 
 @dataclass(frozen=True)
@@ -541,29 +539,32 @@ def save_pool(path, trajectories) -> None:
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
-def load_pool(path) -> list[Trajectory]:
-    """The trajectories of a pool file; a bad record raises PoolError."""
+def load_pool(path, data: bytes) -> list[Trajectory]:
+    """The trajectories in `data`, the bytes of the pool file at `path`; a bad
+    record raises PoolError naming the file and the line."""
     trajectories = []
-    with open(path) as f:
-        for line_no, line in enumerate(f, 1):
-            try:
-                rec = json.loads(line)
-                sc = FaultScenario(
-                    kind=rec["kind"],
-                    tripped=tuple(rec["tripped"]),
-                    t_f=rec["t_f"],
-                    t_cl=rec["t_cl"],
-                    T=rec["T"],
-                    sample_rate=rec["sample_rate"],
-                )
-                times, values = sc.times, np.asarray(rec["values"], dtype=float)
-                if values.shape != times.shape:
-                    raise ValueError(f"{values.size} values, expected {times.size}")
-                tr = Trajectory(traj_id=rec["id"], scenario=sc, bus_id=rec["bus_id"],
-                                times=times, values=values)
-            except KeyError as e:
-                raise PoolError(f"{path} line {line_no}: record lacks key {e}") from None
-            except (TypeError, ValueError) as e:
-                raise PoolError(f"{path} line {line_no}: {e}") from None
-            trajectories.append(tr)
+    for line_no, line in enumerate(data.splitlines(), 1):
+        try:
+            rec = json.loads(line)
+            sc = FaultScenario(
+                kind=rec["kind"],
+                tripped=tuple(rec["tripped"]),
+                t_f=rec["t_f"],
+                t_cl=rec["t_cl"],
+                T=rec["T"],
+                sample_rate=rec["sample_rate"],
+            )
+            times, values = sc.times, np.asarray(rec["values"], dtype=float)
+            if values.shape != times.shape:
+                raise ValueError(f"{values.size} values, expected {times.size}")
+            bad = np.flatnonzero(~np.isfinite(values))
+            if bad.size:  # json.loads reads NaN and Infinity tokens
+                raise ValueError(f"non-finite value at sample {bad[0]}")
+            tr = Trajectory(traj_id=rec["id"], scenario=sc, bus_id=rec["bus_id"],
+                            times=times, values=values)
+        except KeyError as e:
+            raise PoolError(f"{path} line {line_no}: record lacks key {e}") from None
+        except (TypeError, ValueError) as e:
+            raise PoolError(f"{path} line {line_no}: {e}") from None
+        trajectories.append(tr)
     return trajectories

@@ -20,7 +20,7 @@ import numpy as np
 
 from . import tensor as T
 
-__all__ = ["MlpConfig", "glorot_init", "forward", "param_shapes"]
+__all__ = ["MlpConfig", "glorot_init", "param_shapes"]
 
 
 @dataclass(frozen=True)
@@ -88,8 +88,3 @@ def hidden(params: dict, x, cfg: MlpConfig, prefix: str = ""):
 def head(params: dict, h, prefix: str = "", stem: str = "out"):
     """Final linear layer applied to a hidden state."""
     return T.add_bias(T.matmul(h, params[f"{prefix}{stem}_w"]), params[f"{prefix}{stem}_b"])
-
-
-def forward(params: dict, x, cfg: MlpConfig, prefix: str = ""):
-    """Full network: gated recurrence plus the linear output layer."""
-    return head(params, hidden(params, x, cfg, prefix), prefix)

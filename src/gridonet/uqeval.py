@@ -8,7 +8,6 @@ point of every row."""
 
 from __future__ import annotations
 
-import csv
 import math
 from dataclasses import dataclass
 from statistics import NormalDist
@@ -27,7 +26,6 @@ __all__ = [
     "NormalityReport",
     "residual_normality",
     "aggregate_reports",
-    "write_csv",
 ]
 
 
@@ -172,12 +170,3 @@ def aggregate_reports(l1, l2, eps) -> dict:
         "sd_L2": float(np.std(l2, ddof=1)) if n > 1 else 0.0,
         "eps_ratio": float(np.mean(eps)),
     }
-
-
-def write_csv(path, header, rows) -> None:
-    """Deterministic CSV: fixed header order, repr-style floats, newline \\n."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])

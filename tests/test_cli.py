@@ -237,34 +237,59 @@ def test_pool_record_of_the_wrong_length_exits_1(workdir_copy, capsys):
     assert err == [f"error: {pool} line 1: 10 values, expected 900"]
 
 
-def _drop(key):
-    """An edit that deletes the (dotted) `key` from a JSON document."""
+def _edit(key, *value):
+    """An edit that sets the (dotted) `key` of a JSON document to `value`, or
+    deletes it if no value is given."""
     def edit(text):
         doc = node = json.loads(text)
         *parents, last = key.split(".")
         for part in parents:
             node = node[part]
-        del node[last]
+        if value:
+            node[last] = value[0]
+        else:
+            del node[last]
         return json.dumps(doc)
     return edit
 
 
-@pytest.mark.parametrize("artifact, edit, which, message", [
-    ("dataset/split.json", lambda text: text[:100], "vanilla", "is not valid JSON: "),
-    ("dataset/split.json", _drop("train_ids"), "vanilla", "lacks key 'train_ids'"),
-    ("dataset/split.json", _drop("spec"), "vanilla", "lacks key 'spec.m'"),
-    ("dataset/split.json", _drop("seeds.queries"), "vanilla", "lacks key 'seeds.queries'"),
-    ("models/bayes/chain.manifest.json", lambda text: text[:-20], "bayes",
-     "is not valid JSON: "),
-    ("models/bayes/chain.manifest.json", _drop("members"), "bayes", "lacks key 'members'"),
+VANILLA, BAYES = ("predict", "--which", "vanilla"), ("predict", "--which", "bayes")
+
+
+@pytest.mark.parametrize("artifact, edit, argv, message", [
+    ("dataset/split.json", lambda text: text[:100], VANILLA, "is not valid JSON: "),
+    ("dataset/split.json", _edit("train_ids"), VANILLA, "lacks key 'train_ids'"),
+    ("dataset/split.json", _edit("spec"), VANILLA, "lacks key 'spec.m'"),
+    ("dataset/split.json", _edit("seeds.queries"), VANILLA, "lacks key 'seeds.queries'"),
+    ("dataset/split.json", _edit("train_ids", None), ("train", "--model", "vanilla"),
+     "is not a valid split: "),
+    ("dataset/split.json", _edit("spec.m", "20"), VANILLA, "is not a valid split: "),
+    ("models/bayes/chain.manifest.json", lambda text: text[:-20], BAYES, "is not valid JSON: "),
+    ("models/bayes/chain.manifest.json", _edit("members"), BAYES, "lacks key 'members'"),
 ], ids=["split-cut", "split-no-train-ids", "split-no-spec", "split-no-query-seed",
-        "chain-cut", "chain-no-members"])
-def test_corrupt_json_artifact_exits_1(workdir_copy, capsys, artifact, edit, which, message):
+        "split-train-ids-null", "split-m-string", "chain-cut", "chain-no-members"])
+def test_corrupt_json_artifact_exits_1(workdir_copy, capsys, artifact, edit, argv, message):
     path = workdir_copy / artifact
     path.write_text(edit(path.read_text()))
-    rc, err = run(capsys, workdir_copy, "predict", "--which", which)
+    rc, err = run(capsys, workdir_copy, *argv)
     assert rc == 1
     assert len(err) == 1 and err[0].startswith(f"error: {path} {message}")
+
+
+@pytest.mark.parametrize("argv", [("dataset",), ("train", "--model", "vanilla"),
+                                  ("evaluate", "--which", "vanilla"), ("alarms", "--which", "prob")],
+                         ids=["dataset", "train", "evaluate", "alarms"])
+def test_non_finite_pool_value_exits_1(pipeline, workdir_copy, capsys, argv):
+    pool = workdir_copy / "pools" / "n1.jsonl"
+    lines = []
+    for line in pool.read_text().splitlines():
+        rec = json.loads(line)
+        rec["values"][49] = rec["values"][400] = float("nan")
+        lines.append(json.dumps(rec, sort_keys=True) + "\n")
+    pool.write_text("".join(lines))
+    rc, err = run(capsys, workdir_copy, *argv, config=pipeline[3])
+    assert rc == 1
+    assert err == [f"error: {pool} line 1: non-finite value at sample 49"]
 
 
 def test_predict_out_in_a_missing_directory_exits_2(workdir_copy, capsys):
@@ -308,10 +333,55 @@ def test_checkpoint_of_another_layout_exits_2(workdir_copy, capsys, which, sourc
 
 
 def test_sghmc_init_of_another_layout_exits_2(pipeline, workdir_copy, capsys):
-    rc, err = run(capsys, workdir_copy, "sghmc", "--init",
-                  str(workdir_copy / "models" / "prob.ckpt"), config=pipeline[3])
+    models = workdir_copy / "models"
+    shutil.copyfile(models / "prob.ckpt", models / "vanilla.ckpt")
+    rc, err = run(capsys, workdir_copy, "sghmc", config=pipeline[3])
     assert rc == 2
-    assert len(err) == 1 and "prob.ckpt does not hold a vanilla net" in err[0]
+    assert len(err) == 1 and "vanilla.ckpt does not hold a vanilla net" in err[0]
+
+
+@pytest.mark.parametrize("argv, gone, writer", [
+    (("sghmc",), "models/vanilla.ckpt", "train --model vanilla"),
+    (("predict", "--which", "bayes"), "models/bayes/member_001.ckpt", "sghmc"),
+    (("evaluate", "--which", "prob"), "dataset/split.json", "dataset"),
+    (("train", "--model", "vanilla"), "pools/n2.jsonl", "simulate"),
+], ids=["sghmc-init", "bayes-member", "split", "pool"])
+def test_missing_input_names_its_writer(pipeline, workdir_copy, capsys, argv, gone, writer):
+    (workdir_copy / gone).unlink()
+    rc, err = run(capsys, workdir_copy, *argv, config=pipeline[3])
+    assert rc == 2
+    assert err == [f"error: missing {workdir_copy / gone}; run `{writer}` first"]
+
+
+def test_sghmc_takes_its_geometry_from_the_init(pipeline, workdir_copy, capsys):
+    """Without the INI that set the tiny geometry, the chain still runs on it."""
+    sghmc = next(argv for argv in PIPELINE if argv[0] == "sghmc")
+    assert run(capsys, workdir_copy, *sghmc)[0] == 0
+    models = workdir_copy / "models"
+    member = load_checkpoint(models / "bayes" / "member_000.ckpt")[1]
+    assert member == {**load_checkpoint(models / "vanilla.ckpt")[1], "kind": "bayes-member"}
+
+
+@pytest.mark.parametrize("flag", ["--init", "--q", "--width", "--depth"])
+def test_sghmc_takes_no_geometry_flags(capsys, flag):
+    with pytest.raises(SystemExit) as e:
+        cli.main(["sghmc", flag, "1"])
+    assert e.value.code == 2
+    assert f"unrecognized arguments: {flag} 1" in capsys.readouterr().err
+
+
+def test_every_flag_is_read_by_its_command(pipeline, workdir_copy, monkeypatch, capsys):
+    """A command reads the config section of each option it takes as a flag."""
+    read = {name: set() for name in cli.COMMANDS}
+    opts = cli.opts
+    monkeypatch.setattr(cli, "opts", lambda cfg, section: read[command].add(section)
+                        or opts(cfg, section))
+    for argv in PIPELINE:
+        command = argv[0]
+        assert run(capsys, workdir_copy, *argv, config=pipeline[3])[0] == 0, argv
+    for section, key, *_, commands in cli.OPTIONS:
+        for name in set(commands) - {cli.TOP}:
+            assert section in read[name], f"{name} --{key} is never read"
 
 
 def test_alarm_probe_before_clearing_exits_2(pipeline, workdir_copy, capsys):

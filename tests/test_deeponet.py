@@ -83,6 +83,11 @@ def test_zero_branch_gives_tau_o():
     assert np.max(np.abs(out - 0.37)) < 1e-14
 
 
+def features(p, x, cfg, prefix):
+    """One sub-net's output features for the rows of `x`."""
+    return mlp.head(p, mlp.hidden(p, T.Tensor(x), cfg, prefix), prefix).data
+
+
 def test_basis_selection_case():
     # branch output forced to e_1 -> prediction equals trunk feature phi_1(y)
     p = init(CFG, "vanilla", 2)
@@ -92,7 +97,7 @@ def test_basis_selection_case():
     p["b_out_b"] = b
     p["tau_o"] = np.zeros((1, 1))
     ys = np.array([2.5, 4.0, 7.3])
-    tfeat = mlp.forward(p, T.Tensor(ys.reshape(-1, 1)), CFG.trunk, "t_").data
+    tfeat = features(p, ys.reshape(-1, 1), CFG.trunk, "t_")
     out = curve(p, np.ones(10), ys)
     assert np.max(np.abs(out - tfeat[:, 0])) < 1e-14
 
@@ -103,8 +108,8 @@ def test_predict_matches_scalar_loop():
     u = rng.uniform(0.8, 1.1, 10)
     ys = rng.uniform(2.0, 9.0, 7)
     out = curve(p, u, ys)
-    bfeat = mlp.forward(p, T.Tensor(u.reshape(1, -1)), CFG.branch, "b_").data[0]
-    tfeat = mlp.forward(p, T.Tensor(ys.reshape(-1, 1)), CFG.trunk, "t_").data
+    bfeat = features(p, u.reshape(1, -1), CFG.branch, "b_")[0]
+    tfeat = features(p, ys.reshape(-1, 1), CFG.trunk, "t_")
     for j, y in enumerate(ys):
         s = 0.0
         for i in range(CFG.q):

@@ -4,7 +4,12 @@ import numpy as np
 import pytest
 
 from gridonet import tensor as T
-from gridonet.mlp import MlpConfig, forward, glorot_init, param_shapes
+from gridonet.mlp import MlpConfig, glorot_init, head, hidden, param_shapes
+
+
+def forward(params, x, cfg, prefix=""):
+    """Full network: gated recurrence plus the linear output layer."""
+    return head(params, hidden(params, x, cfg, prefix), prefix)
 
 
 def reference_forward(params, x, cfg, prefix=""):
