@@ -9,12 +9,14 @@ Layout:
 The manifest lists every parameter's name, shape, and byte offset into the
 blob, plus an optional metadata object. Round trips are bit-exact and the
 bytes are a pure function of (params, meta): no timestamps, sorted JSON keys.
+A load reads the blob once, into one array; the params are views of it.
 """
 
 from __future__ import annotations
 
 import json
-from pathlib import Path
+import math
+import os
 
 import numpy as np
 
@@ -43,7 +45,7 @@ def unflatten(layout, vector: np.ndarray) -> dict[str, np.ndarray]:
     out = {}
     pos = 0
     for name, shape in layout:
-        n = int(np.prod(shape, dtype=np.int64))
+        n = math.prod(shape)
         out[name] = np.asarray(vector[pos : pos + n], dtype=np.float64).reshape(shape).copy()
         pos += n
     if pos != vector.size:
@@ -52,48 +54,43 @@ def unflatten(layout, vector: np.ndarray) -> dict[str, np.ndarray]:
 
 
 def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
-    entries = []
-    offset = 0
-    blobs = []
-    for name, arr in params.items():
-        a = np.ascontiguousarray(np.asarray(arr, dtype=np.float64))
-        entries.append({"name": name, "shape": list(a.shape), "offset": offset})
-        raw = a.astype("<f8", copy=False).tobytes()
-        blobs.append(raw)
-        offset += len(raw)
+    layout, vector = flatten(params)
+    entries, offset = [], 0
+    for name, shape in layout:
+        entries.append({"name": name, "shape": list(shape), "offset": offset})
+        offset += 8 * math.prod(shape)
     manifest = {"params": entries, "meta": meta or {}}
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
     with open(path, "wb") as f:
         f.write(f"{MAGIC} {len(mbytes)}\n".encode())
         f.write(mbytes)
-        for raw in blobs:
-            f.write(raw)
+        f.write(vector.astype("<f8", copy=False))
 
 
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
-    raw = Path(path).read_bytes()
-    nl = raw.find(b"\n")
-    header = raw[:nl].split() if nl >= 0 else []
-    if len(header) != 2 or header[0] != MAGIC.encode() or not header[1].isdigit():
-        raise CheckpointError(f"{path}: not a checkpoint file: bad header {raw[:16]!r}")
-    start = nl + 1 + int(header[1])
-    try:
-        manifest = json.loads(raw[nl + 1 : start])
-        entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
-        meta = manifest.get("meta", {})
-        if not isinstance(meta, dict):
-            raise TypeError(f"meta is a {type(meta).__name__}, not an object")
-    except (ValueError, KeyError, TypeError) as e:
-        raise CheckpointError(f"{path}: bad or truncated manifest: {e}") from None
-    blob = raw[start:]
+    with open(path, "rb") as f:
+        line = f.readline(64)
+        header = line.split() if line.endswith(b"\n") else []
+        if len(header) != 2 or header[0] != MAGIC.encode() or not header[1].isdigit():
+            raise CheckpointError(f"{path}: not a checkpoint file: bad header {line[:16]!r}")
+        try:
+            manifest = json.loads(f.read(int(header[1])))
+            entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
+            meta = manifest.get("meta", {})
+            if not isinstance(meta, dict):
+                raise TypeError(f"meta is a {type(meta).__name__}, not an object")
+        except (ValueError, KeyError, TypeError) as e:
+            raise CheckpointError(f"{path}: bad or truncated manifest: {e}") from None
+        size = os.fstat(f.fileno()).st_size - f.tell()
+        blob = np.empty(size // 8, "<f8")
+        f.readinto(blob)
     params = {}
     for name, shape, offset in entries:
-        n = int(np.prod(shape, dtype=np.int64))
-        if offset + 8 * n > len(blob):
-            raise CheckpointError(
-                f"{path}: truncated: {name!r} ends at blob byte {offset + 8 * n}, "
-                f"the blob has {len(blob)}"
-            )
-        a = np.frombuffer(blob, dtype="<f8", count=n, offset=offset)
-        params[name] = a.astype(np.float64).reshape(shape)
+        n = math.prod(shape)
+        if not isinstance(offset, int) or offset < 0 or offset % 8:
+            raise CheckpointError(f"{path}: {name!r} has offset {offset!r}, not a multiple of 8")
+        if offset + 8 * n > size:
+            raise CheckpointError(f"{path}: truncated: {name!r} ends at blob byte "
+                                  f"{offset + 8 * n}, the blob has {size}")
+        params[name] = blob[offset // 8 : offset // 8 + n].reshape(shape)
     return params, meta

@@ -15,7 +15,8 @@ the split (`y_star`) holds the rule.
 Every input a command reads comes through one loader here (`_load_pools`,
 `_load_split`, `_load_model`), and each input file through `_need`, whose
 error names the command that writes it. A model's geometry is read from its
-checkpoint, so only `train` takes the `[deeponet]` keys.
+checkpoint, so only `train` takes the `[deeponet]` keys. `_load_model` streams
+a bayes ensemble's members to `predict`, which keeps their curves only.
 """
 
 from __future__ import annotations
@@ -298,6 +299,8 @@ def _load_split(cfg):
         test = [by_id[i] for i in doc["test_ids"]]
         spec = SplitSpec(m=s["m"], Q=s["queries"], train_frac=s["train_frac"],
                          t_cl=s["t_cl"], T=s["T"], n_mesh=s["n_mesh"])
+        if type(q := doc["seeds"]["queries"]) is not int or q < 0:
+            raise ValueError(f"seeds.queries must be an int >= 0, got {q!r}")
     except KeyError as e:
         raise UsageError(f"split references unknown trajectory id {e}") from None
     except (TypeError, ValueError) as e:
@@ -365,37 +368,42 @@ def cmd_sghmc(cfg, args) -> int:
 # ------------------------------------------------------------ model loading
 
 def _load_model(cfg, which: str, spec: SplitSpec):
-    """(members, net): the checkpoints of one model and the geometry their
-    meta records. Each must hold exactly the parameters (names and shapes) of
-    the net its model is made of, a prob net for `prob`, else a vanilla one,
-    and take the dataset's sensor count."""
+    """(members, net): a generator of one model's checkpoints, each read when
+    taken (the first is read here) and checked to hold exactly the parameters
+    (names, shapes) of a prob net for `prob`, else of a vanilla one; and the
+    geometry the first one's meta records, whose m must be the dataset's."""
     models = workdir(cfg) / "models"
     if which == "bayes":
         manifest = _need(models / "bayes" / "chain.manifest.json", "sghmc")
-        paths = [_need(models / "bayes" / name, "sghmc")
-                 for name in read_json(manifest, "members")["members"]]
+        names = read_json(manifest, "members")["members"]
+        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+            raise ArtifactError(f"{manifest} is not a valid chain: members is not a list of names")
+        paths = [_need(models / "bayes" / name, "sghmc") for name in names]
         if len(paths) < 2:
             raise UsageError("ensemble has fewer than 2 members")
     else:
         paths = [_need(models / f"{which}.ckpt", f"train --model {which}")]
-    loaded = [load_checkpoint(path) for path in paths]
-    members = [params for params, _ in loaded]
-    meta = loaded[0][1]
+    first, meta = load_checkpoint(paths[0])
     geometry = [f.name for f in dataclasses.fields(DeepOnetConfig)]
     for k in geometry:
         if not isinstance(meta.get(k), int):
             raise UsageError(f"{paths[0]} has no integer {k!r} in its meta")
     net = _build(DeepOnetConfig, **{k: meta[k] for k in geometry})
     want = layout(net, "prob" if which == "prob" else "vanilla")
-    for path, params in zip(paths, members):
-        got = {k: v.shape for k, v in params.items()}
-        if got != want:
-            bad = sorted(set(got) ^ set(want)) or sorted(k for k in got if got[k] != want[k])
-            raise UsageError(f"{path} does not hold a {which} net of {net} "
-                             f"(differs at {bad[0]})")
+
+    def stream(params):
+        for i, path in enumerate(paths):
+            params = load_checkpoint(path)[0] if i else params
+            got = {k: v.shape for k, v in params.items()}
+            if got != want:
+                bad = sorted(set(got) ^ set(want)) or sorted(k for k in got if got[k] != want[k])
+                raise UsageError(f"{path} does not hold a {which} net of {net} "
+                                 f"(differs at {bad[0]})")
+            yield params
+
     if net.m != spec.m:
         raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
-    return members, net
+    return stream(first), net
 
 
 def _band(mean, std, level: float):

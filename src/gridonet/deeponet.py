@@ -22,8 +22,9 @@ the parameter names.
 
 Input functions lie on the last axis: an (m,) input gives (k,) curves at k
 query times, and an (n, m) input gives (n, k) curves, one row per input.
-Each net runs its branch and its trunk once per call, whatever n is; an
-ensemble holds all members' curves, M * n * k floats, while it reduces them.
+Each net runs its branch and its trunk once per call, whatever n is, off the
+tape. `members` may be any iterable, such as one that reads each member as it
+is taken: predict keeps the members' curves, M * n * k floats, not weights.
 """
 
 from __future__ import annotations
@@ -97,7 +98,8 @@ def _heads(params: dict):
 
 
 def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y):
-    """Paired evaluation, row i of U with row i of Y, on the tape.
+    """Paired evaluation, row i of U with row i of Y, on the tape if they are
+    Tensors (training), else with its sub-nets off it (`sghmc`'s potential).
 
     Returns (mu, log_sigma) as (B, 1) Tensors; log_sigma is clamped, and is
     None for a vanilla net.
@@ -111,33 +113,33 @@ def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y):
 
 def _curves(params: dict, cfg: DeepOnetConfig, u, y) -> list[np.ndarray]:
     """Each head's (n, k) values for the n rows of u at the query column y
-    (log-sigma clamped); the branch and the trunk run once."""
-    bh = hidden(params, T.Tensor(u), cfg.branch, "b_")  # (n, width)
-    th = hidden(params, T.Tensor(y), cfg.trunk, "t_")  # (k, width)
-    out = [T.matmul(head(params, th, "t_", stem), T.Tensor(head(params, bh, "b_", stem).data.T))
+    (log-sigma clamped); the branch and the trunk run once, off the tape."""
+    bh = hidden(params, u, cfg.branch, "b_")  # (n, width)
+    th = hidden(params, y, cfg.trunk, "t_")  # (k, width)
+    out = [head(params, th, "t_", stem) @ np.ascontiguousarray(head(params, bh, "b_", stem).T)
            + float(np.asarray(params[tau]).item()) for stem, tau in _heads(params)]
     if len(out) == 2:
-        out[1] = T.clip(out[1], LOGSIG_LO, LOGSIG_HI)
-    return [np.ascontiguousarray(c.data.T) for c in out]  # (n, k)
+        out[1] = np.clip(out[1], LOGSIG_LO, LOGSIG_HI)
+    return [np.ascontiguousarray(c.T) for c in out]  # (n, k)
 
 
-def predict(members: list[dict], cfg: DeepOnetConfig, u_disc, ys):
-    """(mean, std) curves at query times ys from one vanilla net, one prob net
-    or a vanilla ensemble (see the module doc). Input functions lie on the
-    last axis of u_disc: one of shape (m,) gives (k,) curves, and n of shape
-    (n, m) give (n, k) curves, row i being the curve of input row i."""
+def predict(members, cfg: DeepOnetConfig, u_disc, ys):
+    """(mean, std) curves at query times ys from members, an iterable of one
+    vanilla net, one prob net or a vanilla ensemble (see the module doc). The
+    inputs lie on the last axis of u_disc: (m,) gives (k,) curves, and (n, m)
+    gives (n, k) curves, row i being the curve of input row i."""
     u_disc = np.asarray(u_disc, dtype=float)
-    u = u_disc.reshape(-1, u_disc.shape[-1])
-    y = np.asarray(ys, dtype=float).reshape(-1, 1)
+    u = np.ascontiguousarray(u_disc.reshape(-1, u_disc.shape[-1]))
+    y = np.ascontiguousarray(np.asarray(ys, dtype=float).reshape(-1, 1))
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
         raise T.NumericError("non-finite network input")
     if u.shape[1] != cfg.m:
         raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
     shape = u_disc.shape[:-1] + (len(y),)
-    if len(members) == 1:
-        curves = [c.reshape(shape) for c in _curves(members[0], cfg, u, y)]
-        return curves[0], (np.exp(curves[1]) if len(curves) == 2 else None)
-    if not members or any(len(_heads(p)) != 1 for p in members):
+    curves = [[c.reshape(shape) for c in _curves(p, cfg, u, y)] for p in members]
+    if len(curves) == 1:
+        return curves[0][0], (np.exp(curves[0][1]) if len(curves[0]) == 2 else None)
+    if not curves or any(len(c) != 1 for c in curves):
         raise ValueError("an ensemble needs two or more vanilla members")
-    stack = np.stack([_curves(p, cfg, u, y)[0].reshape(shape) for p in members])
+    stack = np.stack([c[0] for c in curves])
     return stack.mean(axis=0), stack.std(axis=0, ddof=1)

@@ -9,18 +9,23 @@ Two encoders U and V are mixed through d update gates:
 
 The first gate maps from the raw input, so Wz_1 is (input_dim, width) and the
 remaining gate weights are (width, width). Activation is plain sin throughout;
-the final layer is linear.
+the final layer is linear. A Tensor input runs `hidden` and `head` on the
+tape; an array runs the same ops in numpy, unrecorded, to the same bits.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from types import SimpleNamespace
 
 import numpy as np
 
 from . import tensor as T
 
 __all__ = ["MlpConfig", "glorot_init", "param_shapes"]
+
+# numpy's primitives under the names of the tape's
+_NUMPY = SimpleNamespace(matmul=np.matmul, add_bias=np.add, sin=np.sin)
 
 
 @dataclass(frozen=True)
@@ -72,19 +77,22 @@ def glorot_init(shapes: dict[str, tuple[int, int]], seed) -> dict[str, np.ndarra
 
 def hidden(params: dict, x, cfg: MlpConfig, prefix: str = ""):
     """Gated recurrence up to H^(d+1), before the final linear layer."""
+    ops = T if isinstance(x, T.Tensor) else _NUMPY
 
     def lin(v, stem):
-        return T.add_bias(T.matmul(v, params[f"{prefix}{stem}_w"]), params[f"{prefix}{stem}_b"])
+        return ops.add_bias(ops.matmul(v, params[f"{prefix}{stem}_w"]), params[f"{prefix}{stem}_b"])
 
-    u = T.sin(lin(x, "u"))
-    v = T.sin(lin(x, "v"))
-    h = x if isinstance(x, T.Tensor) else T.Tensor(x)
-    for l in range(1, cfg.depth + 1):
-        z = T.sin(lin(h, f"z{l}"))
-        h = (1.0 - z) * u + z * v
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values flow, as on the tape
+        u = ops.sin(lin(x, "u"))
+        v = ops.sin(lin(x, "v"))
+        h = x
+        for l in range(1, cfg.depth + 1):
+            z = ops.sin(lin(h, f"z{l}"))
+            h = (1.0 - z) * u + z * v
     return h
 
 
 def head(params: dict, h, prefix: str = "", stem: str = "out"):
     """Final linear layer applied to a hidden state."""
-    return T.add_bias(T.matmul(h, params[f"{prefix}{stem}_w"]), params[f"{prefix}{stem}_b"])
+    ops = T if isinstance(h, T.Tensor) else _NUMPY
+    return ops.add_bias(ops.matmul(h, params[f"{prefix}{stem}_w"]), params[f"{prefix}{stem}_b"])

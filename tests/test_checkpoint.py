@@ -87,10 +87,22 @@ def test_bad_magic_rejected(tmp_path):
     lambda raw: raw[: raw.index(b"\n") + 10],  # manifest cut short
     lambda raw: raw[:-1],  # blob one byte short
     lambda raw: raw.replace(b'"meta":{}', b'"meta":[]'),  # meta not an object
-], ids=["header", "length", "manifest", "blob", "meta"])
+    # an offset inside the blob that is not a multiple of 8 (same manifest length)
+    lambda raw: raw.replace(b'"offset":0', b'"offset":4').replace(b"[2,3]", b"[1,3]"),
+], ids=["header", "length", "manifest", "blob", "meta", "offset"])
 def test_corrupt_container_rejected(tmp_path, corrupt):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})
     path.write_bytes(corrupt(path.read_bytes()))
     with pytest.raises(CheckpointError):
         load_checkpoint(path)
+
+
+def test_params_are_views_of_one_blob(tmp_path):
+    params = init(DeepOnetConfig(m=6, q=4, width=5, depth=2), "vanilla", 1)
+    path = tmp_path / "p.ckpt"
+    save_checkpoint(path, params)
+    loaded, _ = load_checkpoint(path)
+    blob = loaded["b_u_w"].base
+    assert blob is not None and all(a.base is blob for a in loaded.values())
+    assert all(a.flags.c_contiguous and a.flags.aligned for a in loaded.values())

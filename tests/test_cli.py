@@ -4,6 +4,7 @@ import hashlib
 import json
 import platform
 import shutil
+import weakref
 from pathlib import Path
 
 import numpy as np
@@ -218,6 +219,17 @@ def test_truncated_checkpoint_exits_1(workdir_copy, capsys):
     assert len(err) == 1 and err[0].startswith("error: ") and "truncated" in err[0]
 
 
+def test_truncated_last_member_exits_1_and_writes_nothing(workdir_copy, capsys):
+    """The last member is read only while `predict` runs; it still fails cleanly."""
+    shutil.rmtree(workdir_copy / "eval")
+    ckpt = workdir_copy / "models" / "bayes" / "member_002.ckpt"
+    ckpt.write_bytes(ckpt.read_bytes()[:-8])
+    rc, err = run(capsys, workdir_copy, "evaluate", "--which", "bayes")
+    assert rc == 1
+    assert len(err) == 1 and err[0].startswith(f"error: {ckpt}: truncated")
+    assert not list(workdir_copy.glob("eval/bayes_*"))
+
+
 def test_truncated_pool_exits_1(workdir_copy, capsys):
     pool = workdir_copy / "pools" / "n1.jsonl"
     pool.write_bytes(pool.read_bytes()[:3000])
@@ -264,10 +276,17 @@ VANILLA, BAYES = ("predict", "--which", "vanilla"), ("predict", "--which", "baye
     ("dataset/split.json", _edit("train_ids", None), ("train", "--model", "vanilla"),
      "is not a valid split: "),
     ("dataset/split.json", _edit("spec.m", "20"), VANILLA, "is not a valid split: "),
+    ("dataset/split.json", _edit("seeds.queries", None), ("train", "--model", "vanilla"),
+     "is not a valid split: seeds.queries must be an int >= 0, got None"),
+    ("dataset/split.json", _edit("seeds.queries", -1), VANILLA,
+     "is not a valid split: seeds.queries must be an int >= 0, got -1"),
     ("models/bayes/chain.manifest.json", lambda text: text[:-20], BAYES, "is not valid JSON: "),
     ("models/bayes/chain.manifest.json", _edit("members"), BAYES, "lacks key 'members'"),
+    ("models/bayes/chain.manifest.json", _edit("members", [1, 2]), BAYES,
+     "is not a valid chain: members is not a list of names"),
 ], ids=["split-cut", "split-no-train-ids", "split-no-spec", "split-no-query-seed",
-        "split-train-ids-null", "split-m-string", "chain-cut", "chain-no-members"])
+        "split-train-ids-null", "split-m-string", "split-query-seed-null",
+        "split-query-seed-negative", "chain-cut", "chain-no-members", "chain-members-ints"])
 def test_corrupt_json_artifact_exits_1(workdir_copy, capsys, artifact, edit, argv, message):
     path = workdir_copy / artifact
     path.write_text(edit(path.read_text()))
@@ -418,3 +437,20 @@ def test_read_commands_predict_once(pipeline, workdir_copy, monkeypatch, capsys,
     monkeypatch.setattr(cli, "predict", lambda *a: inputs.append(np.shape(a[2])) or predict(*a))
     assert run(capsys, workdir_copy, *argv, config=pipeline[3])[0] == 0
     assert inputs == [(2, 20)]  # (test trajectories, m)
+
+
+def test_bayes_members_are_streamed(workdir_copy, monkeypatch, capsys):
+    """While `predict --which bayes` runs, at most two members' weights are alive."""
+    refs, alive = [], []
+    load = cli.load_checkpoint
+
+    def tracked(path):
+        params, meta = load(path)
+        refs.append([weakref.ref(a) for a in params.values()])
+        alive.append(sum(any(r() is not None for r in member) for member in refs))
+        return params, meta
+
+    monkeypatch.setattr(cli, "load_checkpoint", tracked)
+    assert run(capsys, workdir_copy, "predict", "--which", "bayes")[0] == 0
+    assert len(refs) == 3
+    assert max(alive) <= 2, alive

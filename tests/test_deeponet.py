@@ -283,3 +283,17 @@ def test_predict_rejects_empty_and_prob_ensembles():
                     [init(CFG, "vanilla", 0), init(CFG, "prob", 1)]):
         with pytest.raises(ValueError):
             predict(members, CFG, np.ones(10), [2.5])
+
+
+def test_members_may_be_any_iterable():
+    """A generator of members gives the bits of the same members in a list."""
+    members = [init(CFG, "vanilla", s) for s in range(4)]
+    rng = np.random.default_rng(21)
+    U = rng.uniform(0.8, 1.1, (3, 10))
+    ys = np.linspace(2.1, 9.0, 11)
+    want = predict(members, CFG, U, ys)
+    got = predict((p for p in members), CFG, U, ys)
+    for w, g in zip(want, got):
+        assert w.tobytes() == g.tobytes()
+    one = predict(iter(members[:1]), CFG, U, ys)
+    assert one[0].tobytes() == curve(members[0], U, ys).tobytes() and one[1] is None

@@ -183,3 +183,15 @@ def test_gradients_match_finite_differences_end_to_end():
             fd = (lp - lm) / (2 * h)
             g = grads[name].ravel()[idx]
             assert abs(g - fd) / max(abs(fd), 1e-10) < 1e-4, (name, idx)
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_array_input_runs_the_same_ops_off_the_tape(depth):
+    """An array input gives the tape's bits, and records nothing."""
+    cfg = MlpConfig(input_dim=4, width=9, depth=depth, output_dim=3)
+    params = glorot_init(param_shapes(cfg), 11 + depth)
+    x = np.random.default_rng(13).standard_normal((6, 4))
+    on_tape = forward(params, T.Tensor(x), cfg)
+    off_tape = forward(params, x, cfg)
+    assert type(off_tape) is np.ndarray
+    assert off_tape.tobytes() == on_tape.data.tobytes()
