@@ -3,6 +3,7 @@ minibatch unbiasedness by subset enumeration, the update order of the chain,
 injected-noise statistics recovered from positions alone, and a conjugate
 Gaussian posterior with a closed form."""
 
+import hashlib
 import itertools
 import math
 
@@ -221,6 +222,24 @@ def test_run_is_deterministic():
             assert np.array_equal(ma[k], mb[k])
     assert trace_a == trace_b
     assert all(np.isfinite(v) for v in trace_a.values())
+
+
+def test_run_bytes_are_pinned():
+    # members and trace of a 3-outer-iteration chain on minibatches of 5 of
+    # 7 rows, with noise: any change to the gradient's or the update's
+    # arithmetic, or to the draw order, moves the digest
+    batch = make_batch(np.random.default_rng(22), 7)
+    bc = unit_bc(sigma_l=0.1, prior_lambda=0.5, eps_t=1e-4, C=10.0, B_hat=1.0, n_outer=3,
+                 burn_in=0, thinning=1, M=3, m_inner=4, batch_size=5, trace_every=1, seed=6)
+    members, trace = sghmc_run(init(CFG, "vanilla", seed=8), CFG, batch, bc)
+    h = hashlib.sha256()
+    for member in members:
+        for name, a in member.items():
+            h.update(name.encode())
+            h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(np.array([list(trace), list(trace.values())], dtype="<f8").tobytes())
+    assert (len(members), sorted(trace)) == (3, [1, 2, 3])
+    assert h.hexdigest() == "6bdfb5fff45c0ccff63229785fe024fc9858a6eec99ad99c0aae7d6247d361b1"
 
 
 # conjugate Gaussian benchmark: data z_i ~ N(theta, sigma_l^2) with prior

@@ -141,6 +141,45 @@ def test_gradient_bytes_are_pinned(kind, digest):
     assert h.hexdigest() == digest
 
 
+def digest(arrays: dict, *floats) -> str:
+    """sha256 over names and float64 bytes of arrays, then the floats' bytes."""
+    h = hashlib.sha256()
+    for name, a in arrays.items():
+        h.update(name.encode())
+        h.update(np.ascontiguousarray(a, dtype="<f8").tobytes())
+    h.update(np.asarray(floats, dtype="<f8").tobytes())
+    return h.hexdigest()
+
+
+@pytest.mark.parametrize("kind, depth, want", [
+    ("vanilla", 1, "6246ad874108d974b2f675979aaa8c0787bae01611c9547c119640703702681f"),
+    ("vanilla", 3, "4d313640be087e12994ea8b5a20a85bb55507f091e07db95a1586bf45ff03af6"),
+    ("prob", 1, "a84fed3d18588c42b8fe82d47beb595849c4e83ed35ced4c0799476a1e6aa817"),
+    ("prob", 3, "0eee0a58f8a947113cc70c0b4ad20e5b41e12ebca160841646279116ba7ad98b"),
+])
+def test_gradient_bytes_pinned_on_duplicated_rows(kind, depth, want):
+    # rows that share an input function, as a trajectory's queries do; the
+    # loss and every gradient keep the tape's arithmetic and summation order
+    cfg = DeepOnetConfig(m=20, q=8, width=8, depth=depth)
+    U, Y, G = make_batch(np.random.default_rng(1), 7, m=cfg.m)
+    loss, grads = loss_and_grads(init(cfg, kind, seed=depth), cfg, U[[0, 1, 1, 2, 0, 3, 3]], Y, G)
+    assert digest(grads, loss) == want
+
+
+@pytest.mark.parametrize("kind, want", [
+    ("vanilla", "78055ff9c6a81fcc7a718319340b29d7ccbdc304ec420960aa8f9419993d8129"),
+    ("prob", "aae3e4e02f7f7e5b96c280e1858822571aa2e56c13ef3e9fdbc1fa789a0875b9"),
+])
+def test_fit_bytes_pinned_with_a_partial_batch(kind, want):
+    # 11 rows in batches of 4 end every epoch on a 3-row batch; at this rate
+    # the loss stalls, so patience 1 halves the rate within the run, and the
+    # prob net's best epoch is not its last
+    config = TrainConfig(epochs=6, batch_size=4, lr=0.1, patience=1, seed=3)
+    best, hist = fit(init(CFG, kind, seed=5), CFG, make_batch(np.random.default_rng(30), 11),
+                     config)
+    assert digest(best, *(h[k] for h in hist for k in ("train_loss", "lr"))) == want
+
+
 def test_adam_zero_gradient_is_identity():
     params = {"w": np.array([[1.0, -2.0]])}
     state = init_adam(params, lr=0.1)
