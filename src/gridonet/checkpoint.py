@@ -41,12 +41,15 @@ def flatten(params: dict) -> tuple[list[tuple[str, tuple[int, ...]]], np.ndarray
     return layout, (np.concatenate(chunks) if chunks else np.zeros(0))
 
 
-def unflatten(layout, vector: np.ndarray) -> dict[str, np.ndarray]:
+def unflatten(layout, vector: np.ndarray, copy: bool = True) -> dict[str, np.ndarray]:
+    """The parameters of a flat vector by layout: copies, or with `copy`
+    False views that follow every later write to the vector."""
     out = {}
     pos = 0
     for name, shape in layout:
         n = math.prod(shape)
-        out[name] = np.asarray(vector[pos : pos + n], dtype=np.float64).reshape(shape).copy()
+        a = np.asarray(vector[pos : pos + n], dtype=np.float64).reshape(shape)
+        out[name] = a.copy() if copy else a
         pos += n
     if pos != vector.size:
         raise ValueError(f"layout covers {pos} values but vector has {vector.size}")
@@ -67,6 +70,12 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
         f.write(vector.astype("<f8", copy=False))
 
 
+def _shape(dims) -> tuple[int, ...]:
+    if not isinstance(dims, list) or any(type(d) is not int or d < 0 for d in dims):
+        raise ValueError(f"shape {dims!r} is not a list of non-negative ints")
+    return tuple(dims)
+
+
 def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
     with open(path, "rb") as f:
         line = f.readline(64)
@@ -75,7 +84,7 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
             raise CheckpointError(f"{path}: not a checkpoint file: bad header {line[:16]!r}")
         try:
             manifest = json.loads(f.read(int(header[1])))
-            entries = [(e["name"], tuple(e["shape"]), e["offset"]) for e in manifest["params"]]
+            entries = [(e["name"], _shape(e["shape"]), e["offset"]) for e in manifest["params"]]
             meta = manifest.get("meta", {})
             if not isinstance(meta, dict):
                 raise TypeError(f"meta is a {type(meta).__name__}, not an object")

@@ -13,6 +13,12 @@ net's parameters: `out` and `tau_o` for a vanilla net; `mu`, `ls`, `tau_o_mu`
 and `tau_o_ls` for a probabilistic one. Everything else reads the kind from
 the parameter names.
 
+Training runs the paired pass, row i of U with row i of Y: `forward_batch`,
+then `loss_and_grad`'s explicit backward of the summed loss (squared
+residuals, or the Gaussian NLL), in a caller-owned `Workspace` that also
+holds the flat gradient in checkpoint order. The backward keeps the op order
+of a reverse-mode tape, so its gradients are the tape's bit for bit.
+
 `predict(members, ...)` covers the three models and returns (mean, std):
 
 * one vanilla net: its curve, and std None;
@@ -22,9 +28,10 @@ the parameter names.
 
 Input functions lie on the last axis: an (m,) input gives (k,) curves at k
 query times, and an (n, m) input gives (n, k) curves, one row per input.
-Each net runs its branch and its trunk once per call, whatever n is, off the
-tape. `members` may be any iterable, such as one that reads each member as it
-is taken: predict keeps the members' curves, M * n * k floats, not weights.
+Each net runs its branch and its trunk once per call, whatever n is, in
+buffers that one call allocates and every member reuses. `members` may be
+any iterable, such as one that reads each member as it is taken: predict
+keeps the members' curves, M * n * k floats, not weights.
 """
 
 from __future__ import annotations
@@ -33,16 +40,21 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import tensor as T
-from .mlp import MlpConfig, glorot_init, head, hidden, param_shapes
+from . import mlp
+from .checkpoint import unflatten
+from .mlp import MlpConfig, glorot_init, head, head_backward, hidden, hidden_backward, param_shapes
 
 __all__ = [
+    "NumericError",
     "DeepOnetConfig",
     "LOGSIG_LO",
     "LOGSIG_HI",
+    "LOG_2PI",
+    "Workspace",
     "layout",
     "init",
     "forward_batch",
+    "loss_and_grad",
     "predict",
 ]
 
@@ -50,9 +62,14 @@ __all__ = [
 # [4.5e-5, 20] pu, far outside any physical voltage band
 LOGSIG_LO = -10.0
 LOGSIG_HI = 3.0
+LOG_2PI = float(np.log(2.0 * np.pi))
 
 # (head stem, output bias) per net kind, in checkpoint order
 _HEADS = {"vanilla": (("out", "tau_o"),), "prob": (("mu", "tau_o_mu"), ("ls", "tau_o_ls"))}
+
+
+class NumericError(ValueError):
+    """A pass produced (or would produce) non-finite values."""
 
 
 @dataclass(frozen=True)
@@ -92,31 +109,110 @@ def init(cfg: DeepOnetConfig, kind: str, seed) -> dict[str, np.ndarray]:
     return glorot_init(layout(cfg, kind), seed)
 
 
+class Workspace:
+    """The buffers of a net's paired passes over n rows, allocated once by
+    the caller and overwritten by every pass that is given them: the two
+    sub-nets' (`mlp.Workspace`) and the inner products; with `grad`, also
+    the gathered batch (`take`) and the gradient: one flat vector `grad` in
+    the order of params, which `grads` views by name, and a `scratch` dict
+    of the same shapes."""
+
+    def __init__(self, cfg: DeepOnetConfig, params: dict, n: int, grad: bool = True):
+        heads = len(_heads(params))
+        self.branch = mlp.Workspace(cfg.branch, n, grad, heads)
+        self.trunk = mlp.Workspace(cfg.trunk, n, grad, heads)
+        self.prod = np.empty((n, cfg.q))
+        self.cols = list(np.empty((heads, n, 1)))
+        self.ls = np.empty((n, 1))  # the clamped log-sigma column
+        if grad:
+            self.rows = (np.empty((n, cfg.m)), np.empty((n, 1)), np.empty((n, 1)))
+            self.grad = np.empty(sum(np.size(a) for a in params.values()))
+            shapes = [(k, np.shape(a)) for k, a in params.items()]
+            self.grads = unflatten(shapes, self.grad, copy=False)
+            self.scratch = unflatten(shapes, np.empty_like(self.grad), copy=False)
+
+    def take(self, data, idx):
+        """Rows idx of the (U, Y, G) data, gathered into this workspace."""
+        return tuple(np.take(a, idx, axis=0, out=b, mode="clip") for a, b in zip(data, self.rows))
+
+
+def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y, ws: Workspace | None = None):
+    """Paired evaluation, row i of U with row i of Y, in ws's buffers (a
+    fresh forward-only workspace if None).
+
+    Returns (mu, log_sigma) as (n, 1) buffers of ws; log_sigma is clamped,
+    and is None for a vanilla net.
+    """
+    U, Y = np.ascontiguousarray(U, dtype=float), np.ascontiguousarray(Y, dtype=float)
+    ws = ws or Workspace(cfg, params, len(U), grad=False)
+    bh = hidden(params, U, cfg.branch, "b_", ws.branch)
+    th = hidden(params, Y, cfg.trunk, "t_", ws.trunk)
+    with np.errstate(over="ignore", invalid="ignore"):
+        for i, (stem, tau) in enumerate(_heads(params)):
+            hb = head(params, bh, "b_", stem, ws.branch.out[i])
+            ht = head(params, th, "t_", stem, ws.trunk.out[i])
+            np.sum(np.multiply(hb, ht, out=ws.prod), axis=1, keepdims=True, out=ws.cols[i])
+            ws.cols[i] += params[tau]
+        if len(ws.cols) == 1:
+            return ws.cols[0], None
+        return ws.cols[0], np.clip(ws.cols[1], LOGSIG_LO, LOGSIG_HI, out=ws.ls)
+
+
+def loss_and_grad(params: dict, cfg: DeepOnetConfig, U, Y, G, coef: float, ws: Workspace):
+    """coef times the loss summed over the rows, squared residuals for a
+    vanilla net and Gaussian NLL for a prob net, and its gradient: returns
+    (loss, ws.grad), the gradient written into ws (a `grad` workspace).
+
+    Raises NumericError if exp(-2 log_sigma) is not finite.
+    """
+    U, Y, G = (np.ascontiguousarray(a, dtype=float) for a in (U, Y, G))
+    heads = _heads(params)
+    with np.errstate(over="ignore", invalid="ignore", divide="ignore"):
+        mu, ls = forward_batch(params, cfg, U, Y, ws)
+        r = mu - G
+        sq = np.square(r)
+        if ls is None:
+            loss = float(np.sum(sq)) * coef
+            douts = [(2.0 * coef) * r]
+        else:
+            e = np.exp(ls * -2.0)
+            if not np.all(np.isfinite(e)):
+                raise NumericError("exp produced non-finite values")
+            # 0.5 r^2 / sigma^2 + 0.5 log(2 pi sigma^2), with sigma = exp(ls)
+            loss = float(np.sum(sq * e * 0.5 + ls + 0.5 * LOG_2PI)) * coef
+            half = coef * 0.5
+            dsq = half * e
+            dls = coef + (half * sq) * e * -2.0
+            # the clamp passes the gradient on [lo, hi] and stops it outside
+            raw = ws.cols[1]
+            douts = [(2.0 * dsq) * r, dls * ((raw >= LOGSIG_LO) & (raw <= LOGSIG_HI))]
+        bws, tws, grads = ws.branch, ws.trunk, ws.grads
+        for i in reversed(range(len(heads))):
+            stem, tau = heads[i]
+            g = douts[i]
+            grads[tau][...] = g if g.shape == (1, 1) else np.sum(g)
+            np.multiply(g, tws.out[i], out=bws.dout)
+            np.multiply(g, bws.out[i], out=tws.dout)
+            head_backward(params, tws.h[-1], "t_", stem, tws, grads, add=i < len(heads) - 1)
+            head_backward(params, bws.h[-1], "b_", stem, bws, grads, add=i < len(heads) - 1)
+        hidden_backward(params, Y, cfg.trunk, "t_", tws, grads)
+        hidden_backward(params, U, cfg.branch, "b_", bws, grads)
+    return loss, ws.grad
+
+
 def _heads(params: dict):
     """(stem, output bias) per head: `out` alone, or mu then log-sigma."""
     return _HEADS["vanilla" if "tau_o" in params else "prob"]
 
 
-def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y):
-    """Paired evaluation, row i of U with row i of Y, on the tape if they are
-    Tensors (training), else with its sub-nets off it (`sghmc`'s potential).
-
-    Returns (mu, log_sigma) as (B, 1) Tensors; log_sigma is clamped, and is
-    None for a vanilla net.
-    """
-    bh = hidden(params, U, cfg.branch, "b_")
-    th = hidden(params, Y, cfg.trunk, "t_")
-    out = [T.sum_rows(head(params, bh, "b_", stem) * head(params, th, "t_", stem)) + params[tau]
-           for stem, tau in _heads(params)]
-    return out[0], (T.clip(out[1], LOGSIG_LO, LOGSIG_HI) if len(out) == 2 else None)
-
-
-def _curves(params: dict, cfg: DeepOnetConfig, u, y) -> list[np.ndarray]:
+def _curves(params: dict, cfg: DeepOnetConfig, u, y, spaces) -> list[np.ndarray]:
     """Each head's (n, k) values for the n rows of u at the query column y
-    (log-sigma clamped); the branch and the trunk run once, off the tape."""
-    bh = hidden(params, u, cfg.branch, "b_")  # (n, width)
-    th = hidden(params, y, cfg.trunk, "t_")  # (k, width)
-    out = [head(params, th, "t_", stem) @ np.ascontiguousarray(head(params, bh, "b_", stem).T)
+    (log-sigma clamped); the branch and the trunk run once, in `spaces`."""
+    bws, tws = spaces
+    bh = hidden(params, u, cfg.branch, "b_", bws)  # (n, width)
+    th = hidden(params, y, cfg.trunk, "t_", tws)  # (k, width)
+    out = [head(params, th, "t_", stem, tws.out[0])
+           @ np.ascontiguousarray(head(params, bh, "b_", stem, bws.out[0]).T)
            + float(np.asarray(params[tau]).item()) for stem, tau in _heads(params)]
     if len(out) == 2:
         out[1] = np.clip(out[1], LOGSIG_LO, LOGSIG_HI)
@@ -132,11 +228,13 @@ def predict(members, cfg: DeepOnetConfig, u_disc, ys):
     u = np.ascontiguousarray(u_disc.reshape(-1, u_disc.shape[-1]))
     y = np.ascontiguousarray(np.asarray(ys, dtype=float).reshape(-1, 1))
     if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-        raise T.NumericError("non-finite network input")
+        raise NumericError("non-finite network input")
     if u.shape[1] != cfg.m:
         raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
     shape = u_disc.shape[:-1] + (len(y),)
-    curves = [[c.reshape(shape) for c in _curves(p, cfg, u, y)] for p in members]
+    spaces = (mlp.Workspace(cfg.branch, len(u), grad=False),
+              mlp.Workspace(cfg.trunk, len(y), grad=False))
+    curves = [[c.reshape(shape) for c in _curves(p, cfg, u, y, spaces)] for p in members]
     if len(curves) == 1:
         return curves[0][0], (np.exp(curves[0][1]) if len(curves[0]) == 2 else None)
     if not curves or any(len(c) != 1 for c in curves):

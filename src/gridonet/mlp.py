@@ -9,23 +9,25 @@ Two encoders U and V are mixed through d update gates:
 
 The first gate maps from the raw input, so Wz_1 is (input_dim, width) and the
 remaining gate weights are (width, width). Activation is plain sin throughout;
-the final layer is linear. A Tensor input runs `hidden` and `head` on the
-tape; an array runs the same ops in numpy, unrecorded, to the same bits.
+the final layer is linear.
+
+`hidden` and `head` are the package's one forward pass, and `hidden_backward`
+and `head_backward` its gradient, written out for this fixed shape. They run
+in a caller-owned `Workspace` of n-row buffers, so a pass allocates no
+(n, width) array. Each op and each sum keeps the order a reverse-mode tape
+of these ops takes: dU and dV sum layer d first, and dZ = g*V + (-(g*U)).
+The gradients are therefore the tape's bit for bit; the tests keep such a
+tape as the oracle.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from types import SimpleNamespace
 
 import numpy as np
 
-from . import tensor as T
-
-__all__ = ["MlpConfig", "glorot_init", "param_shapes"]
-
-# numpy's primitives under the names of the tape's
-_NUMPY = SimpleNamespace(matmul=np.matmul, add_bias=np.add, sin=np.sin)
+__all__ = ["MlpConfig", "Workspace", "glorot_init", "param_shapes", "hidden", "head",
+           "hidden_backward", "head_backward"]
 
 
 @dataclass(frozen=True)
@@ -75,24 +77,111 @@ def glorot_init(shapes: dict[str, tuple[int, int]], seed) -> dict[str, np.ndarra
     return params
 
 
-def hidden(params: dict, x, cfg: MlpConfig, prefix: str = ""):
-    """Gated recurrence up to H^(d+1), before the final linear layer."""
-    ops = T if isinstance(x, T.Tensor) else _NUMPY
+class Workspace:
+    """The buffers of one sub-net's passes over n rows, allocated once and
+    overwritten by every pass that is given them.
 
-    def lin(v, stem):
-        return ops.add_bias(ops.matmul(v, params[f"{prefix}{stem}_w"]), params[f"{prefix}{stem}_b"])
+    With `grad`, the forward keeps what the backward reads: the encoders'
+    pre-activations, U and V, and each gate's pre-activation, Z, 1-Z and H;
+    the backward has its own adjoint buffers. Without, every gate reuses one
+    set and each sin overwrites its pre-activation. `out` holds one (n,
+    output_dim) buffer per head and `dout` the adjoint of the head being
+    differentiated; `dh` is the adjoint of H^(d+1).
+    """
 
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values flow, as on the tape
-        u = ops.sin(lin(x, "u"))
-        v = ops.sin(lin(x, "v"))
+    def __init__(self, cfg: MlpConfig, n: int, grad: bool = True, heads: int = 1):
+        gates = cfg.depth if grad else 1
+        block = iter(np.empty((4 * gates + (9 if grad else 1), n, cfg.width)))
+        self.u, self.v = next(block), next(block)
+        self.z = [next(block) for _ in range(gates)]
+        self.a = [next(block) for _ in range(gates)]
+        self.h = [next(block) for _ in range(gates)]
+        if grad:
+            self.pre_u, self.pre_v = next(block), next(block)
+            self.pre = [next(block) for _ in range(gates)]
+            self.dh, self.dz, self.du, self.dv, self.tmp = block
+            self.zv = self.tmp  # Z*V, the forward's one scratch
+        else:
+            self.pre_u, self.pre_v, self.pre, self.zv = self.u, self.v, self.z, self.z[0]
+        self.out = list(np.empty((heads, n, cfg.output_dim)))
+        self.dout = np.empty((n, cfg.output_dim)) if grad else None
+
+
+def _sin_layer(params, h, w, b, pre, out):
+    np.matmul(h, params[w], out=pre)
+    np.add(pre, params[b], out=pre)
+    return np.sin(pre, out=out)
+
+
+def hidden(params: dict, x, cfg: MlpConfig, prefix: str = "", ws: Workspace | None = None):
+    """Gated recurrence up to H^(d+1), before the final linear layer, on the
+    rows of x, in ws's buffers (a fresh forward-only workspace if None).
+    Returns a buffer of ws."""
+    ws = ws or Workspace(cfg, len(x), grad=False)
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values flow
+        u = _sin_layer(params, x, f"{prefix}u_w", f"{prefix}u_b", ws.pre_u, ws.u)
+        v = _sin_layer(params, x, f"{prefix}v_w", f"{prefix}v_b", ws.pre_v, ws.v)
         h = x
-        for l in range(1, cfg.depth + 1):
-            z = ops.sin(lin(h, f"z{l}"))
-            h = (1.0 - z) * u + z * v
+        for l in range(cfg.depth):
+            i = l % len(ws.z)
+            z = _sin_layer(params, h, f"{prefix}z{l + 1}_w", f"{prefix}z{l + 1}_b",
+                           ws.pre[i], ws.z[i])
+            a = np.subtract(1.0, z, out=ws.a[i])
+            h = np.multiply(a, u, out=ws.h[i])
+            h += np.multiply(z, v, out=ws.zv)
     return h
 
 
-def head(params: dict, h, prefix: str = "", stem: str = "out"):
-    """Final linear layer applied to a hidden state."""
-    ops = T if isinstance(h, T.Tensor) else _NUMPY
-    return ops.add_bias(ops.matmul(h, params[f"{prefix}{stem}_w"]), params[f"{prefix}{stem}_b"])
+def head(params: dict, h, prefix: str = "", stem: str = "out", out=None):
+    """Final linear layer applied to a hidden state, into `out` if given."""
+    out = np.matmul(h, params[f"{prefix}{stem}_w"], out=out)
+    return np.add(out, params[f"{prefix}{stem}_b"], out=out)
+
+
+def head_backward(params: dict, h, prefix: str, stem: str, ws: Workspace, grads: dict,
+                  add: bool = False) -> None:
+    """Gradients of `head` on hidden state h, given ws.dout = dL/d(output):
+    the layer's into grads (in place), and dL/dh into ws.dh, or added to it
+    when `add` (a second head on the same h)."""
+    w = params[f"{prefix}{stem}_w"]
+    np.sum(ws.dout, axis=0, keepdims=True, out=grads[f"{prefix}{stem}_b"])
+    if add:
+        ws.dh += np.matmul(ws.dout, w.T, out=ws.tmp)
+    else:
+        np.matmul(ws.dout, w.T, out=ws.dh)
+    np.matmul(h.T, ws.dout, out=grads[f"{prefix}{stem}_w"])
+
+
+def _sin_layer_backward(params, h, w, b, pre, d, grads, tmp, dh=None):
+    """d = dL/d sin(h W + b) becomes dL/d(pre-activation); the layer's
+    gradients go into grads and dL/dh into dh, if given."""
+    d *= np.cos(pre, out=tmp)
+    np.sum(d, axis=0, keepdims=True, out=grads[b])
+    if dh is not None:
+        np.matmul(d, params[w].T, out=dh)
+    np.matmul(h.T, d, out=grads[w])
+
+
+def hidden_backward(params: dict, x, cfg: MlpConfig, prefix: str, ws: Workspace,
+                    grads: dict) -> None:
+    """Gradients of the parameters of `hidden`, from its last pass over x in
+    ws (a `grad` workspace), given ws.dh = dL/dH^(d+1); each is written into
+    grads[name] in place. ws.dh is overwritten."""
+    g, dz, du, dv, tmp = ws.dh, ws.dz, ws.du, ws.dv, ws.tmp
+    with np.errstate(over="ignore", invalid="ignore"):
+        for l in range(cfg.depth, 0, -1):
+            z, a = ws.z[l - 1], ws.a[l - 1]
+            if l == cfg.depth:
+                np.multiply(g, z, out=dv)
+                np.multiply(g, a, out=du)
+            else:
+                dv += np.multiply(g, z, out=tmp)
+                du += np.multiply(g, a, out=tmp)
+            np.multiply(g, ws.v, out=dz)
+            dz -= np.multiply(g, ws.u, out=tmp)
+            _sin_layer_backward(params, x if l == 1 else ws.h[l - 2], f"{prefix}z{l}_w",
+                                f"{prefix}z{l}_b", ws.pre[l - 1], dz, grads, tmp,
+                                g if l > 1 else None)
+        for stem, pre, d in (("v", ws.pre_v, dv), ("u", ws.pre_u, du)):
+            _sin_layer_backward(params, x, f"{prefix}{stem}_w", f"{prefix}{stem}_b", pre, d,
+                                grads, tmp)

@@ -16,6 +16,13 @@ potential is the Gaussian-likelihood negative log posterior
 
 and the minibatch estimate rescales the likelihood term by |D| / |batch|,
 leaving the prior term unscaled.
+
+`sghmc_run` moves theta and r in place as flat vectors in checkpoint order.
+Each inner step is one `grad_potential` call: the minibatch is gathered into
+one workspace, the likelihood gradient is written there by deeponet's
+explicit backward, and the prior term is added on the flat vector. The
+noise is drawn into a reused buffer. Every op keeps the order of the update
+above, so the members do not depend on these buffers.
 """
 
 from __future__ import annotations
@@ -26,8 +33,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import flatten, unflatten
-from .deeponet import DeepOnetConfig, forward_batch
-from .train import _loss_graph, _watch_all
+from .deeponet import DeepOnetConfig, Workspace, forward_batch, loss_and_grad
 
 __all__ = [
     "SamplerError",
@@ -97,27 +103,32 @@ def potential_energy(params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig) -
     U, Y, G = data
     if len(G) == 0:
         raise ValueError("data must be non-empty")
-    pred = forward_batch(params, cfg, U, Y)[0].data
+    pred = forward_batch(params, cfg, U, Y)[0]
     _, theta = flatten(params)
     return gaussian_potential(pred - G, theta, bc)
 
 
-def grad_potential(params: dict, cfg: DeepOnetConfig, U, Y, G, scale: float, bc: BayesConfig):
+def grad_potential(params: dict, cfg: DeepOnetConfig, U, Y, G, scale: float, bc: BayesConfig,
+                   ws: Workspace | None = None):
     """Gradient of the scaled likelihood term plus the (unscaled) prior, for a
-    vanilla net (squared residuals)."""
-    tape, tracked = _watch_all(params)
-    grads = tape.backward(_loss_graph(tracked, cfg, U, Y, G, scale / (2.0 * bc.sigma_l**2)))
-    for name in grads:
-        grads[name] = grads[name] + bc.prior_lambda * np.asarray(params[name], dtype=float)
-    return grads
+    vanilla net (squared residuals), by name: views of ws's flat gradient (a
+    fresh workspace's if None)."""
+    ws = ws or Workspace(cfg, params, len(G))
+    loss_and_grad(params, cfg, U, Y, G, scale / (2.0 * bc.sigma_l**2), ws)
+    for name, g in ws.grads.items():
+        g += np.multiply(params[name], bc.prior_lambda, out=ws.scratch[name])
+    return ws.grads
 
 
-def noisy_grad(params: dict, cfg: DeepOnetConfig, data, idx, bc: BayesConfig):
+def noisy_grad(params: dict, cfg: DeepOnetConfig, data, idx, bc: BayesConfig,
+               ws: Workspace | None = None):
     """Minibatch gradient estimate over rows idx of the (U, Y, G) data:
-    likelihood rescaled by |D| / |batch|."""
+    likelihood rescaled by |D| / |batch|. With ws, the rows are gathered into
+    it and the gradient is written there."""
     U, Y, G = data
     idx = np.asarray(idx)
-    return grad_potential(params, cfg, U[idx], Y[idx], G[idx], len(G) / idx.size, bc)
+    batch = ws.take(data, idx) if ws else (U[idx], Y[idx], G[idx])
+    return grad_potential(params, cfg, *batch, len(G) / idx.size, bc, ws)
 
 
 def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
@@ -130,21 +141,25 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
     """
     rng = np.random.default_rng([bc.seed, 3])
     theta = np.asarray(theta0, dtype=float).copy()
-    p = theta.size
+    r, step, drag = (np.empty_like(theta) for _ in range(3))
     eps = bc.eps_t
     noise_std = np.sqrt(2.0 * (bc.C - bc.B_hat) * eps)
     retained = deque(maxlen=bc.M)  # only the last M positions are ever returned
     trace = {}
     for k in range(1, bc.n_outer + 1):
-        r = rng.standard_normal(p)
+        rng.standard_normal(out=r)
         # divergence surfaces through the finiteness check, not warnings
         with np.errstate(over="ignore", invalid="ignore"):
             for _ in range(bc.m_inner):
-                theta = theta + eps * r
+                theta += np.multiply(r, eps, out=step)
                 g = grad_fn(theta, rng)
-                r = r - eps * g - (eps * bc.C) * r
+                # r - eps g - (eps C) r, in that order, into r
+                np.multiply(g, eps, out=step)
+                np.multiply(r, eps * bc.C, out=drag)
+                r -= step
+                r -= drag
                 if noise_std > 0.0:
-                    r = r + noise_std * rng.standard_normal(p)
+                    r += np.multiply(rng.standard_normal(out=step), noise_std, out=step)
         if not np.all(np.isfinite(theta)):
             raise SamplerError(f"non-finite state at outer iteration {k}", iteration=k)
         if k > bc.burn_in and (k - bc.burn_in) % bc.thinning == 0:
@@ -158,19 +173,24 @@ def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig):
     """Sample operator-network weights starting from a trained checkpoint,
     on the (U, Y, G) training rows.
 
+    The chain moves one flat vector in place; each step gathers its
+    minibatch into one workspace, whose flat gradient the step reads.
+
     Returns (members, trace): M parameter dicts and the potential-energy
     trace over the chain.
     """
+    data = tuple(np.asarray(a, dtype=float) for a in data)
     n = len(data[2])
     layout, theta0 = flatten(init_params)
     b = min(bc.batch_size, n)
+    ws = Workspace(cfg, init_params, b)
 
     def grad_fn(theta, rng):
-        grads = noisy_grad(unflatten(layout, theta), cfg, data, rng.permutation(n)[:b], bc)
-        return np.concatenate([grads[name].ravel() for name, _ in layout])
+        noisy_grad(unflatten(layout, theta, copy=False), cfg, data, rng.permutation(n)[:b], bc, ws)
+        return ws.grad
 
     def diag_fn(theta):
-        return potential_energy(unflatten(layout, theta), cfg, data, bc)
+        return potential_energy(unflatten(layout, theta, copy=False), cfg, data, bc)
 
     members_flat, trace = sghmc_chain(grad_fn, theta0, bc, diag_fn=diag_fn)
-    return [unflatten(layout, th) for th in members_flat], trace
+    return [unflatten(layout, th, copy=False) for th in members_flat], trace

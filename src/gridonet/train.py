@@ -3,6 +3,11 @@
 The learning rate starts at 1e-4 and is multiplied by `factor` whenever the
 best training loss has not improved by a relative 1e-4 within `patience`
 epochs (floored at `min_lr`).
+
+Each step is one `loss_and_grads` call: deeponet's explicit forward and
+backward in a workspace kept for the batch size. The weights, Adam's moments
+and the gradient are flat vectors in checkpoint order, updated in place. The
+gradients are those of a reverse-mode tape over the same ops, bit for bit.
 """
 
 from __future__ import annotations
@@ -11,10 +16,11 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-from . import tensor as T
-from .deeponet import DeepOnetConfig, forward_batch
+from .checkpoint import flatten, unflatten
+from .deeponet import LOG_2PI, DeepOnetConfig, NumericError, Workspace, loss_and_grad
 
 __all__ = [
+    "LOG_2PI",
     "TrainingError",
     "TrainConfig",
     "AdamState",
@@ -25,7 +31,6 @@ __all__ = [
     "fit",
 ]
 
-LOG_2PI = float(np.log(2.0 * np.pi))
 REL_IMPROVE = 1e-4  # the plateau schedule's relative improvement threshold
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator guard
 
@@ -91,29 +96,14 @@ class PlateauSchedule:
         return self.lr
 
 
-def _watch_all(params: dict):
-    tape = T.Tape()
-    return tape, {k: tape.watch(k, v) for k, v in params.items()}
-
-
-def _loss_graph(tracked, cfg, U, Y, G, coef):
-    """coef times the summed loss: squared residuals for a vanilla net,
-    Gaussian NLL for a prob net (1/B gives the batch mean)."""
-    mu, ls = forward_batch(tracked, cfg, T.Tensor(U), T.Tensor(Y))
-    r = mu - T.Tensor(G)
-    if ls is None:
-        return T.sum_all(T.square(r)) * coef
-    # 0.5 r^2 / sigma^2 + 0.5 log(2 pi sigma^2), with sigma = exp(ls)
-    point = T.square(r) * T.exp(ls * -2.0) * 0.5 + ls + 0.5 * LOG_2PI
-    return T.sum_all(point) * coef
-
-
-def loss_and_grads(params: dict, cfg: DeepOnetConfig, U, Y, G):
+def loss_and_grads(params: dict, cfg: DeepOnetConfig, U, Y, G, ws: Workspace | None = None):
     """Batch-mean loss (MSE for a vanilla net, Gaussian NLL for a prob net)
-    and its gradients."""
-    tape, tracked = _watch_all(params)
-    loss = _loss_graph(tracked, cfg, U, Y, G, 1.0 / len(G))
-    return loss.item(), tape.backward(loss)
+    and its gradients by name. They are views of ws's flat gradient, which
+    the next pass in ws overwrites; without ws they are a fresh workspace's,
+    and nothing else holds them."""
+    ws = ws or Workspace(cfg, params, len(G))
+    loss, _ = loss_and_grad(params, cfg, U, Y, G, 1.0 / len(G), ws)
+    return loss, ws.grads
 
 
 @dataclass
@@ -131,21 +121,40 @@ def init_adam(params: dict, lr: float) -> AdamState:
     return st
 
 
-def adam_step(state: AdamState, params: dict, grads: dict):
-    """One bias-corrected Adam update; returns (state, new params)."""
-    state.t += 1
-    c1 = 1.0 - BETA1 ** state.t
-    c2 = 1.0 - BETA2 ** state.t
-    out = {}
-    for name in params:
-        g = grads[name]
+def _check_finite(grads: dict) -> None:
+    for name, g in grads.items():
         if not np.all(np.isfinite(g)):
             raise TrainingError(f"non-finite gradient for {name!r}", param=name)
-        state.m[name] = BETA1 * state.m[name] + (1.0 - BETA1) * g
-        state.v[name] = BETA2 * state.v[name] + (1.0 - BETA2) * g * g
-        mhat = state.m[name] / c1
-        vhat = state.v[name] / c2
-        out[name] = params[name] - state.lr * mhat / (np.sqrt(vhat) + ADAM_EPS)
+
+
+def _adam_update(state: AdamState, p, g, m, v, tmp, step) -> None:
+    """Moments m, v and position p after Adam's step state.t, in place; tmp
+    and step are scratch arrays of p's shape."""
+    m *= BETA1
+    m += np.multiply(g, 1.0 - BETA1, out=tmp)
+    v *= BETA2
+    np.multiply(g, 1.0 - BETA2, out=tmp)
+    tmp *= g
+    v += tmp
+    np.divide(v, 1.0 - BETA2 ** state.t, out=tmp)
+    np.sqrt(tmp, out=tmp)
+    tmp += ADAM_EPS
+    np.divide(m, 1.0 - BETA1 ** state.t, out=step)
+    step *= state.lr
+    step /= tmp
+    p -= step
+
+
+def adam_step(state: AdamState, params: dict, grads: dict):
+    """One bias-corrected Adam update; returns (state, new params). A
+    non-finite gradient raises TrainingError naming its parameter."""
+    _check_finite(grads)
+    state.t += 1
+    out = {}
+    for name, p in params.items():
+        out[name] = np.array(p, dtype=float)
+        _adam_update(state, out[name], grads[name], state.m[name], state.v[name],
+                     np.empty_like(out[name]), np.empty_like(out[name]))
     return state, out
 
 
@@ -153,36 +162,49 @@ def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
     """Minibatch Adam over shuffled epochs of the (U, Y, G) training rows, on
     the loss of the net's heads.
 
+    The weights, the Adam moments and the gradient are each one flat vector
+    in checkpoint order, updated in place; each batch size gets one
+    workspace, and the batch rows are gathered into it.
+
     Returns (best_params, history) where history rows are dicts with keys
     epoch, train_loss, lr. Best = lowest epoch training loss.
     """
-    U, Y, G = data
-    n = len(G)
+    data = tuple(np.asarray(a, dtype=float) for a in data)
+    n = len(data[2])
     if n == 0:
         raise ValueError("no training samples")
-    params = {k: np.asarray(v, dtype=float).copy() for k, v in params.items()}
-    state = init_adam(params, config.lr)
+    layout, theta = flatten(params)
+    params = unflatten(layout, theta, copy=False)
+    state = AdamState(lr=config.lr)
+    m, v, tmp, step = (np.zeros_like(theta) for _ in range(4))
+    spaces = {}  # batch size -> workspace
     sched = PlateauSchedule(config.lr, config.patience, config.factor, config.min_lr)
     history = []
     best_loss = np.inf
-    best_params = {k: v.copy() for k, v in params.items()}
+    best = theta.copy()
     for epoch in range(config.epochs):
         perm = np.random.default_rng([config.seed, 2, epoch]).permutation(n)
         total = 0.0
         for lo in range(0, n, config.batch_size):
             idx = perm[lo : lo + config.batch_size]
+            ws = spaces.get(len(idx))
+            if ws is None:
+                ws = spaces[len(idx)] = Workspace(cfg, params, len(idx))
             try:
-                loss, grads = loss_and_grads(params, cfg, U[idx], Y[idx], G[idx])
-            except T.NumericError as e:
+                loss, grads = loss_and_grads(params, cfg, *ws.take(data, idx), ws)
+            except NumericError as e:
                 raise TrainingError(f"numeric failure at epoch {epoch}: {e}", history=history)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}", history=history)
-            state, params = adam_step(state, params, grads)
+            if not np.all(np.isfinite(ws.grad)):
+                _check_finite(grads)
+            state.t += 1
+            _adam_update(state, theta, ws.grad, m, v, tmp, step)
             total += loss * len(idx)
         train_loss = total / n
         state.lr = sched.observe(train_loss)
         history.append({"epoch": epoch, "train_loss": train_loss, "lr": state.lr})
         if train_loss < best_loss:
             best_loss = train_loss
-            best_params = {k: v.copy() for k, v in params.items()}
-    return best_params, history
+            best[...] = theta
+    return unflatten(layout, best), history

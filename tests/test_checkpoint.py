@@ -98,6 +98,24 @@ def test_corrupt_container_rejected(tmp_path, corrupt):
         load_checkpoint(path)
 
 
+def with_manifest(raw: bytes, old: bytes, new: bytes) -> bytes:
+    """raw with old replaced by new inside the manifest, its length fixed up."""
+    header, rest = raw.split(b"\n", 1)
+    n = int(header.split()[1])
+    manifest = rest[:n].replace(old, new)
+    return b"GONC1 %d\n" % len(manifest) + manifest + rest[n:]
+
+
+@pytest.mark.parametrize("shape", [b'[2,"3"]', b"[-2,3]", b"[true,3]", b"6"],
+                         ids=["str", "negative", "bool", "not-a-list"])
+def test_bad_shape_rejected(tmp_path, shape):
+    path = tmp_path / "c.ckpt"
+    save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})
+    path.write_bytes(with_manifest(path.read_bytes(), b"[2,3]", shape))
+    with pytest.raises(CheckpointError, match="not a list of non-negative ints"):
+        load_checkpoint(path)
+
+
 def test_params_are_views_of_one_blob(tmp_path):
     params = init(DeepOnetConfig(m=6, q=4, width=5, depth=2), "vanilla", 1)
     path = tmp_path / "p.ckpt"

@@ -85,7 +85,7 @@ def test_zero_branch_gives_tau_o():
 
 def features(p, x, cfg, prefix):
     """One sub-net's output features for the rows of `x`."""
-    return mlp.head(p, mlp.hidden(p, T.Tensor(x), cfg, prefix), prefix).data
+    return mlp.head(p, mlp.hidden(p, x, cfg, prefix), prefix)
 
 
 def test_basis_selection_case():
@@ -130,9 +130,9 @@ def test_forward_batch_agrees_with_predict():
     rng = np.random.default_rng(7)
     U = rng.uniform(0.9, 1.05, (4, 10))
     Y = rng.uniform(2.0, 9.0, (4, 1))
-    mu, log_sigma = forward_batch(p, CFG, T.Tensor(U), T.Tensor(Y))
+    mu, log_sigma = forward_batch(p, CFG, U, Y)
     assert log_sigma is None
-    batch = mu.data.ravel()
+    batch = mu.ravel()
     single = np.array([curve(p, U[i], [Y[i, 0]])[0] for i in range(4)])
     assert np.max(np.abs(batch - single)) < 1e-12
     # a batched predict: row i is the curve of input row i alone
@@ -146,9 +146,9 @@ def test_branch_evaluated_once_per_input(monkeypatch):
     calls = {"branch": 0, "trunk": 0}
     orig = mlp.hidden
 
-    def counting(params, x, cfg, prefix=""):
+    def counting(params, x, cfg, prefix="", ws=None):
         calls["branch" if prefix == "b_" else "trunk"] += 1
-        return orig(params, x, cfg, prefix)
+        return orig(params, x, cfg, prefix, ws)
 
     monkeypatch.setattr(mlp, "hidden", counting)
     monkeypatch.setattr("gridonet.deeponet.hidden", counting)
@@ -219,11 +219,11 @@ def test_prob_forward_batch_matches_predict():
     rng = np.random.default_rng(17)
     U = rng.uniform(0.9, 1.1, (3, 10))
     Y = rng.uniform(2.1, 9.0, (3, 1))
-    mu_t, ls_t = forward_batch(pp, CFG, T.Tensor(U), T.Tensor(Y))
+    mu_t, ls_t = forward_batch(pp, CFG, U, Y)
     for i in range(3):
         mu, sigma = predict([pp], CFG, U[i], [Y[i, 0]])
-        assert abs(mu_t.data[i, 0] - mu[0]) < 1e-12
-        assert abs(np.exp(ls_t.data[i, 0]) - sigma[0]) < 1e-12
+        assert abs(mu_t[i, 0] - mu[0]) < 1e-12
+        assert abs(np.exp(ls_t[i, 0]) - sigma[0]) < 1e-12
     ys = np.linspace(2.1, 9.0, 7)
     mu_rows, sigma_rows = predict([pp], CFG, U, ys)
     assert mu_rows.shape == sigma_rows.shape == (3, 7)

@@ -1,10 +1,14 @@
-"""Gated-network init bounds, forward correctness against a straight-line oracle."""
+"""Gated-network init bounds, forward correctness against a straight-line oracle,
+and the explicit backward against finite differences and the tape."""
 
 import numpy as np
 import pytest
 
 from gridonet import tensor as T
-from gridonet.mlp import MlpConfig, glorot_init, head, hidden, param_shapes
+from gridonet.mlp import (MlpConfig, Workspace, glorot_init, head, head_backward, hidden,
+                          hidden_backward, param_shapes)
+
+import tape_oracle as oracle
 
 
 def forward(params, x, cfg, prefix=""):
@@ -80,8 +84,8 @@ def test_zero_params_give_zero_output():
     cfg = MlpConfig(input_dim=3, width=5, depth=2, output_dim=2)
     params = {k: np.zeros(s) for k, s in param_shapes(cfg).items()}
     x = np.random.default_rng(0).standard_normal((4, 3))
-    out = forward(params, T.Tensor(x), cfg)
-    assert np.array_equal(out.data, np.zeros((4, 2)))
+    out = forward(params, x, cfg)
+    assert np.array_equal(out, np.zeros((4, 2)))
 
 
 def test_hand_trace_scalar_instance():
@@ -101,7 +105,7 @@ def test_hand_trace_scalar_instance():
     h = (1 - z) * u + z * v
     want = 2.0 * h + 0.05
     got = forward({k: np.asarray(v_, dtype=float) for k, v_ in params.items()},
-                  T.Tensor([[x]]), cfg).item()
+                  np.array([[x]]), cfg).item()
     assert abs(got - want) < 1e-14
 
 
@@ -110,7 +114,7 @@ def test_forward_matches_reference_implementation(depth):
     cfg = MlpConfig(input_dim=4, width=9, depth=depth, output_dim=3)
     params = glorot_init(param_shapes(cfg), 5 + depth)
     x = np.random.default_rng(9).standard_normal((6, 4))
-    got = forward(params, T.Tensor(x), cfg).data
+    got = forward(params, x, cfg)
     want = reference_forward(params, x, cfg)
     assert np.max(np.abs(got - want)) < 1e-12
 
@@ -121,8 +125,8 @@ def test_batch_order_equivariance():
     rng = np.random.default_rng(2)
     x = rng.standard_normal((10, 3))
     perm = rng.permutation(10)
-    out = forward(params, T.Tensor(x), cfg).data
-    out_p = forward(params, T.Tensor(x[perm]), cfg).data
+    out = forward(params, x, cfg)
+    out_p = forward(params, x[perm], cfg)
     assert np.array_equal(out[perm], out_p)
 
 
@@ -133,7 +137,7 @@ def test_gate_surgery_selects_encoder():
     x = np.random.default_rng(4).standard_normal((5, 2))
 
     def run(p):
-        return forward(p, T.Tensor(x), cfg).data
+        return forward(p, x, cfg)
 
     all_v = dict(base)
     all_u = dict(base)
@@ -158,19 +162,25 @@ def test_gate_surgery_selects_encoder():
     assert not np.array_equal(run(bump_v2), out_v)
 
 
+def grads_of_square_sum(params, x, cfg, ws):
+    """Gradients of sum(forward(x)^2) from hidden_backward and head_backward."""
+    out = head(params, hidden(params, x, cfg, "", ws), "", "out", ws.out[0])
+    np.multiply(out, 2.0, out=ws.dout)
+    grads = {k: np.full_like(v, np.nan) for k, v in params.items()}
+    head_backward(params, ws.h[-1], "", "out", ws, grads)
+    hidden_backward(params, x, cfg, "", ws, grads)
+    return grads
+
+
 def test_gradients_match_finite_differences_end_to_end():
     cfg = MlpConfig(input_dim=2, width=3, depth=2, output_dim=1)
     base = glorot_init(param_shapes(cfg), 8)
     x = np.random.default_rng(12).uniform(-1, 1, (4, 2))
 
     def loss_at(override):
-        tape = T.Tape()
-        tracked = {k: tape.watch(k, override.get(k, base[k])) for k in base}
-        out = forward(tracked, T.Tensor(x), cfg)
-        return tape, T.sum_all(T.square(out))
+        return float(np.sum(np.square(forward({**base, **override}, x, cfg))))
 
-    tape, loss = loss_at({})
-    grads = tape.backward(loss)
+    grads = grads_of_square_sum(base, x, cfg, Workspace(cfg, len(x)))
     h = 1e-6
     rng = np.random.default_rng(77)
     for name in base:
@@ -178,8 +188,8 @@ def test_gradients_match_finite_differences_end_to_end():
         for idx in rng.choice(flat.size, size=min(3, flat.size), replace=False):
             e = np.zeros_like(base[name])
             e.ravel()[idx] = h
-            lp = loss_at({name: base[name] + e})[1].item()
-            lm = loss_at({name: base[name] - e})[1].item()
+            lp = loss_at({name: base[name] + e})
+            lm = loss_at({name: base[name] - e})
             fd = (lp - lm) / (2 * h)
             g = grads[name].ravel()[idx]
             assert abs(g - fd) / max(abs(fd), 1e-10) < 1e-4, (name, idx)
@@ -191,7 +201,26 @@ def test_array_input_runs_the_same_ops_off_the_tape(depth):
     cfg = MlpConfig(input_dim=4, width=9, depth=depth, output_dim=3)
     params = glorot_init(param_shapes(cfg), 11 + depth)
     x = np.random.default_rng(13).standard_normal((6, 4))
-    on_tape = forward(params, T.Tensor(x), cfg)
+    on_tape = oracle.head(params, oracle.hidden(params, T.Tensor(x), cfg))
     off_tape = forward(params, x, cfg)
     assert type(off_tape) is np.ndarray
     assert off_tape.tobytes() == on_tape.data.tobytes()
+
+
+@pytest.mark.parametrize("depth", [1, 3])
+def test_backward_gives_the_tapes_bytes_in_a_reused_workspace(depth):
+    """hidden_backward + head_backward reproduce the tape's gradient bytes,
+    and a second pass in the same workspace, on other rows, matches a fresh
+    workspace's."""
+    cfg = MlpConfig(input_dim=4, width=9, depth=depth, output_dim=3)
+    params = glorot_init(param_shapes(cfg), 21 + depth)
+    rng = np.random.default_rng(23)
+    ws = Workspace(cfg, 6)
+    for x in (rng.standard_normal((6, 4)), rng.standard_normal((6, 4))):
+        tape, tracked = oracle.watch_all(params)
+        want = tape.backward(T.sum_all(T.square(oracle.head(tracked, oracle.hidden(
+            tracked, T.Tensor(x), cfg)))))
+        got = grads_of_square_sum(params, x, cfg, ws)
+        fresh = grads_of_square_sum(params, x, cfg, Workspace(cfg, 6))
+        for name in params:
+            assert got[name].tobytes() == want[name].tobytes() == fresh[name].tobytes(), name

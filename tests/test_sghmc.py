@@ -103,6 +103,19 @@ def test_grad_zero_params_hand_value():
     assert abs(grads["tau_o"].item() - expected) < 1e-10 * abs(expected)
 
 
+def test_returned_gradients_are_not_overwritten_by_the_next_call():
+    rng = np.random.default_rng(8)
+    params = init(CFG, "vanilla", seed=9)
+    data = make_batch(rng, 6)
+    bc = unit_bc(sigma_l=0.2)
+    first = noisy_grad(params, CFG, data, [0, 1, 2], bc)
+    kept = {k: v.copy() for k, v in first.items()}
+    second = noisy_grad(params, CFG, data, [3, 4, 5], bc)
+    for name in kept:
+        assert np.array_equal(first[name], kept[name]), name
+    assert any(not np.array_equal(first[k], second[k]) for k in kept)
+
+
 def test_minibatch_gradient_is_unbiased():
     # averaging the rescaled estimator over every size-3 subset of 6 points
     # reproduces the full-batch likelihood gradient exactly

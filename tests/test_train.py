@@ -1,13 +1,16 @@
 """Training loop checks: loss values against hand arithmetic and scalar-loop
-oracles, Adam update algebra, the plateau schedule trace, and a small
-operator-learning benchmark that must actually converge."""
+oracles, gradient bytes against the tape oracle and pins, Adam update
+algebra, the plateau schedule trace, and a small operator-learning
+benchmark that must actually converge."""
 
 import hashlib
 
 import numpy as np
 import pytest
 
-from gridonet.deeponet import DeepOnetConfig, init, predict
+from gridonet import tensor
+from gridonet.deeponet import DeepOnetConfig, forward_batch, init, predict
+from gridonet.sghmc import BayesConfig, sghmc_run
 from gridonet.train import (
     LOG_2PI,
     AdamState,
@@ -19,6 +22,8 @@ from gridonet.train import (
     init_adam,
     loss_and_grads,
 )
+
+import tape_oracle as oracle
 
 CFG = DeepOnetConfig(m=4, q=3, width=5, depth=2)
 NO_ROWS = (np.zeros((0, CFG.m)), np.zeros((0, 1)), np.zeros((0, 1)))
@@ -178,6 +183,57 @@ def test_fit_bytes_pinned_with_a_partial_batch(kind, want):
     best, hist = fit(init(CFG, kind, seed=5), CFG, make_batch(np.random.default_rng(30), 11),
                      config)
     assert digest(best, *(h[k] for h in hist for k in ("train_loss", "lr"))) == want
+
+
+@pytest.mark.parametrize("kind", ["vanilla", "prob"])
+@pytest.mark.parametrize("depth, rows", [(1, 1), (2, 6), (3, 9)])
+def test_gradients_equal_the_tape_oracle(kind, depth, rows):
+    """The explicit pass gives the tape's loss and gradient bytes: on one row,
+    whose output-bias gradient is its own adjoint rather than a sum, and with
+    the log-sigma clamp active on part of the rows."""
+    cfg = DeepOnetConfig(m=6, q=4, width=5, depth=depth)
+    U, Y, G = make_batch(np.random.default_rng(depth + rows), rows, m=cfg.m)
+    params = init(cfg, kind, seed=rows)
+    if kind == "prob":  # the rows above the median log-sigma pass LOGSIG_HI
+        params["tau_o_ls"] = 3.0 - np.median(forward_batch(params, cfg, U, Y)[1], keepdims=True)
+        if rows > 1:
+            clamped = oracle.forward_batch(params, cfg, U, Y)[1].data == 3.0
+            assert 0 < clamped.sum() < rows
+    loss, grads = loss_and_grads(params, cfg, U, Y, G)
+    want_loss, want = oracle.loss_and_grads(params, cfg, U, Y, G)
+    assert np.float64(loss).tobytes() == np.float64(want_loss).tobytes()
+    assert list(grads) == list(want)
+    for name in want:
+        assert grads[name].tobytes() == want[name].tobytes(), name
+
+
+def test_returned_gradients_are_not_overwritten_by_the_next_call():
+    rng = np.random.default_rng(31)
+    params = init(CFG, "prob", seed=4)
+    _, first = loss_and_grads(params, CFG, *make_batch(rng, 5))
+    kept = {k: v.copy() for k, v in first.items()}
+    _, second = loss_and_grads(params, CFG, *make_batch(rng, 5))
+    for name in kept:
+        assert np.array_equal(first[name], kept[name]), name
+    assert any(not np.array_equal(first[k], second[k]) for k in kept)
+
+
+def test_training_sampling_and_predict_stay_off_the_tape(monkeypatch):
+    def refuse(*args):
+        raise AssertionError("an op was recorded on the tape")
+
+    monkeypatch.setattr(tensor.Tape, "_record", refuse)
+    batch = make_batch(np.random.default_rng(32), 9)
+    with pytest.raises(AssertionError, match="recorded"):
+        oracle.loss_and_grads(init(CFG, "vanilla", seed=0), CFG, *batch)
+    u, ys = batch[0][:2], [2.5, 6.0]
+    for kind in ("vanilla", "prob"):
+        best, _ = fit(init(CFG, kind, seed=1), CFG, batch, TrainConfig(epochs=2, batch_size=4))
+        assert predict([best], CFG, u, ys)[0].shape == (2, 2)
+    bc = BayesConfig(sigma_l=1.0, eps_t=1e-4, n_outer=2, burn_in=0, thinning=1, M=2, m_inner=2,
+                     batch_size=4, trace_every=1)
+    members, _ = sghmc_run(init(CFG, "vanilla", seed=2), CFG, batch, bc)
+    assert predict(members, CFG, u, ys)[1].shape == (2, 2)
 
 
 def test_adam_zero_gradient_is_identity():
