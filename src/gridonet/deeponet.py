@@ -190,6 +190,7 @@ def loss_and_grad(params: dict, cfg: DeepOnetConfig, U, Y, G, coef: float, ws: W
         for i in reversed(range(len(heads))):
             stem, tau = heads[i]
             g = douts[i]
+            # one row passes its adjoint as the tape does; a sum would turn -0.0 into 0.0
             grads[tau][...] = g if g.shape == (1, 1) else np.sum(g)
             np.multiply(g, tws.out[i], out=bws.dout)
             np.multiply(g, bws.out[i], out=tws.dout)
