@@ -232,18 +232,20 @@ def cmd_simulate(cfg, args) -> int:
     report = {}
     for kind, count, sub in (("N1", n1, 10), ("N2", n2, 11)):
         offset = 0 if kind == "N1" else n1
-        pool, rejections = gs.generate_pool(
+        pool = gs.generate_pool(
             model, count, kind, seed=[seed, sub], id_offset=offset, h_max=o["h_max"]
         )
         path = out / f"{kind.lower()}.jsonl"
         gs.save_pool(path, pool)
         report[kind] = {
             "accepted": len(pool),
-            "rejections": rejections,
+            # always 0 since a diverged scenario fails the command; kept because
+            # the pinned manifests and perfbench's accept ratio read the key
+            "rejections": 0,
             "file": path.name,
             "sha256": file_sha256(path),
         }
-        print(f"{kind}: {len(pool)} trajectories accepted, {rejections} rejected")
+        print(f"{kind}: {len(pool)} trajectories")
     write_json(out / "simulate.manifest.json",
                {"config": cfg, "model_hash": gs.model_hash(model), "pools": report})
     return 0
@@ -612,8 +614,8 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TrainingError, SamplerError, gs.SimulationDiverged, gs.PowerFlowError,
-            gs.PoolError, CheckpointError, ArtifactError) as e:
+    except (TrainingError, SamplerError, gs.SimulationDiverged, gs.ScenarioRejected,
+            gs.PowerFlowError, gs.PoolError, CheckpointError, ArtifactError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
 

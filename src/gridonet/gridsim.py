@@ -489,31 +489,20 @@ def generate_pool(
     seed,
     id_offset: int = 0,
     h_max: float = 1e-3,
-):
-    """Simulate scenarios until `count` trajectories are accepted.
+) -> list[Trajectory]:
+    """Simulate `sample_scenarios(model, count, kind, seed)` with one shared
+    equilibrium and reduction cache; trajectory ids start at id_offset.
 
-    Diverged scenarios are dropped and redrawn from the same stream, up to
-    1000 of them; the rejection count is reported so pools stay auditable.
+    Nothing is redrawn: a diverged scenario raises SimulationDiverged, so a
+    pool holds exactly the scenarios its seed draws.
     """
-    max_reject = 1000
-    rng = np.random.default_rng(seed)
     eq = equilibrium(model)
     reductions = {}
-    accepted = []
-    rejections = 0
-    while len(accepted) < count:
-        sc = sample_scenarios(model, 1, kind, rng)[0]
-        try:
-            tr = simulate(model, sc, h_max=h_max, eq=eq, reductions=reductions)
-        except (SimulationDiverged, ScenarioRejected):
-            rejections += 1
-            if rejections > max_reject:
-                raise SimulationDiverged(
-                    f"rejection budget exhausted after {rejections} failures", sc
-                )
-            continue
-        accepted.append(replace(tr, traj_id=id_offset + len(accepted)))
-    return accepted, rejections
+    return [
+        replace(simulate(model, sc, h_max=h_max, eq=eq, reductions=reductions),
+                traj_id=id_offset + k)
+        for k, sc in enumerate(sample_scenarios(model, count, kind, seed))
+    ]
 
 
 def model_hash(model: GridModel) -> str:

@@ -41,7 +41,6 @@ __all__ = [
     "gaussian_potential",
     "potential_energy",
     "grad_potential",
-    "noisy_grad",
     "sghmc_chain",
     "sghmc_run",
 ]
@@ -108,27 +107,20 @@ def potential_energy(params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig) -
     return gaussian_potential(pred - G, theta, bc)
 
 
-def grad_potential(params: dict, cfg: DeepOnetConfig, U, Y, G, scale: float, bc: BayesConfig,
+def grad_potential(params: dict, cfg: DeepOnetConfig, data, idx, bc: BayesConfig,
                    ws: Workspace | None = None):
-    """Gradient of the scaled likelihood term plus the (unscaled) prior, for a
-    vanilla net (squared residuals), by name: views of ws's flat gradient (a
-    fresh workspace's if None)."""
-    ws = ws or Workspace(cfg, params, len(G))
-    loss_and_grad(params, cfg, U, Y, G, scale / (2.0 * bc.sigma_l**2), ws)
+    """Minibatch estimate of grad U over rows idx of the (U, Y, G) data: the
+    likelihood term rescaled by |D| / |batch| plus the (unscaled) prior, for
+    a vanilla net (squared residuals). The rows are gathered into ws and the
+    gradient is written there; returned by name as views of ws's flat
+    gradient (a fresh workspace's if ws is None)."""
+    idx = np.asarray(idx)
+    ws = ws or Workspace(cfg, params, idx.size)
+    U, Y, G = ws.take(data, idx)
+    loss_and_grad(params, cfg, U, Y, G, len(data[2]) / idx.size / (2.0 * bc.sigma_l**2), ws)
     for name, g in ws.grads.items():
         g += np.multiply(params[name], bc.prior_lambda, out=ws.scratch[name])
     return ws.grads
-
-
-def noisy_grad(params: dict, cfg: DeepOnetConfig, data, idx, bc: BayesConfig,
-               ws: Workspace | None = None):
-    """Minibatch gradient estimate over rows idx of the (U, Y, G) data:
-    likelihood rescaled by |D| / |batch|. With ws, the rows are gathered into
-    it and the gradient is written there."""
-    U, Y, G = data
-    idx = np.asarray(idx)
-    batch = ws.take(data, idx) if ws else (U[idx], Y[idx], G[idx])
-    return grad_potential(params, cfg, *batch, len(G) / idx.size, bc, ws)
 
 
 def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
@@ -186,7 +178,8 @@ def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig):
     ws = Workspace(cfg, init_params, b)
 
     def grad_fn(theta, rng):
-        noisy_grad(unflatten(layout, theta, copy=False), cfg, data, rng.permutation(n)[:b], bc, ws)
+        params = unflatten(layout, theta, copy=False)
+        grad_potential(params, cfg, data, rng.permutation(n)[:b], bc, ws)
         return ws.grad
 
     def diag_fn(theta):

@@ -18,7 +18,6 @@ import numpy as np
 from .deeponet import NumericError
 
 __all__ = [
-    "NumericError",
     "Tensor",
     "Tape",
     "matmul",

@@ -5,29 +5,26 @@ best training loss has not improved by a relative 1e-4 within `patience`
 epochs (floored at `min_lr`).
 
 Each step is one `loss_and_grads` call: deeponet's explicit forward and
-backward in a workspace kept for the batch size. The weights, Adam's moments
-and the gradient are flat vectors in checkpoint order, updated in place. The
-gradients are those of a reverse-mode tape over the same ops, bit for bit.
+backward in a workspace kept for the batch size. The gradients are those of a
+reverse-mode tape over the same ops, bit for bit. `adam_update` then moves
+the weights and Adam's moments, flat vectors in checkpoint order, in place.
 """
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 
 import numpy as np
 
 from .checkpoint import flatten, unflatten
-from .deeponet import LOG_2PI, DeepOnetConfig, NumericError, Workspace, loss_and_grad
+from .deeponet import DeepOnetConfig, NumericError, Workspace, loss_and_grad
 
 __all__ = [
-    "LOG_2PI",
     "TrainingError",
     "TrainConfig",
-    "AdamState",
     "PlateauSchedule",
     "loss_and_grads",
-    "init_adam",
-    "adam_step",
+    "adam_update",
     "fit",
 ]
 
@@ -106,56 +103,22 @@ def loss_and_grads(params: dict, cfg: DeepOnetConfig, U, Y, G, ws: Workspace | N
     return loss, ws.grads
 
 
-@dataclass
-class AdamState:
-    lr: float
-    t: int = 0
-    m: dict = field(default_factory=dict)
-    v: dict = field(default_factory=dict)
-
-
-def init_adam(params: dict, lr: float) -> AdamState:
-    st = AdamState(lr=lr)
-    st.m = {k: np.zeros_like(np.asarray(p, dtype=float)) for k, p in params.items()}
-    st.v = {k: np.zeros_like(np.asarray(p, dtype=float)) for k, p in params.items()}
-    return st
-
-
-def _check_finite(grads: dict) -> None:
-    for name, g in grads.items():
-        if not np.all(np.isfinite(g)):
-            raise TrainingError(f"non-finite gradient for {name!r}", param=name)
-
-
-def _adam_update(state: AdamState, p, g, m, v, tmp, step) -> None:
-    """Moments m, v and position p after Adam's step state.t, in place; tmp
-    and step are scratch arrays of p's shape."""
+def adam_update(p, g, m, v, t: int, lr: float, tmp, step) -> None:
+    """Moments m, v and position p after Adam's step t (from 1) at rate lr on
+    gradient g, in place; tmp and step are scratch arrays of p's shape."""
     m *= BETA1
     m += np.multiply(g, 1.0 - BETA1, out=tmp)
     v *= BETA2
     np.multiply(g, 1.0 - BETA2, out=tmp)
     tmp *= g
     v += tmp
-    np.divide(v, 1.0 - BETA2 ** state.t, out=tmp)
+    np.divide(v, 1.0 - BETA2 ** t, out=tmp)
     np.sqrt(tmp, out=tmp)
     tmp += ADAM_EPS
-    np.divide(m, 1.0 - BETA1 ** state.t, out=step)
-    step *= state.lr
+    np.divide(m, 1.0 - BETA1 ** t, out=step)
+    step *= lr
     step /= tmp
     p -= step
-
-
-def adam_step(state: AdamState, params: dict, grads: dict):
-    """One bias-corrected Adam update; returns (state, new params). A
-    non-finite gradient raises TrainingError naming its parameter."""
-    _check_finite(grads)
-    state.t += 1
-    out = {}
-    for name, p in params.items():
-        out[name] = np.array(p, dtype=float)
-        _adam_update(state, out[name], grads[name], state.m[name], state.v[name],
-                     np.empty_like(out[name]), np.empty_like(out[name]))
-    return state, out
 
 
 def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
@@ -175,7 +138,7 @@ def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
         raise ValueError("no training samples")
     layout, theta = flatten(params)
     params = unflatten(layout, theta, copy=False)
-    state = AdamState(lr=config.lr)
+    t, lr = 0, config.lr
     m, v, tmp, step = (np.zeros_like(theta) for _ in range(4))
     spaces = {}  # batch size -> workspace
     sched = PlateauSchedule(config.lr, config.patience, config.factor, config.min_lr)
@@ -197,13 +160,14 @@ def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}", history=history)
             if not np.all(np.isfinite(ws.grad)):
-                _check_finite(grads)
-            state.t += 1
-            _adam_update(state, theta, ws.grad, m, v, tmp, step)
+                name = next(k for k, g in grads.items() if not np.all(np.isfinite(g)))
+                raise TrainingError(f"non-finite gradient for {name!r}", history, name)
+            t += 1
+            adam_update(theta, ws.grad, m, v, t, lr, tmp, step)
             total += loss * len(idx)
         train_loss = total / n
-        state.lr = sched.observe(train_loss)
-        history.append({"epoch": epoch, "train_loss": train_loss, "lr": state.lr})
+        lr = sched.observe(train_loss)
+        history.append({"epoch": epoch, "train_loss": train_loss, "lr": lr})
         if train_loss < best_loss:
             best_loss = train_loss
             best[...] = theta

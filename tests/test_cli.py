@@ -211,6 +211,42 @@ def test_power_flow_failure_exits_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: power flow did not converge")
 
 
+@pytest.fixture
+def second_run_diverges(monkeypatch):
+    """gridsim.simulate with its second call raising SimulationDiverged; the
+    scenarios it was called with."""
+    real, calls = gs.simulate, []
+
+    def simulate(model, scenario, **kw):
+        calls.append(scenario)
+        if len(calls) == 2:
+            raise gs.SimulationDiverged("non-physical state at t=1.70s (|V|=2.100)", scenario)
+        return real(model, scenario, **kw)
+
+    monkeypatch.setattr(gs, "simulate", simulate)
+    return calls
+
+
+def test_diverged_scenario_fails_the_pool(second_run_diverges):
+    with pytest.raises(gs.SimulationDiverged):
+        gs.generate_pool(gs.build_model(), 3, "N1", seed=5)
+    assert len(second_run_diverges) == 2  # no redraw after the failure
+
+
+def test_diverged_scenario_exits_1(tmp_path, capsys, second_run_diverges):
+    rc, err = run(capsys, tmp_path / "wd", "simulate", "--n1", "2", "--n2", "1")
+    assert rc == 1
+    assert err == ["error: non-physical state at t=1.70s (|V|=2.100)"]
+    assert not (tmp_path / "wd" / "pools" / "n1.jsonl").exists()
+
+
+def test_no_admissible_trip_exits_1(tmp_path, capsys, monkeypatch):
+    monkeypatch.setattr(gs, "admissible_trips", lambda model, kind: [])
+    rc, err = run(capsys, tmp_path / "wd", "simulate", "--n1", "1", "--n2", "1")
+    assert rc == 1
+    assert err == ["error: no admissible N1 trips in this model"]
+
+
 def test_truncated_checkpoint_exits_1(workdir_copy, capsys):
     ckpt = workdir_copy / "models" / "vanilla.ckpt"
     ckpt.write_bytes(ckpt.read_bytes()[:-8])

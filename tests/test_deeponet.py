@@ -6,8 +6,7 @@ import numpy as np
 import pytest
 
 from gridonet import mlp
-from gridonet import tensor as T
-from gridonet.deeponet import DeepOnetConfig, forward_batch, init, layout, predict
+from gridonet.deeponet import DeepOnetConfig, NumericError, forward_batch, init, layout, predict
 
 CFG = DeepOnetConfig(m=10, q=6, width=8, depth=2)
 
@@ -121,7 +120,7 @@ def test_predict_rejects_bad_sensor_count_and_nonfinite():
     p = init(CFG, "vanilla", 5)
     with pytest.raises(ValueError):
         predict([p], CFG, np.ones(9), [2.5])
-    with pytest.raises(T.NumericError):
+    with pytest.raises(NumericError):
         predict([p], CFG, np.full(10, np.nan), [2.5])
 
 

@@ -246,17 +246,17 @@ def test_simulate_is_deterministic(base_model):
     assert np.array_equal(a.values, b.values)
 
 
-# sha256 of simulate's |V| bytes and the rejection count of each case in
-# _pinned_runs, recorded on the host below: math.sin and math.cos come from its
-# libm, np.exp and the recovery matmul from its numpy
+# sha256 of simulate's |V| bytes in each case of _pinned_runs, recorded on
+# the host below: math.sin and math.cos come from its libm, np.exp and the
+# recovery matmul from its numpy
 SIM_PINS_HOST = ["numpy 2.4.6", "glibc 2.36", "machine x86_64"]
 SIM_PINS = {
-    "N1 pool": ("b50120879465ef6a56d4f37ae76a1fe5d8f064ce96ed472e3dffadef6f1971ec", 0),
-    "N2 pool": ("c37326141b54bb85d616feb762148985d205d12687cbda51d2ce5d01664ee2e3", 0),
-    "no fault": ("cbd1b7d4a95a682a2788004134a894fdd25fb4dfedb8a44e6dd1acfda96a8282", 0),
-    "t_f on the grid": ("97074300c37a9935dc2a805ffd76f275320f62046b6e5884bead30c70ee9c0c3", 0),
-    "h_max 1e-4": ("f2ebe949471b0d0af63375574eb4b90fb97a91bfe7a6a6ffb34e69023cbbbb49", 0),
-    "h_max 3e-3, t_cl 1.955": ("f2d875b9f223f490ab6006180d5dc72223d74746dc5ea9b602c48d7ab50e8d4a", 0),
+    "N1 pool": "b50120879465ef6a56d4f37ae76a1fe5d8f064ce96ed472e3dffadef6f1971ec",
+    "N2 pool": "c37326141b54bb85d616feb762148985d205d12687cbda51d2ce5d01664ee2e3",
+    "no fault": "cbd1b7d4a95a682a2788004134a894fdd25fb4dfedb8a44e6dd1acfda96a8282",
+    "t_f on the grid": "97074300c37a9935dc2a805ffd76f275320f62046b6e5884bead30c70ee9c0c3",
+    "h_max 1e-4": "f2ebe949471b0d0af63375574eb4b90fb97a91bfe7a6a6ffb34e69023cbbbb49",
+    "h_max 3e-3, t_cl 1.955": "f2d875b9f223f490ab6006180d5dc72223d74746dc5ea9b602c48d7ab50e8d4a",
 }
 
 
@@ -266,12 +266,12 @@ def _sim_host() -> list[str]:
 
 
 def _pinned_runs():
-    """(case, |V| bytes, rejections): generated pools on a stressed grid, then
-    single runs off the default step and timing on the default grid."""
+    """(case, |V| bytes): generated pools on a stressed grid, then single runs
+    off the default step and timing on the default grid."""
     stressed = G.build_model(load_scale=1.51)
     for kind, count, seed in (("N1", 4, 3), ("N2", 6, 4)):
-        pool, rejections = G.generate_pool(stressed, count, kind, seed=seed)
-        yield f"{kind} pool", b"".join(tr.values.tobytes() for tr in pool), rejections
+        pool = G.generate_pool(stressed, count, kind, seed=seed)
+        yield f"{kind} pool", b"".join(tr.values.tobytes() for tr in pool)
     runs = {
         "no fault": (G.FaultScenario(kind="N1", tripped=(3,), t_f=9.0), 1e-3),
         "t_f on the grid": (G.FaultScenario(kind="N1", tripped=(5,), t_f=1.62), 1e-3),
@@ -281,12 +281,11 @@ def _pinned_runs():
     }
     base = G.build_model()
     for case, (sc, h_max) in runs.items():
-        yield case, G.simulate(base, sc, h_max=h_max).values.tobytes(), 0
+        yield case, G.simulate(base, sc, h_max=h_max).values.tobytes()
 
 
 def test_simulate_bytes_are_pinned():
-    got = {case: (hashlib.sha256(values).hexdigest(), rejections)
-           for case, values, rejections in _pinned_runs()}
+    got = {case: hashlib.sha256(values).hexdigest() for case, values in _pinned_runs()}
     moved = sorted(case for case in SIM_PINS.keys() | got.keys()
                    if SIM_PINS.get(case) != got.get(case))
     assert not moved, (
@@ -336,7 +335,7 @@ def test_scenario_validation():
 
 
 def test_pool_roundtrip(tmp_path, base_model):
-    pool, _ = G.generate_pool(base_model, 3, "N2", seed=5)
+    pool = G.generate_pool(base_model, 3, "N2", seed=5)
     assert [tr.traj_id for tr in pool] == [0, 1, 2]
     path = tmp_path / "pool.jsonl"
     G.save_pool(path, pool)

@@ -16,7 +16,6 @@ from gridonet.sghmc import (
     SamplerError,
     gaussian_potential,
     grad_potential,
-    noisy_grad,
     potential_energy,
     sghmc_chain,
     sghmc_run,
@@ -74,7 +73,7 @@ def test_full_batch_grad_matches_finite_differences():
     params = init(CFG, "vanilla", seed=4)
     data = make_batch(rng, 6)
     bc = unit_bc(sigma_l=0.1, prior_lambda=0.7)
-    grads = noisy_grad(params, CFG, data, np.arange(6), bc)
+    grads = grad_potential(params, CFG, data, np.arange(6), bc)
     h = 1e-6
     for name in ("tau_o", "b_out_w", "t_u_w", "b_z1_b"):
         flat_idx = rng.integers(params[name].size)
@@ -98,7 +97,7 @@ def test_grad_zero_params_hand_value():
     data = make_batch(rng, 5)
     params = {k: np.zeros_like(v) for k, v in init(CFG, "vanilla", seed=0).items()}
     bc = unit_bc(sigma_l=0.2)
-    grads = noisy_grad(params, CFG, data, np.arange(5), bc)
+    grads = grad_potential(params, CFG, data, np.arange(5), bc)
     expected = -data[2].sum() / 0.2**2
     assert abs(grads["tau_o"].item() - expected) < 1e-10 * abs(expected)
 
@@ -108,9 +107,9 @@ def test_returned_gradients_are_not_overwritten_by_the_next_call():
     params = init(CFG, "vanilla", seed=9)
     data = make_batch(rng, 6)
     bc = unit_bc(sigma_l=0.2)
-    first = noisy_grad(params, CFG, data, [0, 1, 2], bc)
+    first = grad_potential(params, CFG, data, [0, 1, 2], bc)
     kept = {k: v.copy() for k, v in first.items()}
-    second = noisy_grad(params, CFG, data, [3, 4, 5], bc)
+    second = grad_potential(params, CFG, data, [3, 4, 5], bc)
     for name in kept:
         assert np.array_equal(first[name], kept[name]), name
     assert any(not np.array_equal(first[k], second[k]) for k in kept)
@@ -123,11 +122,11 @@ def test_minibatch_gradient_is_unbiased():
     params = init(CFG, "vanilla", seed=7)
     data = make_batch(rng, 6)
     bc = unit_bc(sigma_l=0.15, prior_lambda=0.9)
-    full = noisy_grad(params, CFG, data, np.arange(6), bc)
+    full = grad_potential(params, CFG, data, np.arange(6), bc)
     subsets = list(itertools.combinations(range(6), 3))
     acc = {k: np.zeros_like(v) for k, v in full.items()}
     for s in subsets:
-        g = noisy_grad(params, CFG, data, np.array(s), bc)
+        g = grad_potential(params, CFG, data, np.array(s), bc)
         for k in acc:
             acc[k] += g[k] / len(subsets)
     # the prior term appears once per estimate, unscaled, so it averages out

@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 
 from gridonet import tensor as T
+from gridonet.deeponet import NumericError
 
 
 def naive_matmul(a, b):
@@ -88,7 +89,7 @@ def test_exp_log_square_clip_values():
 
 
 def test_exp_overflow_error():
-    with pytest.raises(T.NumericError):
+    with pytest.raises(NumericError):
         T.exp(T.Tensor([[1000.0]]))
 
 

@@ -8,18 +8,15 @@ import hashlib
 import numpy as np
 import pytest
 
-from gridonet import tensor
-from gridonet.deeponet import DeepOnetConfig, forward_batch, init, predict
+from gridonet import tensor, train
+from gridonet.deeponet import LOG_2PI, DeepOnetConfig, forward_batch, init, predict
 from gridonet.sghmc import BayesConfig, sghmc_run
 from gridonet.train import (
-    LOG_2PI,
-    AdamState,
     PlateauSchedule,
     TrainConfig,
     TrainingError,
-    adam_step,
+    adam_update,
     fit,
-    init_adam,
     loss_and_grads,
 )
 
@@ -236,47 +233,41 @@ def test_training_sampling_and_predict_stay_off_the_tape(monkeypatch):
     assert predict(members, CFG, u, ys)[1].shape == (2, 2)
 
 
+def adam_run(p, grad_fn, lr, steps):
+    """p after `steps` Adam updates from zero moments; grad_fn(p) -> gradient."""
+    p = np.array(p, dtype=float)
+    m, v, tmp, step = (np.zeros_like(p) for _ in range(4))
+    for t in range(1, steps + 1):
+        adam_update(p, grad_fn(p), m, v, t, lr, tmp, step)
+    return p
+
+
 def test_adam_zero_gradient_is_identity():
-    params = {"w": np.array([[1.0, -2.0]])}
-    state = init_adam(params, lr=0.1)
-    grads = {"w": np.zeros((1, 2))}
-    state, out = adam_step(state, params, grads)
-    assert np.array_equal(out["w"], params["w"])
-    assert state.t == 1
+    p = np.array([1.0, -2.0])
+    assert np.array_equal(adam_run(p, np.zeros_like, 0.1, 1), p)
 
 
 def test_adam_first_step_moves_by_lr():
-    params = {"x": np.array([[0.0]])}
-    state = init_adam(params, lr=0.1)
-    _, out = adam_step(state, params, {"x": np.array([[1.0]])})
-    assert abs(out["x"].item() + 0.1) < 1e-8
-
-
-def test_adam_rejects_nonfinite_gradient():
-    params = {"x": np.array([[0.0]])}
-    state = init_adam(params, lr=0.1)
-    with pytest.raises(TrainingError) as exc:
-        adam_step(state, params, {"x": np.array([[np.nan]])})
-    assert exc.value.param == "x"
+    assert abs(adam_run([0.0], np.ones_like, 0.1, 1).item() + 0.1) < 1e-8
 
 
 def test_adam_minimizes_quadratic():
-    params = {"x": np.array([[5.0]])}
-    state = init_adam(params, lr=0.1)
-    for _ in range(1000):
-        state, params = adam_step(state, params, {"x": 2.0 * params["x"]})
-    assert abs(params["x"].item()) < 1e-3
+    assert abs(adam_run([5.0], lambda p: 2.0 * p, 0.1, 1000).item()) < 1e-3
 
 
-def test_adam_order_invariance():
-    rng = np.random.default_rng(9)
-    a = {"p": rng.standard_normal((2, 2)), "q": rng.standard_normal(3)}
-    b = {"q": a["q"].copy(), "p": a["p"].copy()}
-    g = {"p": rng.standard_normal((2, 2)), "q": rng.standard_normal(3)}
-    _, out_a = adam_step(init_adam(a, 0.01), a, g)
-    _, out_b = adam_step(init_adam(b, 0.01), b, g)
-    assert np.array_equal(out_a["p"], out_b["p"])
-    assert np.array_equal(out_a["q"], out_b["q"])
+def test_fit_names_the_parameter_of_a_nonfinite_gradient(monkeypatch):
+    real = train.loss_and_grad
+
+    def poisoned(params, cfg, U, Y, G, coef, ws):
+        out = real(params, cfg, U, Y, G, coef, ws)
+        ws.grads["t_u_w"][0, 0] = np.nan
+        return out
+
+    monkeypatch.setattr(train, "loss_and_grad", poisoned)
+    batch = make_batch(np.random.default_rng(4), 8)
+    with pytest.raises(TrainingError) as exc:
+        fit(init(CFG, "vanilla", seed=1), CFG, batch, TrainConfig(epochs=1, batch_size=8))
+    assert exc.value.param == "t_u_w"
 
 
 def test_plateau_halves_on_constant_stream():
