@@ -12,11 +12,13 @@ from that table, so a new setting is one new row there. A domain names the
 `DOMAINS` rule of the key's values, or is None where a config dataclass or
 the split (`y_star`) holds the rule.
 
-Every input a command reads comes through one loader here (`_load_pools`,
-`_load_split`, `_load_model`), and each input file through `_need`, whose
-error names the command that writes it. A model's geometry is read from its
-checkpoint, so only `train` takes the `[deeponet]` keys. `_load_model` streams
-a bayes ensemble's members to `predict`, which keeps their curves only.
+The commands form one stage table, `COMMANDS`: each row holds a command's
+help text and its output directory, which `_outdir` makes. Every input file
+passes `_need`, which names the command whose directory holds a missing one,
+on its way to a loader (`_load_pools`, `_load_split`, `_load_model`, and
+`_load_test` for the read commands). A model's geometry is read from its
+checkpoint, so only `train` takes the `[deeponet]` keys. `_load_model`
+streams a bayes ensemble's members to `predict`, which keeps their curves only.
 """
 
 from __future__ import annotations
@@ -103,15 +105,15 @@ DOMAINS = {  # name: (test, phrase) of the values an option may take
 DEFAULTS = {section: {key: default for sec, key, default, *_ in OPTIONS if sec == section}
             for section, *_ in OPTIONS}
 
-COMMANDS = {
-    "simulate": "generate N-1/N-2 trajectory pools",
-    "dataset": "split pools and fix dataset seeds",
-    "train": "train the vanilla or probabilistic model",
-    "sghmc": "sample a posterior weight ensemble",
-    "predict": "write one trajectory's predicted curve",
-    "evaluate": "error/coverage reports on the test split",
-    "alarms": "under-voltage alarm classification at y*",
-    "residuals": "residual normality report",
+COMMANDS = {  # name: (help, output directory under the workdir)
+    "simulate": ("generate N-1/N-2 trajectory pools", "pools"),
+    "dataset": ("split pools and fix dataset seeds", "dataset"),
+    "train": ("train the vanilla or probabilistic model", "models"),
+    "sghmc": ("sample a posterior weight ensemble", "models/bayes"),
+    "predict": ("write one trajectory's predicted curve", "eval"),
+    "evaluate": ("error/coverage reports on the test split", "eval"),
+    "alarms": ("under-voltage alarm classification at y*", "eval"),
+    "residuals": ("residual normality report", "eval"),
 }
 WHICH = ("vanilla", "prob", "bayes")
 
@@ -213,22 +215,32 @@ def workdir(cfg) -> Path:
     return Path(cfg["paths"]["workdir"])
 
 
-def _need(path: Path, writer: str) -> Path:
-    """`path`, an input file; a usage error naming `writer`, the command that
-    writes it, if it does not exist."""
+def _outdir(cfg, command: str) -> Path:
+    """The output directory of `command`'s `COMMANDS` row, made if missing."""
+    out = workdir(cfg) / COMMANDS[command][1]
+    out.mkdir(parents=True, exist_ok=True)
+    return out
+
+
+def _need(cfg, rel: str) -> Path:
+    """The input file `rel` under the workdir; if it is missing, a usage error
+    naming the command whose `COMMANDS` directory holds it most closely."""
+    path = workdir(cfg) / rel
     if not path.exists():
-        raise UsageError(f"missing {path}; run `{writer}` first")
+        writer = next(name for d in Path(rel).parents
+                      for name, (_, out) in COMMANDS.items() if out == str(d))
+        model = f" --model {path.stem}" if writer == "train" else ""
+        raise UsageError(f"missing {path}; run `{writer}{model}` first")
     return path
 
 
 # ---------------------------------------------------------------- simulate
 
-def cmd_simulate(cfg, args) -> int:
+def cmd_simulate(cfg, args) -> None:
     o = opts(cfg, "simulate")
     n1, n2, seed = o["n1"], o["n2"], o["seed"]
     model = gs.build_model(load_scale=o["load_scale"], monitor_bus=o["monitor_bus"])
-    out = workdir(cfg) / "pools"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(cfg, "simulate")
     report = {}
     for kind, count, sub in (("N1", n1, 10), ("N2", n2, 11)):
         offset = 0 if kind == "N1" else n1
@@ -248,14 +260,13 @@ def cmd_simulate(cfg, args) -> int:
         print(f"{kind}: {len(pool)} trajectories")
     write_json(out / "simulate.manifest.json",
                {"config": cfg, "model_hash": gs.model_hash(model), "pools": report})
-    return 0
 
 
 def _load_pools(cfg):
     """(N-1 pool, N-2 pool, sha256 of each pool file), from one read of each."""
     pools, sha256 = [], {}
     for kind in ("n1", "n2"):
-        path = _need(workdir(cfg) / "pools" / f"{kind}.jsonl", "simulate")
+        path = _need(cfg, f"pools/{kind}.jsonl")
         data = path.read_bytes()
         pools.append(gs.load_pool(path, data))
         sha256[kind] = hashlib.sha256(data).hexdigest()
@@ -264,63 +275,59 @@ def _load_pools(cfg):
 
 # ----------------------------------------------------------------- dataset
 
-def cmd_dataset(cfg, args) -> int:
+SPEC_FIELDS = {"m": "m", "queries": "Q", "train_frac": "train_frac", "t_cl": "t_cl",
+               "T": "T", "n_mesh": "n_mesh"}  # split.json "spec" key: SplitSpec field
+
+
+def cmd_dataset(cfg, args) -> None:
     o = opts(cfg, "dataset")
     spec = _build(SplitSpec, m=o["m"], Q=o["queries"], train_frac=o["train_frac"])
     n1, n2, pool_sha256 = _load_pools(cfg)
     train, test = split_pools(n1, n2, spec.train_frac, seed=o["seed"])
-    out = workdir(cfg) / "dataset"
-    out.mkdir(parents=True, exist_ok=True)
     doc = {
         "train_ids": [tr.traj_id for tr in train],
         "test_ids": [tr.traj_id for tr in test],
-        "spec": {
-            "m": spec.m, "queries": spec.Q, "train_frac": spec.train_frac,
-            "t_cl": spec.t_cl, "T": spec.T, "n_mesh": spec.n_mesh,
-        },
+        "spec": {key: getattr(spec, field) for key, field in SPEC_FIELDS.items()},
         "seeds": {"split": o["seed"], "queries": o["query_seed"]},
         "pool_sha256": pool_sha256,
         "config": cfg,
     }
-    write_json(out / "split.json", doc)
+    write_json(_outdir(cfg, "dataset") / "split.json", doc)
     print(f"split: {len(train)} train / {len(test)} test trajectories")
-    return 0
 
 
 def _load_split(cfg):
-    path = _need(workdir(cfg) / "dataset" / "split.json", "dataset")
+    """(train pool, test pool, spec, query seed) of `split.json`."""
+    path = _need(cfg, "dataset/split.json")
     doc = read_json(path, "train_ids", "test_ids", "seeds.queries",
-                    *(f"spec.{k}" for k in ("m", "queries", "train_frac", "t_cl", "T", "n_mesh")))
+                    *(f"spec.{key}" for key in SPEC_FIELDS))
     n1, n2, pool_sha256 = _load_pools(cfg)
     if doc.get("pool_sha256") != pool_sha256:
         raise UsageError("pools changed since `dataset`; rerun `dataset`")
     by_id = {tr.traj_id: tr for tr in n1 + n2}
-    s = doc["spec"]
     try:
         train = [by_id[i] for i in doc["train_ids"]]
         test = [by_id[i] for i in doc["test_ids"]]
-        spec = SplitSpec(m=s["m"], Q=s["queries"], train_frac=s["train_frac"],
-                         t_cl=s["t_cl"], T=s["T"], n_mesh=s["n_mesh"])
+        spec = SplitSpec(**{field: doc["spec"][key] for key, field in SPEC_FIELDS.items()})
         if type(q := doc["seeds"]["queries"]) is not int or q < 0:
             raise ValueError(f"seeds.queries must be an int >= 0, got {q!r}")
     except KeyError as e:
         raise UsageError(f"split references unknown trajectory id {e}") from None
     except (TypeError, ValueError) as e:
         raise ArtifactError(f"{path} is not a valid split: {e}") from None
-    return train, test, spec, doc
+    return train, test, spec, q
 
 
 # ------------------------------------------------------------------- train
 
-def cmd_train(cfg, args) -> int:
+def cmd_train(cfg, args) -> None:
     kind = args.model
     config = _build(TrainConfig, **opts(cfg, "train"))
-    train_pool, _, spec, doc = _load_split(cfg)
+    train_pool, _, spec, query_seed = _load_split(cfg)
     net = _build(DeepOnetConfig, m=spec.m, **opts(cfg, "deeponet"))
-    data = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
+    data = build_train(train_pool, spec, seed=query_seed)
     params, history = fit(init(net, kind, config.seed), net, data, config)
-    out = workdir(cfg) / "models"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(cfg, "train")
     ckpt = out / f"{kind}.ckpt"
     save_checkpoint(ckpt, params, meta={"kind": kind, **dataclasses.asdict(net)})
     _write_csv(out / f"{kind}_loss.csv",
@@ -333,21 +340,18 @@ def cmd_train(cfg, args) -> int:
         "n_train_samples": len(data[2]),
     })
     print(f"{kind}: trained {len(history)} epochs, best loss {best:.6g}")
-    return 0
 
 
 # ------------------------------------------------------------------- sghmc
 
-def cmd_sghmc(cfg, args) -> int:
+def cmd_sghmc(cfg, args) -> None:
     o = opts(cfg, "sghmc")
     bc = _build(BayesConfig, C=o.pop("c"), B_hat=o.pop("b_hat"), M=o.pop("m_ensemble"), **o)
-    train_pool, _, spec, doc = _load_split(cfg)
-    (params0,), net = _load_model(cfg, "vanilla", spec)
-    init_path = workdir(cfg) / "models" / "vanilla.ckpt"
-    data = build_train(train_pool, spec, seed=doc["seeds"]["queries"])
+    train_pool, _, spec, query_seed = _load_split(cfg)
+    (params0,), net, init_path = _load_model(cfg, "vanilla", spec)
+    data = build_train(train_pool, spec, seed=query_seed)
     members, trace = sghmc_run(params0, net, data, bc)
-    out = workdir(cfg) / "models" / "bayes"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(cfg, "sghmc")
     names, hashes = [], {}
     meta = {"kind": "bayes-member", **dataclasses.asdict(net)}
     for i, member in enumerate(members):
@@ -364,27 +368,25 @@ def cmd_sghmc(cfg, args) -> int:
     })
     print(f"sghmc: retained ensemble of {len(members)}, "
           f"final U = {trace[max(trace)]:.6g}")
-    return 0
 
 
 # ------------------------------------------------------------ model loading
 
 def _load_model(cfg, which: str, spec: SplitSpec):
-    """(members, net): a generator of one model's checkpoints, each read when
-    taken (the first is read here) and checked to hold exactly the parameters
-    (names, shapes) of a prob net for `prob`, else of a vanilla one; and the
-    geometry the first one's meta records, whose m must be the dataset's."""
-    models = workdir(cfg) / "models"
+    """(members, net, first path): a generator of one model's checkpoints, each
+    read when taken (the first is read here) and checked to hold exactly the
+    parameters (names, shapes) of a prob net for `prob`, else of a vanilla one;
+    the geometry the first one's meta records, whose m must be the dataset's."""
     if which == "bayes":
-        manifest = _need(models / "bayes" / "chain.manifest.json", "sghmc")
+        manifest = _need(cfg, "models/bayes/chain.manifest.json")
         names = read_json(manifest, "members")["members"]
         if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
             raise ArtifactError(f"{manifest} is not a valid chain: members is not a list of names")
-        paths = [_need(models / "bayes" / name, "sghmc") for name in names]
+        paths = [_need(cfg, f"models/bayes/{name}") for name in names]
         if len(paths) < 2:
             raise UsageError("ensemble has fewer than 2 members")
     else:
-        paths = [_need(models / f"{which}.ckpt", f"train --model {which}")]
+        paths = [_need(cfg, f"models/{which}.ckpt")]
     first, meta = load_checkpoint(paths[0])
     geometry = [f.name for f in dataclasses.fields(DeepOnetConfig)]
     for k in geometry:
@@ -405,7 +407,14 @@ def _load_model(cfg, which: str, spec: SplitSpec):
 
     if net.m != spec.m:
         raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
-    return stream(first), net
+    return stream(first), net, paths[0]
+
+
+def _load_test(cfg, which: str):
+    """(test pool, spec, members, net): what a read command scores."""
+    _, test_pool, spec, _ = _load_split(cfg)
+    members, net, _ = _load_model(cfg, which, spec)
+    return test_pool, spec, members, net
 
 
 def _band(mean, std, level: float):
@@ -417,12 +426,11 @@ def _band(mean, std, level: float):
 
 # ---------------------------------------------------------------- evaluate
 
-def cmd_evaluate(cfg, args) -> int:
+def cmd_evaluate(cfg, args) -> None:
     which, noise = args.which, check("--noise", args.noise, "nonneg")
     o = opts(cfg, "evaluate")
     level = o["level"]
-    _, test_pool, spec, _ = _load_split(cfg)
-    members, net = _load_model(cfg, which, spec)
+    test_pool, spec, members, net = _load_test(cfg, which)
 
     U, mesh, G = build_test(test_pool, spec)
     if o["count"] < len(G):
@@ -438,8 +446,7 @@ def cmd_evaluate(cfg, args) -> int:
     l1, l2 = uqeval.relative_errors(mean, G)
     eps = np.full(len(G), np.nan) if std is None else uqeval.epsilon_ratio(lo, hi, G)
 
-    out = workdir(cfg) / "eval"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(cfg, "evaluate")
     tag = which if noise == 0.0 else f"{which}_noise"
     agg = uqeval.aggregate_reports(l1, l2, eps)
     _write_csv(out / f"{tag}_report.csv",
@@ -473,12 +480,11 @@ def cmd_evaluate(cfg, args) -> int:
     print(f"{which}: mean L2 {agg['mean_L2']:.3f}% "
           f"(sd {agg['sd_L2']:.3f}), eps_ratio {agg['eps_ratio']:.2f}%"
           + (f" at sigma={noise}" if noise else ""))
-    return 0
 
 
 # ------------------------------------------------------------------ alarms
 
-def cmd_alarms(cfg, args) -> int:
+def cmd_alarms(cfg, args) -> None:
     which = args.which
     if which == "vanilla":
         raise UsageError("alarm analysis needs a predictive band; use prob or bayes")
@@ -489,15 +495,14 @@ def cmd_alarms(cfg, args) -> int:
         raise UsageError(f"y_star must be after the clearing time t_cl={spec.t_cl}, got {y_star}")
     if not y_star <= spec.T:
         raise UsageError(f"y_star must be at most the horizon T={spec.T}, got {y_star}")
-    members, net = _load_model(cfg, which, spec)
+    members, net, _ = _load_model(cfg, which, spec)
     U = build_test(test_pool, spec)[0]
     mean, std = (c[:, 0] for c in predict(members, net, U, [y_star]))
     lo, hi = _band(mean, std, level)
     ids = [tr.traj_id for tr in test_pool]
     truth = np.array([np.interp(y_star, tr.times, tr.values) for tr in test_pool])
     flags, summary = uqeval.alarm_analysis(lo, hi, truth, y_star=y_star, t_cl=spec.t_cl)
-    out = workdir(cfg) / "eval"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(cfg, "alarms")
     _write_csv(out / f"{which}_alarms.csv",
                ["traj_id", "truth", "mean", "lower", "upper",
                 *(key.lower() for key in uqeval.ALARM_FLAGS)],
@@ -509,20 +514,17 @@ def cmd_alarms(cfg, args) -> int:
           f"FP_cons={summary['FP_conservative']} "
           f"FP_noncons={summary['FP_nonconservative']} "
           f"TP={summary['TP']} TN={summary['TN']}")
-    return 0
 
 
 # --------------------------------------------------------------- residuals
 
-def cmd_residuals(cfg, args) -> int:
+def cmd_residuals(cfg, args) -> None:
     which = args.which
-    _, test_pool, spec, _ = _load_split(cfg)
-    members, net = _load_model(cfg, which, spec)
+    test_pool, spec, members, net = _load_test(cfg, which)
     U, mesh, G = build_test(test_pool, spec)
     res = predict(members, net, U, mesh)[0] - G
     report = uqeval.residual_normality(res)
-    out = workdir(cfg) / "eval"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(cfg, "residuals")
     _write_csv(out / f"{which}_residuals.csv", ["bin_left", "bin_right", "count"],
                [[float(report.hist_edges[i]), float(report.hist_edges[i + 1]),
                  int(report.hist_counts[i])] for i in range(len(report.hist_counts))])
@@ -534,16 +536,14 @@ def cmd_residuals(cfg, args) -> int:
     print(f"{which} residuals: skew {report.skewness:+.3f}, "
           f"excess kurtosis {report.excess_kurtosis:+.3f}, "
           f"verdict {'normal' if report.normal else 'not normal'}")
-    return 0
 
 
 # ----------------------------------------------------------------- predict
 
-def cmd_predict(cfg, args) -> int:
+def cmd_predict(cfg, args) -> None:
     which, traj_id = args.which, args.traj_id
     level = opts(cfg, "evaluate")["level"]
-    _, test_pool, spec, _ = _load_split(cfg)
-    members, net = _load_model(cfg, which, spec)
+    test_pool, spec, members, net = _load_test(cfg, which)
     by_id = {tr.traj_id: tr for tr in test_pool}
     if traj_id is None:
         traj_id = min(by_id)
@@ -552,8 +552,7 @@ def cmd_predict(cfg, args) -> int:
     (u,), mesh, (truth,) = build_test([by_id[traj_id]], spec)
     mean, std = predict(members, net, u, mesh)
     lo, hi = _band(mean, std, level)
-    out = workdir(cfg) / "eval"
-    out.mkdir(parents=True, exist_ok=True)
+    out = _outdir(cfg, "predict")
     path = Path(args.out) if args.out else out / f"predict_{which}_{traj_id}.csv"
     nanv = float("nan")
     try:
@@ -564,7 +563,6 @@ def cmd_predict(cfg, args) -> int:
     except OSError as e:
         raise UsageError(f"cannot write --out {path}: {e.strerror}") from None
     print(f"wrote {path}")
-    return 0
 
 
 # -------------------------------------------------------------------- main
@@ -577,7 +575,7 @@ def build_parser() -> argparse.ArgumentParser:
     p.add_argument("--config", metavar="INI", help="INI config file; flags override its keys")
     sub = p.add_subparsers(dest="command", required=True)
     parsers = {TOP: p, **{name: sub.add_parser(name, help=text)
-                          for name, text in COMMANDS.items()}}
+                          for name, (text, _) in COMMANDS.items()}}
     parsers["train"].add_argument("--model", required=True, choices=WHICH[:2],
                                   help="model to train")
     for name in ("predict", "evaluate", "alarms", "residuals"):
@@ -610,7 +608,7 @@ def main(argv=None) -> int:
             if value is not None:
                 cfg[section][key] = str(value)
         # looked up at call time, so a wrapper set on the module attribute runs
-        return globals()[f"cmd_{args.command}"](cfg, args)
+        globals()[f"cmd_{args.command}"](cfg, args)
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
@@ -618,6 +616,7 @@ def main(argv=None) -> int:
             gs.PowerFlowError, gs.PoolError, CheckpointError, ArtifactError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
+    return 0
 
 
 if __name__ == "__main__":
