@@ -36,7 +36,8 @@ import numpy as np
 
 from . import gridsim as gs
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
-from .dataset import SplitSpec, add_input_noise, build_test, build_train, split_pools
+from .dataset import (SplitSpec, add_input_noise, build_test, build_train, check_coverage,
+                      split_pools)
 from .deeponet import DeepOnetConfig, init, layout, predict
 from .sghmc import BayesConfig, SamplerError, sghmc_run
 from .train import TrainConfig, TrainingError, fit
@@ -170,10 +171,11 @@ def opts(cfg: dict, section: str) -> dict:
     return out
 
 
-def _build(cls, **kwargs):
-    """A config dataclass; a value its validation rejects is a usage error."""
+def _build(make, *args, **kwargs):
+    """`make(*args, **kwargs)`, a config dataclass or the split; a value its
+    validation rejects is a usage error."""
     try:
-        return cls(**kwargs)
+        return make(*args, **kwargs)
     except ValueError as e:
         raise UsageError(str(e)) from None
 
@@ -269,6 +271,8 @@ def _load_pools(cfg):
         path = _need(cfg, f"pools/{kind}.jsonl")
         data = path.read_bytes()
         pools.append(gs.load_pool(path, data))
+        if not pools[-1]:
+            raise gs.PoolError(f"{path} holds no trajectories")
         sha256[kind] = hashlib.sha256(data).hexdigest()
     return *pools, sha256
 
@@ -283,7 +287,7 @@ def cmd_dataset(cfg, args) -> None:
     o = opts(cfg, "dataset")
     spec = _build(SplitSpec, m=o["m"], Q=o["queries"], train_frac=o["train_frac"])
     n1, n2, pool_sha256 = _load_pools(cfg)
-    train, test = split_pools(n1, n2, spec.train_frac, seed=o["seed"])
+    train, test = _build(split_pools, n1, n2, spec.train_frac, seed=o["seed"])
     doc = {
         "train_ids": [tr.traj_id for tr in train],
         "test_ids": [tr.traj_id for tr in test],
@@ -309,6 +313,10 @@ def _load_split(cfg):
         train = [by_id[i] for i in doc["train_ids"]]
         test = [by_id[i] for i in doc["test_ids"]]
         spec = SplitSpec(**{field: doc["spec"][key] for key, field in SPEC_FIELDS.items()})
+        if not (train and test):
+            raise ValueError("train_ids and test_ids must both be non-empty")
+        for tr in train + test:
+            check_coverage(tr, spec)
         if type(q := doc["seeds"]["queries"]) is not int or q < 0:
             raise ValueError(f"seeds.queries must be an int >= 0, got {q!r}")
     except KeyError as e:

@@ -20,6 +20,7 @@ __all__ = [
     "SplitSpec",
     "sensor_times",
     "query_mesh",
+    "check_coverage",
     "trajectory_rng",
     "build_train",
     "build_test",
@@ -40,7 +41,7 @@ class SplitSpec:
     n_mesh: int = 500  # test query mesh size
 
     def __post_init__(self):
-        if self.m < 2 or self.Q < 1 or not (0.0 < self.train_frac < 1.0):
+        if self.m < 2 or self.Q < 1 or self.n_mesh < 1 or not (0.0 < self.train_frac < 1.0):
             raise ValueError(f"invalid split spec {self}")
         if not (0.0 < self.t_cl < self.T):
             raise ValueError(f"need 0 < t_cl < T, got {self.t_cl}, {self.T}")
@@ -57,7 +58,8 @@ def query_mesh(spec: SplitSpec) -> np.ndarray:
     return spec.t_cl + (spec.T - spec.t_cl) * j / spec.n_mesh
 
 
-def _check_coverage(tr: Trajectory, spec: SplitSpec):
+def check_coverage(tr: Trajectory, spec: SplitSpec):
+    """ValueError unless the trajectory reaches the spec's horizon T."""
     if tr.times[-1] < spec.T - 1e-9:
         raise ValueError(
             f"trajectory {tr.traj_id} ends at {tr.times[-1]:.3f}s, needs {spec.T}s"
@@ -83,7 +85,7 @@ def build_train(pool, spec: SplitSpec, seed: int) -> tuple[np.ndarray, np.ndarra
     """
     us, ys, gs = [], [], []
     for tr in pool:
-        _check_coverage(tr, spec)
+        check_coverage(tr, spec)
         y = trajectory_rng(seed, tr).uniform(spec.t_cl, spec.T, size=spec.Q)
         us.append(_u_disc(tr, spec))
         ys.append(y)
@@ -99,7 +101,7 @@ def build_test(pool, spec: SplitSpec) -> tuple[np.ndarray, np.ndarray, np.ndarra
     mesh = query_mesh(spec)
     us, gs = [], []
     for tr in pool:
-        _check_coverage(tr, spec)
+        check_coverage(tr, spec)
         us.append(_u_disc(tr, spec))
         gs.append(np.interp(mesh, tr.times, tr.values))
     return np.reshape(us, (-1, spec.m)), mesh, np.reshape(gs, (-1, spec.n_mesh))

@@ -132,7 +132,12 @@ class Workspace:
             self.scratch = unflatten(shapes, np.empty_like(self.grad), copy=False)
 
     def take(self, data, idx):
-        """Rows idx of the (U, Y, G) data, gathered into this workspace."""
+        """Rows idx of the (U, Y, G) data, gathered into this workspace; an
+        index outside the data raises IndexError (np.take's clip mode, which
+        gathers straight into the buffers, would clamp it)."""
+        n = len(data[2])
+        if idx.size and not (0 <= idx.min() and idx.max() < n):
+            raise IndexError(f"row index out of range for {n} data rows")
         return tuple(np.take(a, idx, axis=0, out=b, mode="clip") for a, b in zip(data, self.rows))
 
 

@@ -225,7 +225,10 @@ def solve_power_flow(model: GridModel) -> PowerFlow:
             xp = x.copy()
             xp[j] += h
             J[:, j] = (mismatch(xp)[0] - f) / h
-        x = x - np.linalg.solve(J, f)
+        try:
+            x = x - np.linalg.solve(J, f)
+        except np.linalg.LinAlgError:
+            raise PowerFlowError("power flow Jacobian is singular") from None
     else:
         raise PowerFlowError(f"power flow did not converge in {max_iter} iterations")
     S = V * np.conj(Y @ V)

@@ -74,6 +74,8 @@ class BayesConfig:
         for name in ("eps_t", "sigma_l", "prior_lambda"):
             if not (0.0 < getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
+        if not (0.0 < self.sigma_l * self.sigma_l < np.inf):  # the likelihood's variance
+            raise ValueError(f"sigma_l squared must be finite and > 0, got sigma_l={self.sigma_l}")
         if self.m_inner < 1 or self.n_outer < 1 or self.thinning < 1 or self.batch_size < 1:
             raise ValueError("m_inner, n_outer, thinning, batch_size must be >= 1")
         if not (0 <= self.burn_in < self.n_outer):

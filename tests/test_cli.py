@@ -490,3 +490,168 @@ def test_bayes_members_are_streamed(workdir_copy, monkeypatch, capsys):
     assert run(capsys, workdir_copy, "predict", "--which", "bayes")[0] == 0
     assert len(refs) == 3
     assert max(alive) <= 2, alive
+
+
+# One reading command of each kind: the three stages that read the pipeline's
+# inputs, and one read command per model.
+READERS = (*(next(argv for argv in PIPELINE if argv[0] == name)
+             for name in ("dataset", "train", "sghmc")),
+           *(("evaluate", "--which", w) for w in WHICH))
+
+
+def snapshot(root):
+    return {p: p.read_bytes() for p in sorted(root.rglob("*")) if p.is_file()}
+
+
+def restore(root, files):
+    """Put the workdir back to `files`, a snapshot of it."""
+    for p in root.rglob("*"):
+        if p.is_file() and p not in files:
+            p.unlink()
+    for p, data in files.items():
+        if not p.exists() or p.read_bytes() != data:
+            p.write_bytes(data)
+
+
+@pytest.fixture(scope="module")
+def shared_copy(pipeline, tmp_path_factory):
+    wd = tmp_path_factory.mktemp("shared") / "wd"
+    shutil.copytree(pipeline[0], wd)
+    return wd, snapshot(wd)
+
+
+@pytest.fixture
+def restored_workdir(shared_copy):
+    """A copy of the pipeline's workdir, put back after the test: cheaper
+    than `workdir_copy` for many short runs."""
+    wd, files = shared_copy
+    yield wd
+    restore(wd, files)
+
+
+def corruptions(path, data):
+    cases = {
+        "empty": b"",
+        "half": data[: len(data) // 2],
+        # a lost final newline leaves the same document, so drop a content byte
+        "last-byte": data.rstrip(b"\n")[:-1],
+        "garbage": np.random.default_rng(0).bytes(len(data)),
+    }
+    if path.suffix == ".json":
+        cases.update({"null": b"null", "list": b"[]"})
+    return cases
+
+
+def clean_exit(capsys, wd, argv, config, codes):
+    """None if the command exits with one of `codes`, printing nothing to
+    stderr on exit 0 and exactly one `error:` line otherwise; else what it did."""
+    try:
+        rc, err = run(capsys, wd, *argv, config=config)
+    except Exception as e:  # a traceback is what this looks for
+        return f"raised {type(e).__name__}: {e}"
+    one_error = len(err) == 1 and err[0].startswith("error: ")
+    if rc not in codes or not (err == [] if rc == 0 else one_error):
+        return f"exit {rc}, stderr {err}"
+    return None
+
+
+def test_corrupt_inputs_exit_1_or_2_with_one_error_line(pipeline, workdir_copy, monkeypatch,
+                                                        capsys):
+    """Each input file a reader passes to `_need`, under each corruption,
+    fails each kind of reader that reads it with exit 1 or 2 and one `error:`
+    line. Every input lies in a `COMMANDS` output directory, and every pool
+    and checkpoint there is an input."""
+    config, need, reads = pipeline[3], cli._need, {}
+
+    def recording(cfg, rel):
+        reads.setdefault(rel, set()).add(argv)
+        return need(cfg, rel)
+
+    monkeypatch.setattr(cli, "_need", recording)
+    for argv in READERS:
+        assert run(capsys, workdir_copy, *argv, config=config)[0] == 0, argv
+    monkeypatch.undo()
+    dirs = {out for _, out in cli.COMMANDS.values()}
+    assert all(str(Path(rel).parent) in dirs for rel in reads), sorted(reads)
+    stored = {str(p.relative_to(workdir_copy)) for d in dirs for p in (workdir_copy / d).iterdir()
+              if p.suffix in (".jsonl", ".ckpt")}
+    assert stored <= set(reads)  # every pool and checkpoint
+    files, bad = snapshot(workdir_copy), []
+    for rel, readers in sorted(reads.items()):
+        path = workdir_copy / rel
+        # every reading stage, and the first read command, that reads the file
+        stages = [argv for argv in READERS if argv in readers]
+        kinds = ([argv for argv in stages if argv[0] != "evaluate"]
+                 + [argv for argv in stages if argv[0] == "evaluate"][:1])
+        for how, data in corruptions(path, files[path]).items():
+            for argv in kinds:
+                path.write_bytes(data)
+                fault = clean_exit(capsys, workdir_copy, argv, config, (1, 2))
+                if fault:
+                    bad.append(f"{rel} {how}, {' '.join(argv[:3])}: {fault}")
+                restore(workdir_copy, files)
+    assert not bad, "\n".join(bad)
+
+
+# The last pipeline call of each reading command, which runs its band paths
+LAST = {argv[0]: argv for argv in PIPELINE if argv[0] != "simulate"}
+
+
+@pytest.mark.parametrize("artifact, edit, argv, code, message", [
+    (None, None, (*LAST["dataset"], "--train-frac", "0.1"), 2,
+     "train_frac 0.1 leaves an empty split for N=4"),
+    (None, None, (*LAST["sghmc"], "--sigma-l", "1e-300"), 2,
+     "sigma_l squared must be finite and > 0, got sigma_l=1e-300"),
+    (None, None, (*LAST["sghmc"], "--sigma-l", "1e300"), 2,
+     "sigma_l squared must be finite and > 0, got sigma_l=1e+300"),
+    ("pools/n1.jsonl", lambda text: "", LAST["dataset"], 1, "{path} holds no trajectories"),
+    ("dataset/split.json", _edit("spec.T", 20.0), ("evaluate", "--which", "vanilla"), 1,
+     "{path} is not a valid split: trajectory 2 ends at 9.000s, needs 20.0s"),
+    ("dataset/split.json", _edit("spec.T", 20.0), LAST["train"], 1,
+     "{path} is not a valid split: trajectory 2 ends at 9.000s, needs 20.0s"),
+    ("dataset/split.json", _edit("spec.n_mesh", 0), ("evaluate", "--which", "vanilla"), 1,
+     "{path} is not a valid split: invalid split spec"),
+    *(("dataset/split.json", _edit("test_ids", []), argv, 1,
+       "{path} is not a valid split: train_ids and test_ids must both be non-empty")
+      for argv in (("evaluate", "--which", "vanilla"), ("residuals",),
+                   ("predict", "--which", "vanilla"))),
+    *(("dataset/split.json", _edit("train_ids", []), argv, 1,
+       "{path} is not a valid split: train_ids and test_ids must both be non-empty")
+      for argv in (LAST["train"], LAST["sghmc"])),
+], ids=["train-frac-0.1", "sigma-l-1e-300", "sigma-l-1e300", "n1-empty", "split-T-20-evaluate",
+        "split-T-20-train", "split-n-mesh-0", "split-test-ids-empty-evaluate",
+        "split-test-ids-empty-residuals", "split-test-ids-empty-predict",
+        "split-train-ids-empty-train", "split-train-ids-empty-sghmc"])
+def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,
+                                                             artifact, edit, argv, code,
+                                                             message):
+    path = restored_workdir / artifact if artifact else None
+    if path:
+        path.write_text(edit(path.read_text()))
+    rc, err = run(capsys, restored_workdir, *argv, config=pipeline[3])
+    assert rc == code
+    assert len(err) == 1 and err[0].startswith(f"error: {message.format(path=path)}")
+
+
+def _edge_cases():
+    """Each option a reading command takes as a flag, at 1e-300 and 1e300 if
+    it is a float, else at 0 and 1 (no huge counts)."""
+    for section, key, _, cast, _, _, commands in cli.OPTIONS:
+        for command in set(commands) & set(LAST):
+            for value in ("1e-300", "1e300") if cast is float else ("0", "1"):
+                yield pytest.param(LAST[command], "--" + key.replace("_", "-"), value,
+                                   id=f"{command}-{section}.{key}={value}")
+
+
+@pytest.mark.parametrize("argv, flag, value", sorted(_edge_cases(), key=lambda p: p.id))
+def test_option_edge_exits_cleanly(pipeline, restored_workdir, capsys, argv, flag, value):
+    """Exit 0 without stderr, or exit 1 or 2 with one `error:` line."""
+    fault = clean_exit(capsys, restored_workdir, (*argv, flag, value), pipeline[3], (0, 1, 2))
+    assert fault is None, fault
+
+
+def test_singular_power_flow_exits_1(tmp_path, capsys):
+    rc, err = run(capsys, tmp_path / "wd", "simulate", "--load-scale", "1e300",
+                  "--n1", "1", "--n2", "1")
+    assert rc == 1
+    assert err == ["error: power flow Jacobian is singular"]

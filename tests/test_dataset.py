@@ -194,3 +194,8 @@ def test_spec_validation():
         SplitSpec(train_frac=1.0)
     with pytest.raises(ValueError):
         SplitSpec(t_cl=9.0, T=9.0)
+
+
+def test_spec_needs_a_mesh_point():
+    with pytest.raises(ValueError):
+        SplitSpec(n_mesh=0)

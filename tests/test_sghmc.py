@@ -115,6 +115,15 @@ def test_returned_gradients_are_not_overwritten_by_the_next_call():
     assert any(not np.array_equal(first[k], second[k]) for k in kept)
 
 
+@pytest.mark.parametrize("rows", [[0, 99], [-1, 0]], ids=["past-the-end", "negative"])
+def test_rows_outside_the_data_raise(rows):
+    """A row index outside the 3 data rows is not clamped to an edge row."""
+    params = init(CFG, "vanilla", seed=9)
+    data = make_batch(np.random.default_rng(8), 3)
+    with pytest.raises(IndexError):
+        grad_potential(params, CFG, data, rows, unit_bc())
+
+
 def test_minibatch_gradient_is_unbiased():
     # averaging the rescaled estimator over every size-3 subset of 6 points
     # reproduces the full-batch likelihood gradient exactly
@@ -218,6 +227,14 @@ def test_config_validation():
     for C in (np.nan, np.inf):
         with pytest.raises(ValueError):
             unit_bc(C=C)
+
+
+@pytest.mark.parametrize("sigma_l", [1e-300, 1e300])
+def test_sigma_l_whose_square_leaves_the_floats_is_rejected(sigma_l):
+    """sigma_l**2 would underflow to 0 (a division by zero in the gradient's
+    scale) or overflow (Python's float ** raises OverflowError)."""
+    with pytest.raises(ValueError, match="sigma_l squared must be finite and > 0"):
+        unit_bc(sigma_l=sigma_l)
 
 
 def test_run_is_deterministic():
