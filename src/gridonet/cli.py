@@ -16,9 +16,11 @@ The commands form one stage table, `COMMANDS`: each row holds a command's
 help text and its output directory, which `_outdir` makes. Every input file
 passes `_need`, which names the command whose directory holds a missing one,
 on its way to a loader (`_load_pools`, `_load_split`, `_load_model`, and
-`_load_test` for the read commands). A model's geometry is read from its
-checkpoint, so only `train` takes the `[deeponet]` keys. `_load_model`
-streams a bayes ensemble's members to `predict`, which keeps their curves only.
+`_load_test` for the read commands). `SPEC_FIELDS` spells the split's spec
+keys once, for `split.json`'s writer and reader. A model's geometry is read
+from its checkpoint, so only `train` takes the `[deeponet]` keys.
+`_load_model` streams a bayes ensemble's members to `predict`, which keeps
+their curves only.
 """
 
 from __future__ import annotations
@@ -225,10 +227,10 @@ def _outdir(cfg, command: str) -> Path:
 
 
 def _need(cfg, rel: str) -> Path:
-    """The input file `rel` under the workdir; if it is missing, a usage error
-    naming the command whose `COMMANDS` directory holds it most closely."""
+    """The input file `rel` under the workdir; if it is not a file, a usage
+    error naming the command whose `COMMANDS` directory holds it most closely."""
     path = workdir(cfg) / rel
-    if not path.exists():
+    if not path.is_file():
         writer = next(name for d in Path(rel).parents
                       for name, (_, out) in COMMANDS.items() if out == str(d))
         model = f" --model {path.stem}" if writer == "train" else ""
@@ -388,7 +390,8 @@ def _load_model(cfg, which: str, spec: SplitSpec):
     if which == "bayes":
         manifest = _need(cfg, "models/bayes/chain.manifest.json")
         names = read_json(manifest, "members")["members"]
-        if not (isinstance(names, list) and all(isinstance(n, str) for n in names)):
+        if not (isinstance(names, list)
+                and all(isinstance(n, str) and n and n == Path(n).name for n in names)):
             raise ArtifactError(f"{manifest} is not a valid chain: members is not a list of names")
         paths = [_need(cfg, f"models/bayes/{name}") for name in names]
         if len(paths) < 2:

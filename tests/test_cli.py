@@ -492,10 +492,11 @@ def test_bayes_members_are_streamed(workdir_copy, monkeypatch, capsys):
     assert max(alive) <= 2, alive
 
 
+# The last pipeline call of each reading command, which runs its band paths
+LAST = {argv[0]: argv for argv in PIPELINE if argv[0] != "simulate"}
 # One reading command of each kind: the three stages that read the pipeline's
-# inputs, and one read command per model.
-READERS = (*(next(argv for argv in PIPELINE if argv[0] == name)
-             for name in ("dataset", "train", "sghmc")),
+# inputs, and one read command per model
+READERS = (*(LAST[name] for name in ("dataset", "train", "sghmc")),
            *(("evaluate", "--which", w) for w in WHICH))
 
 
@@ -593,10 +594,6 @@ def test_corrupt_inputs_exit_1_or_2_with_one_error_line(pipeline, workdir_copy, 
     assert not bad, "\n".join(bad)
 
 
-# The last pipeline call of each reading command, which runs its band paths
-LAST = {argv[0]: argv for argv in PIPELINE if argv[0] != "simulate"}
-
-
 @pytest.mark.parametrize("artifact, edit, argv, code, message", [
     (None, None, (*LAST["dataset"], "--train-frac", "0.1"), 2,
      "train_frac 0.1 leaves an empty split for N=4"),
@@ -618,10 +615,15 @@ LAST = {argv[0]: argv for argv in PIPELINE if argv[0] != "simulate"}
     *(("dataset/split.json", _edit("train_ids", []), argv, 1,
        "{path} is not a valid split: train_ids and test_ids must both be non-empty")
       for argv in (LAST["train"], LAST["sghmc"])),
+    ("models/bayes/chain.manifest.json", _edit("members", ["", "member_001.ckpt"]),
+     LAST["predict"], 1, "{path} is not a valid chain: members is not a list of names"),
+    ("models/bayes/chain.manifest.json", _edit("members", ["..", "member_001.ckpt"]),
+     LAST["predict"], 2, "missing {path.parent}/..; run `sghmc` first"),
 ], ids=["train-frac-0.1", "sigma-l-1e-300", "sigma-l-1e300", "n1-empty", "split-T-20-evaluate",
         "split-T-20-train", "split-n-mesh-0", "split-test-ids-empty-evaluate",
         "split-test-ids-empty-residuals", "split-test-ids-empty-predict",
-        "split-train-ids-empty-train", "split-train-ids-empty-sghmc"])
+        "split-train-ids-empty-train", "split-train-ids-empty-sghmc", "chain-member-empty",
+        "chain-member-parent-dir"])
 def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,
                                                              artifact, edit, argv, code,
                                                              message):
