@@ -40,7 +40,7 @@ from . import gridsim as gs
 from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import (SplitSpec, add_input_noise, build_test, build_train, check_coverage,
                       split_pools)
-from .deeponet import DeepOnetConfig, init, layout, predict
+from .deeponet import DeepOnetConfig, NumericError, init, layout, predict
 from .sghmc import BayesConfig, SamplerError, sghmc_run
 from .train import TrainConfig, TrainingError, fit
 from . import uqeval
@@ -444,11 +444,8 @@ def cmd_evaluate(cfg, args) -> None:
     test_pool, spec, members, net = _load_test(cfg, which)
 
     U, mesh, G = build_test(test_pool, spec)
-    if o["count"] < len(G):
-        sel = np.sort(np.random.default_rng([o["seed"], 4]).choice(
-            len(G), size=o["count"], replace=False))
-    else:
-        sel = np.arange(len(G))
+    sel = np.sort(np.random.default_rng([o["seed"], 4]).choice(
+        len(G), size=min(o["count"], len(G)), replace=False))
     ids = [test_pool[k].traj_id for k in sel]
     U = np.array([add_input_noise(U[k], noise, [o["noise_seed"], 5, i]) for k, i in zip(sel, ids)])
     G = G[sel]
@@ -501,12 +498,11 @@ def cmd_alarms(cfg, args) -> None:
         raise UsageError("alarm analysis needs a predictive band; use prob or bayes")
     o = opts(cfg, "evaluate")
     level, y_star = o["level"], o["y_star"]
-    _, test_pool, spec, _ = _load_split(cfg)
+    test_pool, spec, members, net = _load_test(cfg, which)
     if y_star <= spec.t_cl:
         raise UsageError(f"y_star must be after the clearing time t_cl={spec.t_cl}, got {y_star}")
     if not y_star <= spec.T:
         raise UsageError(f"y_star must be at most the horizon T={spec.T}, got {y_star}")
-    members, net, _ = _load_model(cfg, which, spec)
     U = build_test(test_pool, spec)[0]
     mean, std = (c[:, 0] for c in predict(members, net, U, [y_star]))
     lo, hi = _band(mean, std, level)
@@ -624,7 +620,7 @@ def main(argv=None) -> int:
         print(f"error: {e}", file=sys.stderr)
         return 2
     except (TrainingError, SamplerError, gs.SimulationDiverged, gs.ScenarioRejected,
-            gs.PowerFlowError, gs.PoolError, CheckpointError, ArtifactError) as e:
+            gs.PowerFlowError, gs.PoolError, CheckpointError, ArtifactError, NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

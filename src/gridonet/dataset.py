@@ -125,8 +125,6 @@ def add_input_noise(u_disc: np.ndarray, sigma: float, seed) -> np.ndarray:
     """i.i.d. Gaussian measurement noise per sensor."""
     if sigma < 0:
         raise ValueError(f"sigma must be >= 0, got {sigma}")
-    if sigma == 0.0:
-        return np.asarray(u_disc, dtype=float).copy()
     rng = np.random.default_rng(seed)
     u = np.asarray(u_disc, dtype=float)
     return u + rng.normal(0.0, sigma, size=u.shape)

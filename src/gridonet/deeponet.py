@@ -213,15 +213,13 @@ def _heads(params: dict):
 
 def _curves(params: dict, cfg: DeepOnetConfig, u, y, spaces) -> list[np.ndarray]:
     """Each head's (n, k) values for the n rows of u at the query column y
-    (log-sigma clamped); the branch and the trunk run once, in `spaces`."""
+    (log-sigma not yet clamped); the branch and the trunk run once, in `spaces`."""
     bws, tws = spaces
     bh = hidden(params, u, cfg.branch, "b_", bws)  # (n, width)
     th = hidden(params, y, cfg.trunk, "t_", tws)  # (k, width)
     out = [head(params, th, "t_", stem, tws.out[0])
            @ np.ascontiguousarray(head(params, bh, "b_", stem, bws.out[0]).T)
            + float(np.asarray(params[tau]).item()) for stem, tau in _heads(params)]
-    if len(out) == 2:
-        out[1] = np.clip(out[1], LOGSIG_LO, LOGSIG_HI)
     return [np.ascontiguousarray(c.T) for c in out]  # (n, k)
 
 
@@ -229,20 +227,24 @@ def predict(members, cfg: DeepOnetConfig, u_disc, ys):
     """(mean, std) curves at query times ys from members, an iterable of one
     vanilla net, one prob net or a vanilla ensemble (see the module doc). The
     inputs lie on the last axis of u_disc: (m,) gives (k,) curves, and (n, m)
-    gives (n, k) curves, row i being the curve of input row i."""
+    gives (n, k) curves, row i being the curve of input row i. NumericError
+    names the first member whose raw curves (before any clamp) are not finite."""
     u_disc = np.asarray(u_disc, dtype=float)
     u = np.ascontiguousarray(u_disc.reshape(-1, u_disc.shape[-1]))
     y = np.ascontiguousarray(np.asarray(ys, dtype=float).reshape(-1, 1))
-    if not (np.all(np.isfinite(u)) and np.all(np.isfinite(y))):
-        raise NumericError("non-finite network input")
     if u.shape[1] != cfg.m:
         raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
     shape = u_disc.shape[:-1] + (len(y),)
     spaces = (mlp.Workspace(cfg.branch, len(u), grad=False),
               mlp.Workspace(cfg.trunk, len(y), grad=False))
-    curves = [[c.reshape(shape) for c in _curves(p, cfg, u, y, spaces)] for p in members]
+    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values reach the check
+        curves = [[c.reshape(shape) for c in _curves(p, cfg, u, y, spaces)] for p in members]
+    for i, c in enumerate(curves):
+        if not all(np.isfinite(a).all() for a in c):
+            raise NumericError(f"member {i} gives non-finite values")
     if len(curves) == 1:
-        return curves[0][0], (np.exp(curves[0][1]) if len(curves[0]) == 2 else None)
+        mean, *ls = curves[0]
+        return mean, (np.exp(np.clip(ls[0], LOGSIG_LO, LOGSIG_HI)) if ls else None)
     if not curves or any(len(c) != 1 for c in curves):
         raise ValueError("an ensemble needs two or more vanilla members")
     stack = np.stack([c[0] for c in curves])
