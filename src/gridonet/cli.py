@@ -56,7 +56,7 @@ OPTIONS = (
     ("simulate", "n1", "300", int, "int>=1", "N-1 pool size", ("simulate",)),
     ("simulate", "n2", "300", int, "int>=1", "N-2 pool size", ("simulate",)),
     ("simulate", "seed", "0", int, "int>=0", "pool sampling seed", ("simulate",)),
-    ("simulate", "h_max", "1e-3", float, "pos", "max RK4 step, s", ("simulate",)),
+    ("simulate", "h_max", "1e-3", float, "step", "max RK4 step, s", ("simulate",)),
     ("dataset", "m", "200", int, None, "branch sensors", ("dataset",)),
     ("dataset", "queries", "10", int, None, "training queries per trajectory", ("dataset",)),
     ("dataset", "train_frac", "0.7", float, None, "train fraction", ("dataset",)),
@@ -100,6 +100,8 @@ DOMAINS = {  # name: (test, phrase) of the values an option may take
     "int>=0": (lambda v: v >= 0, "must be >= 0"),
     "int>=1": (lambda v: v >= 1, "must be >= 1"),
     "pos": (lambda v: 0.0 < v < np.inf, "must be finite and > 0"),
+    # at most 1,000 RK4 steps per 10 ms sample interval
+    "step": (lambda v: 1e-5 <= v < np.inf, "must be finite and > 0, at least 1e-5 s"),
     "nonneg": (lambda v: 0.0 <= v < np.inf, "must be finite and >= 0"),
     "unit": (lambda v: 0.0 < v < 1.0, "must be in (0, 1)"),
     "bus": (lambda v: 0 <= v < gs.GridModel.n_bus, f"must be in [0, {gs.GridModel.n_bus})"),
@@ -530,7 +532,11 @@ def cmd_residuals(cfg, args) -> None:
     test_pool, spec, members, net = _load_test(cfg, which)
     U, mesh, G = build_test(test_pool, spec)
     res = predict(members, net, U, mesh)[0] - G
-    report = uqeval.residual_normality(res)
+    try:
+        report = uqeval.residual_normality(res)
+    except ValueError as e:
+        raise ArtifactError(f"{workdir(cfg) / 'dataset/split.json'} cannot be scored "
+                            f"for residual normality: {e}") from None
     out = _outdir(cfg, "residuals")
     _write_csv(out / f"{which}_residuals.csv", ["bin_left", "bin_right", "count"],
                [[float(report.hist_edges[i]), float(report.hist_edges[i + 1]),

@@ -76,6 +76,8 @@ class BayesConfig:
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
         if not (0.0 < self.sigma_l * self.sigma_l < np.inf):  # the likelihood's variance
             raise ValueError(f"sigma_l squared must be finite and > 0, got sigma_l={self.sigma_l}")
+        if not (2.0 * np.pi * self.sigma_l**2 < np.inf):  # the likelihood's normaliser
+            raise ValueError(f"2 pi sigma_l squared must be finite, got sigma_l={self.sigma_l}")
         if self.m_inner < 1 or self.n_outer < 1 or self.thinning < 1 or self.batch_size < 1:
             raise ValueError("m_inner, n_outer, thinning, batch_size must be >= 1")
         if not (0 <= self.burn_in < self.n_outer):

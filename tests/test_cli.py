@@ -155,6 +155,7 @@ def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
     (("simulate", "--h-max", "0"), "h_max must be finite and > 0"),
     (("simulate", "--h-max", "nan"), "h_max must be finite and > 0"),
     (("simulate", "--h-max", "-1"), "h_max must be finite and > 0"),
+    (("simulate", "--h-max", "9e-6"), "h_max must be finite and > 0, at least 1e-5 s, got 9e-06"),
     (("evaluate", "--which", "prob", "--level", "1.5"), "level must be in (0, 1)"),
     (("evaluate", "--which", "vanilla", "--level", "nan"), "level must be in (0, 1)"),
     (("alarms", "--which", "bayes", "--level", "0"), "level must be in (0, 1)"),
@@ -492,8 +493,8 @@ def test_bayes_members_are_streamed(workdir_copy, monkeypatch, capsys):
     assert max(alive) <= 2, alive
 
 
-# The last pipeline call of each reading command, which runs its band paths
-LAST = {argv[0]: argv for argv in PIPELINE if argv[0] != "simulate"}
+# The last pipeline call of each command, which for a reading one runs its band paths
+LAST = {argv[0]: argv for argv in PIPELINE}
 # One reading command of each kind: the three stages that read the pipeline's
 # inputs, and one read command per model
 READERS = (*(LAST[name] for name in ("dataset", "train", "sghmc")),
@@ -594,6 +595,23 @@ def test_corrupt_inputs_exit_1_or_2_with_one_error_line(pipeline, workdir_copy, 
     assert not bad, "\n".join(bad)
 
 
+@pytest.mark.parametrize("ckpt, member", [("models/prob.ckpt", 0),
+                                           ("models/bayes/member_001.ckpt", 1)],
+                         ids=["prob", "bayes-member-1"])
+@pytest.mark.parametrize("command", ["evaluate", "residuals", "predict", "alarms"])
+def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdir, capsys,
+                                                       ckpt, member, command):
+    """An inf in one bias of a checkpoint fails each read command with one
+    line naming the member, where it would otherwise write NaN curves."""
+    path = restored_workdir / ckpt
+    params, meta = load_checkpoint(path)
+    params["b_u_b"].flat[0] = np.inf
+    save_checkpoint(path, params, meta=meta)
+    which = "prob" if member == 0 else "bayes"
+    rc, err = run(capsys, restored_workdir, command, "--which", which, config=pipeline[3])
+    assert (rc, err) == (1, [f"error: member {member} gives non-finite values"])
+
+
 @pytest.mark.parametrize("artifact, edit, argv, code, message", [
     (None, None, (*LAST["dataset"], "--train-frac", "0.1"), 2,
      "train_frac 0.1 leaves an empty split for N=4"),
@@ -601,6 +619,8 @@ def test_corrupt_inputs_exit_1_or_2_with_one_error_line(pipeline, workdir_copy, 
      "sigma_l squared must be finite and > 0, got sigma_l=1e-300"),
     (None, None, (*LAST["sghmc"], "--sigma-l", "1e300"), 2,
      "sigma_l squared must be finite and > 0, got sigma_l=1e+300"),
+    (None, None, (*LAST["sghmc"], "--sigma-l", "1e154"), 2,
+     "2 pi sigma_l squared must be finite, got sigma_l=1e+154"),
     ("pools/n1.jsonl", lambda text: "", LAST["dataset"], 1, "{path} holds no trajectories"),
     ("dataset/split.json", _edit("spec.T", 20.0), ("evaluate", "--which", "vanilla"), 1,
      "{path} is not a valid split: trajectory 2 ends at 9.000s, needs 20.0s"),
@@ -608,6 +628,8 @@ def test_corrupt_inputs_exit_1_or_2_with_one_error_line(pipeline, workdir_copy, 
      "{path} is not a valid split: trajectory 2 ends at 9.000s, needs 20.0s"),
     ("dataset/split.json", _edit("spec.n_mesh", 0), ("evaluate", "--which", "vanilla"), 1,
      "{path} is not a valid split: invalid split spec"),
+    ("dataset/split.json", _edit("spec.n_mesh", 1), ("residuals",), 1,
+     "{path} cannot be scored for residual normality: need at least 8 residuals, got 2"),
     *(("dataset/split.json", _edit("test_ids", []), argv, 1,
        "{path} is not a valid split: train_ids and test_ids must both be non-empty")
       for argv in (("evaluate", "--which", "vanilla"), ("residuals",),
@@ -619,11 +641,11 @@ def test_corrupt_inputs_exit_1_or_2_with_one_error_line(pipeline, workdir_copy, 
      LAST["predict"], 1, "{path} is not a valid chain: members is not a list of names"),
     ("models/bayes/chain.manifest.json", _edit("members", ["..", "member_001.ckpt"]),
      LAST["predict"], 2, "missing {path.parent}/..; run `sghmc` first"),
-], ids=["train-frac-0.1", "sigma-l-1e-300", "sigma-l-1e300", "n1-empty", "split-T-20-evaluate",
-        "split-T-20-train", "split-n-mesh-0", "split-test-ids-empty-evaluate",
-        "split-test-ids-empty-residuals", "split-test-ids-empty-predict",
-        "split-train-ids-empty-train", "split-train-ids-empty-sghmc", "chain-member-empty",
-        "chain-member-parent-dir"])
+], ids=["train-frac-0.1", "sigma-l-1e-300", "sigma-l-1e300", "sigma-l-1e154", "n1-empty",
+        "split-T-20-evaluate", "split-T-20-train", "split-n-mesh-0", "split-n-mesh-1-residuals",
+        "split-test-ids-empty-evaluate", "split-test-ids-empty-residuals",
+        "split-test-ids-empty-predict", "split-train-ids-empty-train",
+        "split-train-ids-empty-sghmc", "chain-member-empty", "chain-member-parent-dir"])
 def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,
                                                              artifact, edit, argv, code,
                                                              message):
@@ -636,8 +658,8 @@ def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_
 
 
 def _edge_cases():
-    """Each option a reading command takes as a flag, at 1e-300 and 1e300 if
-    it is a float, else at 0 and 1 (no huge counts)."""
+    """Each option a command takes as a flag, at 1e-300 and 1e300 if it is a
+    float, else at 0 and 1 (no huge counts)."""
     for section, key, _, cast, _, _, commands in cli.OPTIONS:
         for command in set(commands) & set(LAST):
             for value in ("1e-300", "1e300") if cast is float else ("0", "1"):

@@ -296,3 +296,14 @@ def test_members_may_be_any_iterable():
         assert w.tobytes() == g.tobytes()
     one = predict(iter(members[:1]), CFG, U, ys)
     assert one[0].tobytes() == curve(members[0], U, ys).tobytes() and one[1] is None
+
+
+@pytest.mark.parametrize("kind, name", [("prob", "tau_o_ls"), ("vanilla", "t_out_b")])
+def test_predict_names_the_member_with_non_finite_curves(kind, name):
+    """The check reads each member's raw curves: an inf log-sigma bias, which
+    the clamp would turn into a finite sigma, fails; an inf in a trunk head,
+    which makes inf - inf in the final product, fails without a warning."""
+    members = [init(CFG, kind, s) for s in (1, 2, 3)[: 1 if kind == "prob" else 3]]
+    members[-1][name].flat[0] = np.inf
+    with pytest.raises(NumericError, match=f"^member {len(members) - 1} gives non-finite values$"):
+        predict(members, CFG, np.ones((2, 10)), [2.5, 3.0])
