@@ -155,7 +155,6 @@ def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
     (("simulate", "--h-max", "0"), "h_max must be finite and > 0"),
     (("simulate", "--h-max", "nan"), "h_max must be finite and > 0"),
     (("simulate", "--h-max", "-1"), "h_max must be finite and > 0"),
-    (("simulate", "--h-max", "9e-6"), "h_max must be finite and > 0, at least 1e-5 s, got 9e-06"),
     (("evaluate", "--which", "prob", "--level", "1.5"), "level must be in (0, 1)"),
     (("evaluate", "--which", "vanilla", "--level", "nan"), "level must be in (0, 1)"),
     (("alarms", "--which", "bayes", "--level", "0"), "level must be in (0, 1)"),
@@ -179,6 +178,7 @@ def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
     (("dataset", "--query-seed", "-1"), "query_seed must be >= 0, got -1"),
     (("evaluate", "--which", "prob", "--noise-seed", "-1"), "noise_seed must be >= 0, got -1"),
     (("evaluate", "--which", "vanilla", "--bands", "-1"), "bands must be >= 0, got -1"),
+    (("simulate", "--h-max", "9e-6"), "h_max must be finite and > 0, at least 1e-5 s, got 9e-06"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, argv, message):
     rc, err = run(capsys, tmp_path / "wd", *argv)

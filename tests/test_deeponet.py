@@ -303,7 +303,7 @@ def test_predict_names_the_member_with_non_finite_curves(kind, name):
     """The check reads each member's raw curves: an inf log-sigma bias, which
     the clamp would turn into a finite sigma, fails; an inf in a trunk head,
     which makes inf - inf in the final product, fails without a warning."""
-    members = [init(CFG, kind, s) for s in (1, 2, 3)[: 1 if kind == "prob" else 3]]
+    members = [init(CFG, kind, s) for s in ((1,) if kind == "prob" else (1, 2, 3))]
     members[-1][name].flat[0] = np.inf
     with pytest.raises(NumericError, match=f"^member {len(members) - 1} gives non-finite values$"):
         predict(members, CFG, np.ones((2, 10)), [2.5, 3.0])
