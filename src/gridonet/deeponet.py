@@ -19,6 +19,16 @@ residuals, or the Gaussian NLL), in a caller-owned `Workspace` that also
 holds the flat gradient in checkpoint order. The backward keeps the op order
 of a reverse-mode tape, so its gradients are the tape's bit for bit.
 
+The branch and the trunk are independent until their inner product, so both
+passes run the two sub-nets concurrently: the branch half on one worker
+thread, made on first use (a forked child makes its own), and the trunk half
+on the caller's, joined before the inner product and again before the
+gradient is returned. numpy's matmul, sin, cos and elementwise loops release
+the interpreter lock. Each sub-net keeps its own workspace and op order and
+writes its own slice of the flat gradient, so the bytes are those of the two
+halves run one after the other. The loss and the heads' adjoints run on the
+caller between the joins. `predict` runs its sub-nets on the caller alone.
+
 `predict(members, ...)` covers the three models and returns (mean, std):
 
 * one vanilla net: its curve, and std None;
@@ -36,6 +46,10 @@ keeps the members' curves, M * n * k floats, not weights.
 
 from __future__ import annotations
 
+import contextvars
+import os
+import threading
+from concurrent.futures import ThreadPoolExecutor, wait
 from dataclasses import dataclass
 
 import numpy as np
@@ -66,6 +80,10 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 
 # (head stem, output bias) per net kind, in checkpoint order
 _HEADS = {"vanilla": (("out", "tau_o"),), "prob": (("mu", "tau_o_mu"), ("ls", "tau_o_ls"))}
+
+# the one thread that runs the branch half of the paired passes, made on first use
+_worker: ThreadPoolExecutor | None = None
+_worker_lock = threading.Lock()
 
 
 class NumericError(ValueError):
@@ -143,20 +161,21 @@ class Workspace:
 
 def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y, ws: Workspace | None = None):
     """Paired evaluation, row i of U with row i of Y, in ws's buffers (a
-    fresh forward-only workspace if None).
+    fresh forward-only workspace if None). The branch half (`hidden` and the
+    heads on U) runs on the worker thread while the trunk half runs here;
+    the inner products follow the join.
 
     Returns (mu, log_sigma) as (n, 1) buffers of ws; log_sigma is clamped,
     and is None for a vanilla net.
     """
     U, Y = np.ascontiguousarray(U, dtype=float), np.ascontiguousarray(Y, dtype=float)
     ws = ws or Workspace(cfg, params, len(U), grad=False)
-    bh = hidden(params, U, cfg.branch, "b_", ws.branch)
-    th = hidden(params, Y, cfg.trunk, "t_", ws.trunk)
     with np.errstate(over="ignore", invalid="ignore"):
-        for i, (stem, tau) in enumerate(_heads(params)):
-            hb = head(params, bh, "b_", stem, ws.branch.out[i])
-            ht = head(params, th, "t_", stem, ws.trunk.out[i])
-            np.sum(np.multiply(hb, ht, out=ws.prod), axis=1, keepdims=True, out=ws.cols[i])
+        _both(_forward_half, (params, U, cfg.branch, "b_", ws.branch),
+              (params, Y, cfg.trunk, "t_", ws.trunk))
+        for i, (_, tau) in enumerate(_heads(params)):
+            np.sum(np.multiply(ws.branch.out[i], ws.trunk.out[i], out=ws.prod), axis=1,
+                   keepdims=True, out=ws.cols[i])
             ws.cols[i] += params[tau]
         if len(ws.cols) == 1:
             return ws.cols[0], None
@@ -167,6 +186,10 @@ def loss_and_grad(params: dict, cfg: DeepOnetConfig, U, Y, G, coef: float, ws: W
     """coef times the loss summed over the rows, squared residuals for a
     vanilla net and Gaussian NLL for a prob net, and its gradient: returns
     (loss, ws.grad), the gradient written into ws (a `grad` workspace).
+
+    The forward and the backward each run the branch half on the worker
+    thread and the trunk half here; the loss, the heads' adjoints and the
+    output biases' gradients run here between the two joins.
 
     Raises NumericError if exp(-2 log_sigma) is not finite.
     """
@@ -191,19 +214,58 @@ def loss_and_grad(params: dict, cfg: DeepOnetConfig, U, Y, G, coef: float, ws: W
             # the clamp passes the gradient on [lo, hi] and stops it outside
             raw = ws.cols[1]
             douts = [(2.0 * dsq) * r, dls * ((raw >= LOGSIG_LO) & (raw <= LOGSIG_HI))]
-        bws, tws, grads = ws.branch, ws.trunk, ws.grads
-        for i in reversed(range(len(heads))):
-            stem, tau = heads[i]
-            g = douts[i]
+        for (_, tau), g in zip(heads, douts):
             # one row passes its adjoint as the tape does; a sum would turn -0.0 into 0.0
-            grads[tau][...] = g if g.shape == (1, 1) else np.sum(g)
-            np.multiply(g, tws.out[i], out=bws.dout)
-            np.multiply(g, bws.out[i], out=tws.dout)
-            head_backward(params, tws.h[-1], "t_", stem, tws, grads, add=i < len(heads) - 1)
-            head_backward(params, bws.h[-1], "b_", stem, bws, grads, add=i < len(heads) - 1)
-        hidden_backward(params, Y, cfg.trunk, "t_", tws, grads)
-        hidden_backward(params, U, cfg.branch, "b_", bws, grads)
+            ws.grads[tau][...] = g if g.shape == (1, 1) else np.sum(g)
+        _both(_backward_half, (params, U, cfg.branch, "b_", ws.branch, ws.trunk, douts, ws.grads),
+              (params, Y, cfg.trunk, "t_", ws.trunk, ws.branch, douts, ws.grads))
     return loss, ws.grad
+
+
+def _forward_half(params: dict, x, cfg: MlpConfig, prefix: str, sub: mlp.Workspace) -> None:
+    """One sub-net's forward on the rows of x: `hidden`, then each head into
+    sub.out."""
+    h = hidden(params, x, cfg, prefix, sub)
+    for i, (stem, _) in enumerate(_heads(params)):
+        head(params, h, prefix, stem, sub.out[i])
+
+
+def _backward_half(params: dict, x, cfg: MlpConfig, prefix: str, sub: mlp.Workspace,
+                   other: mlp.Workspace, douts: list, grads: dict) -> None:
+    """One sub-net's backward from douts, the adjoints of the heads' inner
+    products: each head's, the last first (its adjoint being douts[i] times
+    the other sub-net's head), then `hidden`'s, into the sub-net's grads."""
+    heads = _heads(params)
+    for i in reversed(range(len(heads))):
+        np.multiply(douts[i], other.out[i], out=sub.dout)
+        head_backward(params, sub.h[-1], prefix, heads[i][0], sub, grads, add=i < len(heads) - 1)
+    hidden_backward(params, x, cfg, prefix, sub, grads)
+
+
+def _both(half, branch: tuple, trunk: tuple) -> None:
+    """half(*branch) on the worker thread, in a copy of this thread's context
+    (numpy keeps `errstate` there), while half(*trunk) runs here. Returns, or
+    raises the trunk's error, else the branch's, only after both are done."""
+    global _worker
+    with _worker_lock:
+        if _worker is None:
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-branch")
+        job = _worker.submit(contextvars.copy_context().run, half, *branch)
+    try:
+        half(*trunk)
+    finally:
+        wait((job,))
+    job.result()
+
+
+def _drop_worker() -> None:
+    """In a forked child: the parent's worker thread does not exist there."""
+    global _worker, _worker_lock
+    _worker, _worker_lock = None, threading.Lock()
+
+
+if hasattr(os, "register_at_fork"):  # a platform without fork has no stale worker
+    os.register_at_fork(after_in_child=_drop_worker)
 
 
 def _heads(params: dict):

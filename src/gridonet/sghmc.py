@@ -20,9 +20,11 @@ leaving the prior term unscaled.
 `sghmc_run` moves theta and r in place as flat vectors in checkpoint order.
 Each inner step is one `grad_potential` call: the minibatch is gathered into
 one workspace, the likelihood gradient is written there by deeponet's
-explicit backward, and the prior term is added on the flat vector. The
-noise is drawn into a reused buffer. Every op keeps the order of the update
-above, so the members do not depend on these buffers.
+explicit forward and backward, which run the branch and the trunk sub-nets
+concurrently on two threads with the bytes of a serial pass, and the prior
+term is added on the flat vector. The noise is drawn into a reused buffer.
+Every op keeps the order of the update above, so the members do not depend
+on these buffers.
 """
 
 from __future__ import annotations
@@ -78,6 +80,10 @@ class BayesConfig:
             raise ValueError(f"sigma_l squared must be finite and > 0, got sigma_l={self.sigma_l}")
         if not (2.0 * np.pi * self.sigma_l**2 < np.inf):  # the likelihood's normaliser
             raise ValueError(f"2 pi sigma_l squared must be finite, got sigma_l={self.sigma_l}")
+        if not (2.0 * np.pi / self.prior_lambda < np.inf):  # the prior's normaliser
+            raise ValueError(
+                f"2 pi / prior_lambda must be finite, got prior_lambda={self.prior_lambda}"
+            )
         if self.m_inner < 1 or self.n_outer < 1 or self.thinning < 1 or self.batch_size < 1:
             raise ValueError("m_inner, n_outer, thinning, batch_size must be >= 1")
         if not (0 <= self.burn_in < self.n_outer):

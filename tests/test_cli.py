@@ -641,11 +641,14 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
      LAST["predict"], 1, "{path} is not a valid chain: members is not a list of names"),
     ("models/bayes/chain.manifest.json", _edit("members", ["..", "member_001.ckpt"]),
      LAST["predict"], 2, "missing {path.parent}/..; run `sghmc` first"),
+    (None, None, (*LAST["sghmc"], "--prior-lambda", "1e-310"), 2,
+     "2 pi / prior_lambda must be finite, got prior_lambda=1e-310"),
 ], ids=["train-frac-0.1", "sigma-l-1e-300", "sigma-l-1e300", "sigma-l-1e154", "n1-empty",
         "split-T-20-evaluate", "split-T-20-train", "split-n-mesh-0", "split-n-mesh-1-residuals",
         "split-test-ids-empty-evaluate", "split-test-ids-empty-residuals",
         "split-test-ids-empty-predict", "split-train-ids-empty-train",
-        "split-train-ids-empty-sghmc", "chain-member-empty", "chain-member-parent-dir"])
+        "split-train-ids-empty-sghmc", "chain-member-empty", "chain-member-parent-dir",
+        "prior-lambda-1e-310"])
 def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,
                                                              artifact, edit, argv, code,
                                                              message):

@@ -237,6 +237,14 @@ def test_sigma_l_whose_square_leaves_the_floats_is_rejected(sigma_l):
         unit_bc(sigma_l=sigma_l)
 
 
+@pytest.mark.parametrize("prior_lambda", [1e-310, 5e-324])
+def test_prior_lambda_whose_normaliser_overflows_is_rejected(prior_lambda):
+    """A subnormal rate passes `finite and > 0`, but 2 pi / prior_lambda
+    overflows to inf, and so would the potential's prior term."""
+    with pytest.raises(ValueError, match="2 pi / prior_lambda must be finite"):
+        unit_bc(prior_lambda=prior_lambda)
+
+
 def test_run_is_deterministic():
     rng = np.random.default_rng(21)
     batch = make_batch(rng, 6)

@@ -1,15 +1,20 @@
 """Training loop checks: loss values against hand arithmetic and scalar-loop
 oracles, gradient bytes against the tape oracle and pins, Adam update
-algebra, the plateau schedule trace, and a small operator-learning
-benchmark that must actually converge."""
+algebra, the plateau schedule trace, the step's two threads, and a small
+operator-learning benchmark that must actually converge."""
 
 import hashlib
+import os
+import signal
+import sys
+import threading
+import time
 
 import numpy as np
 import pytest
 
-from gridonet import tensor, train
-from gridonet.deeponet import LOG_2PI, DeepOnetConfig, forward_batch, init, predict
+from gridonet import deeponet, tensor, train
+from gridonet.deeponet import LOG_2PI, DeepOnetConfig, Workspace, forward_batch, init, predict
 from gridonet.sghmc import BayesConfig, sghmc_run
 from gridonet.train import (
     PlateauSchedule,
@@ -126,21 +131,113 @@ def test_nll_gradient_at_perfect_mean():
     assert abs(grads["tau_o_mu"].item()) < 1e-12
 
 
-@pytest.mark.parametrize("kind, digest", [
-    ("vanilla", "2e7ce8f08c8c5dfbfbf0906d147ea587917289968060527eb091cd4811dd354d"),
-    ("prob", "b660fd15c21ed2587e0379ad7b9a5c6b68e17357189f131419f20790e08d82d2"),
-])
+GRADIENT_PINS = {
+    "vanilla": "2e7ce8f08c8c5dfbfbf0906d147ea587917289968060527eb091cd4811dd354d",
+    "prob": "b660fd15c21ed2587e0379ad7b9a5c6b68e17357189f131419f20790e08d82d2",
+}
+
+
+def pinned_case(kind):
+    """(params, cfg, batch) of the pinned gradients."""
+    cfg = DeepOnetConfig(m=20, q=8, width=8, depth=2)
+    return init(cfg, kind, seed=0), cfg, make_batch(np.random.default_rng(0), 6, m=cfg.m)
+
+
+@pytest.mark.parametrize("kind, digest", GRADIENT_PINS.items())
 def test_gradient_bytes_are_pinned(kind, digest):
     # names and float64 bytes of every gradient: a change to the backward
     # pass's arithmetic or to its accumulation order moves them
-    cfg = DeepOnetConfig(m=20, q=8, width=8, depth=2)
-    batch = make_batch(np.random.default_rng(0), 6, m=cfg.m)
-    _, grads = loss_and_grads(init(cfg, kind, seed=0), cfg, *batch)
+    params, cfg, batch = pinned_case(kind)
+    _, grads = loss_and_grads(params, cfg, *batch)
     h = hashlib.sha256()
     for name, g in grads.items():
         h.update(name.encode())
         h.update(np.ascontiguousarray(g, dtype="<f8").tobytes())
     assert h.hexdigest() == digest
+
+
+def test_branch_and_trunk_halves_run_on_two_threads(monkeypatch):
+    """The branch's forward and backward run on one worker thread, the
+    trunk's on the caller's."""
+    seen = {}
+    for name in ("hidden", "hidden_backward"):
+        def record(params, x, cfg, prefix, *rest, _name=name, _fn=getattr(deeponet, name)):
+            seen[_name, prefix] = threading.get_ident()
+            return _fn(params, x, cfg, prefix, *rest)
+
+        monkeypatch.setattr(deeponet, name, record)
+    params, cfg, batch = pinned_case("prob")
+    loss_and_grads(params, cfg, *batch)
+    assert seen[("hidden", "t_")] == seen[("hidden_backward", "t_")] == threading.get_ident()
+    assert seen[("hidden", "b_")] == seen[("hidden_backward", "b_")] != threading.get_ident()
+
+
+@pytest.mark.parametrize("prefix", ["b_", "t_"])
+def test_an_error_in_either_half_propagates_and_the_next_step_is_exact(monkeypatch, prefix):
+    """A half that raises ends the step with its error after the join, and
+    the same workspace then gives the pinned gradient bytes."""
+    params, cfg, batch = pinned_case("vanilla")
+    ws = Workspace(cfg, params, len(batch[2]))
+    backward = deeponet.hidden_backward
+
+    def fail(params, x, cfg, p, *rest):
+        if p == prefix:
+            raise FloatingPointError(f"{p} half")
+        return backward(params, x, cfg, p, *rest)
+
+    monkeypatch.setattr(deeponet, "hidden_backward", fail)
+    with pytest.raises(FloatingPointError, match=f"^{prefix} half$"):
+        loss_and_grads(params, cfg, *batch, ws)
+    monkeypatch.undo()
+    assert digest(loss_and_grads(params, cfg, *batch, ws)[1]) == GRADIENT_PINS["vanilla"]
+
+
+def test_callers_on_four_threads_share_the_worker_and_get_the_pinned_bytes():
+    """More threads than cores, switching every microsecond: each caller's
+    steps still give the pinned gradient bytes."""
+    params, cfg, batch = pinned_case("prob")
+    got = []
+
+    def steps():
+        ws = Workspace(cfg, params, len(batch[2]))
+        for _ in range(20):
+            got.append(digest(loss_and_grads(params, cfg, *batch, ws)[1]))
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=steps) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [GRADIENT_PINS["prob"]] * 80
+
+
+def test_a_child_forked_after_fit_fits_again():
+    """A forked child has no worker thread of its parent's, so it makes its
+    own and gives the parent's bytes."""
+    batch = make_batch(np.random.default_rng(33), 9)
+    config = TrainConfig(epochs=2, batch_size=4)
+    want = digest(fit(init(CFG, "prob", seed=1), CFG, batch, config)[0])
+    pid = os.fork()
+    if pid == 0:
+        code = 1
+        try:
+            code = int(digest(fit(init(CFG, "prob", seed=1), CFG, batch, config)[0]) != want)
+        finally:
+            os._exit(code)
+    deadline = time.monotonic() + 60.0
+    while (status := os.waitpid(pid, os.WNOHANG))[0] == 0 and time.monotonic() < deadline:
+        time.sleep(0.01)
+    if status[0] == 0:
+        os.kill(pid, signal.SIGKILL)
+        os.waitpid(pid, 0)
+        pytest.fail("the forked child's fit did not finish within 60 s")
+    assert os.waitstatus_to_exitcode(status[1]) == 0
 
 
 def digest(arrays: dict, *floats) -> str:
