@@ -1,3 +1,12 @@
 """Operator networks with uncertainty quantification for post-fault grid dynamics."""
 
+import os
+
+# BLAS on one thread, unless the user set a count: this must run before
+# anything imports numpy. The package runs its own second thread (see
+# `deeponet`), and a matmul's bits depend on the BLAS thread count.
+for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
+    os.environ.setdefault(_name, "1")
+del _name
+
 __version__ = "0.1.0"

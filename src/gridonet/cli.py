@@ -1,8 +1,10 @@
 """Pipeline driver: simulate -> dataset -> train/sghmc -> predict/evaluate.
 
 Every command is a pure function of (config file, flags, input files); reruns
-write byte-identical artifacts. The effective merged configuration is echoed
-into each output manifest. Usage errors exit 2, runtime failures exit 1.
+write byte-identical artifacts. BLAS runs on one thread unless the user set a
+count (importing the package sets it), since a matmul's bits follow the
+thread count. The effective merged configuration is echoed into each output
+manifest. Usage errors exit 2, runtime failures exit 1.
 
 Settings live in one place, the `OPTIONS` table: one row per config key,
 with its INI section, default string, type, domain, help and the commands
@@ -408,19 +410,20 @@ def _load_model(cfg, which: str, spec: SplitSpec):
     net = _build(DeepOnetConfig, **{k: meta[k] for k in geometry})
     want = layout(net, "prob" if which == "prob" else "vanilla")
 
-    def stream(params):
-        for i, path in enumerate(paths):
-            params = load_checkpoint(path)[0] if i else params
-            got = {k: v.shape for k, v in params.items()}
+    def stream(held):
+        for path in paths:
+            if not held:
+                held.append(load_checkpoint(path)[0])
+            got = {k: v.shape for k, v in held[0].items()}
             if got != want:
                 bad = sorted(set(got) ^ set(want)) or sorted(k for k in got if got[k] != want[k])
                 raise UsageError(f"{path} does not hold a {which} net of {net} "
                                  f"(differs at {bad[0]})")
-            yield params
+            yield held.pop()  # no local keeps the member while predict's lanes score it
 
     if net.m != spec.m:
         raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
-    return stream(first), net, paths[0]
+    return stream([first]), net, paths[0]
 
 
 def _load_test(cfg, which: str):

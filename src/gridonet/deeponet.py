@@ -27,7 +27,16 @@ gradient is returned. numpy's matmul, sin, cos and elementwise loops release
 the interpreter lock. Each sub-net keeps its own workspace and op order and
 writes its own slice of the flat gradient, so the bytes are those of the two
 halves run one after the other. The loss and the heads' adjoints run on the
-caller between the joins. `predict` runs its sub-nets on the caller alone.
+caller between the joins.
+
+`predict` scores its members on two lanes, the same worker thread and the
+caller, each in its own pair of sub-net workspaces. A lane takes the next
+member in the iterable's order under a lock, drops it once scored and files
+its curves by the member's index; every member runs the same ops on the
+same shapes, so the bytes are those of one lane. A pass whose larger side
+has fewer than `_LANE_ROWS` rows stays on the caller: its ops are too small
+to release the interpreter lock, and the hand-off would cost more than the
+second lane saves.
 
 `predict(members, ...)` covers the three models and returns (mean, std):
 
@@ -39,14 +48,16 @@ caller between the joins. `predict` runs its sub-nets on the caller alone.
 Input functions lie on the last axis: an (m,) input gives (k,) curves at k
 query times, and an (n, m) input gives (n, k) curves, one row per input.
 Each net runs its branch and its trunk once per call, whatever n is, in
-buffers that one call allocates and every member reuses. `members` may be
-any iterable, such as one that reads each member as it is taken: predict
-keeps the members' curves, M * n * k floats, not weights.
+buffers that one call allocates and every member on a lane reuses. `members`
+may be any iterable, such as one that reads each member as it is taken:
+predict keeps the members' curves, M * n * k floats, and at most one
+member's weights per lane.
 """
 
 from __future__ import annotations
 
 import contextvars
+import itertools
 import os
 import threading
 from concurrent.futures import ThreadPoolExecutor, wait
@@ -81,9 +92,14 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # (head stem, output bias) per net kind, in checkpoint order
 _HEADS = {"vanilla": (("out", "tau_o"),), "prob": (("mu", "tau_o_mu"), ("ls", "tau_o_ls"))}
 
-# the one thread that runs the branch half of the paired passes, made on first use
+# the one thread that runs the branch half of the paired passes and predict's
+# second lane, made on first use
 _worker: ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()
+
+# predict scores its members on two lanes when max(n inputs, k queries)
+# reaches this; below it, one lane is faster (measured in CHANGES.md)
+_LANE_ROWS = 48
 
 
 class NumericError(ValueError):
@@ -242,20 +258,55 @@ def _backward_half(params: dict, x, cfg: MlpConfig, prefix: str, sub: mlp.Worksp
     hidden_backward(params, x, cfg, prefix, sub, grads)
 
 
-def _both(half, branch: tuple, trunk: tuple) -> None:
-    """half(*branch) on the worker thread, in a copy of this thread's context
-    (numpy keeps `errstate` there), while half(*trunk) runs here. Returns, or
-    raises the trunk's error, else the branch's, only after both are done."""
+def _both(half, there: tuple, here: tuple) -> None:
+    """half(*there) on the worker thread, in a copy of this thread's context
+    (numpy keeps `errstate` there), while half(*here) runs here. Returns, or
+    raises here's error, else there's, only after both are done."""
     global _worker
     with _worker_lock:
         if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-branch")
-        job = _worker.submit(contextvars.copy_context().run, half, *branch)
+            _worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-worker")
+        job = _worker.submit(contextvars.copy_context().run, half, *there)
     try:
-        half(*trunk)
+        half(*here)
     finally:
         wait((job,))
     job.result()
+
+
+def _lanes(members, score, spaces: list) -> list:
+    """[score(member, space) for each member] in the iterable's order, on one
+    lane per entry of spaces: the last runs here and the one before it, if
+    any, on the worker thread. A lane takes the next member under a lock,
+    drops it once scored, and files the result by the member's index. After
+    an error no lane takes another member, and once both are done the error
+    of the lowest index is raised: the one a loop over the members meets
+    first, since every member taken before it was scored."""
+    source, order, lock = iter(members), itertools.count(), threading.Lock()
+    filed, failed = {}, []
+
+    def lane(space):
+        try:
+            while True:
+                with lock:
+                    if failed:
+                        return
+                    i = next(order)
+                    member = next(source, lock)  # the lock stands for "no more"
+                if member is lock:
+                    return
+                filed[i] = score(member, space)
+                del member  # before the next is taken: one member per lane
+        except BaseException as err:  # an interrupt outranks every member's error
+            failed.append((i if isinstance(err, Exception) else -1, err))
+
+    if len(spaces) == 1:
+        lane(spaces[0])
+    else:
+        _both(lane, (spaces[0],), (spaces[1],))
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
+    return [filed[i] for i in range(len(filed))]
 
 
 def _drop_worker() -> None:
@@ -289,18 +340,24 @@ def predict(members, cfg: DeepOnetConfig, u_disc, ys):
     """(mean, std) curves at query times ys from members, an iterable of one
     vanilla net, one prob net or a vanilla ensemble (see the module doc). The
     inputs lie on the last axis of u_disc: (m,) gives (k,) curves, and (n, m)
-    gives (n, k) curves, row i being the curve of input row i. NumericError
-    names the first member whose raw curves (before any clamp) are not finite."""
+    gives (n, k) curves, row i being the curve of input row i. The members
+    are scored on two lanes when n or k reaches `_LANE_ROWS`, else here; an
+    error of the iterable or of a member is raised as a loop over them would
+    meet it. NumericError names the first member whose raw curves (before
+    any clamp) are not finite."""
     u_disc = np.asarray(u_disc, dtype=float)
     u = np.ascontiguousarray(u_disc.reshape(-1, u_disc.shape[-1]))
     y = np.ascontiguousarray(np.asarray(ys, dtype=float).reshape(-1, 1))
     if u.shape[1] != cfg.m:
         raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
     shape = u_disc.shape[:-1] + (len(y),)
-    spaces = (mlp.Workspace(cfg.branch, len(u), grad=False),
-              mlp.Workspace(cfg.trunk, len(y), grad=False))
+    # both made here: made by each lane on its own thread, they raised peak RSS by ~2 MB
+    spaces = [(mlp.Workspace(cfg.branch, len(u), grad=False),
+               mlp.Workspace(cfg.trunk, len(y), grad=False))
+              for _ in range(2 if max(len(u), len(y)) >= _LANE_ROWS else 1)]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values reach the check
-        curves = [[c.reshape(shape) for c in _curves(p, cfg, u, y, spaces)] for p in members]
+        curves = _lanes(members, lambda p, space: [c.reshape(shape) for c in
+                                                   _curves(p, cfg, u, y, space)], spaces)
     for i, c in enumerate(curves):
         if not all(np.isfinite(a).all() for a in c):
             raise NumericError(f"member {i} gives non-finite values")

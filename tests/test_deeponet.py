@@ -1,14 +1,19 @@
 """Parameter layout and init, inner-product composition, probabilistic heads, ensembles."""
 
 import hashlib
+import sys
+import threading
+import time
+import weakref
 
 import numpy as np
 import pytest
 
-from gridonet import mlp
+from gridonet import deeponet, mlp
 from gridonet.deeponet import DeepOnetConfig, NumericError, forward_batch, init, layout, predict
 
 CFG = DeepOnetConfig(m=10, q=6, width=8, depth=2)
+ROWS = deeponet._LANE_ROWS  # the rows from which predict scores on two lanes
 
 
 def curve(params, u, ys):
@@ -307,3 +312,155 @@ def test_predict_names_the_member_with_non_finite_curves(kind, name):
     members[-1][name].flat[0] = np.inf
     with pytest.raises(NumericError, match=f"^member {len(members) - 1} gives non-finite values$"):
         predict(members, CFG, np.ones((2, 10)), [2.5, 3.0])
+
+
+def record_lanes(monkeypatch, meet: bool) -> list:
+    """Patch deeponet._curves to record the thread of each call. With meet,
+    the first two calls wait for each other (10 s at most), so a predict on
+    two lanes scores members on both, and one on one lane fails."""
+    threads, barrier, curves = [], threading.Barrier(2, timeout=10.0), deeponet._curves
+
+    def recording(*args):
+        threads.append(threading.get_ident())
+        if meet and len(threads) <= 2:
+            barrier.wait()
+        return curves(*args)
+
+    monkeypatch.setattr(deeponet, "_curves", recording)
+    return threads
+
+
+def lane_case(n: int, k: int):
+    """Seven vanilla members, n input rows and k query times."""
+    U = np.random.default_rng(50).uniform(0.8, 1.1, (n, 10))
+    return [init(CFG, "vanilla", s) for s in range(7)], U, np.linspace(2.1, 9.0, k)
+
+
+def alone(members, U, ys):
+    """The ensemble's (mean, std) bytes from each member scored by itself."""
+    stack = np.stack([predict([p], CFG, U, ys)[0] for p in members])
+    return [stack.mean(axis=0).tobytes(), stack.std(axis=0, ddof=1).tobytes()]
+
+
+@pytest.mark.parametrize("n, k", [(1, ROWS), (ROWS, 1)])
+def test_members_are_scored_on_two_lanes_from_the_row_constant(monkeypatch, n, k):
+    threads = record_lanes(monkeypatch, meet=True)
+    members, U, ys = lane_case(n, k)
+    predict(members, CFG, U, ys)
+    assert len(threads) == 7 and len(set(threads)) == 2 and threading.get_ident() in threads
+
+
+@pytest.mark.parametrize("n, k", [(1, ROWS - 1), (ROWS - 1, 1)])
+def test_a_pass_below_the_row_constant_stays_on_the_caller(monkeypatch, n, k):
+    threads = record_lanes(monkeypatch, meet=False)
+    members, U, ys = lane_case(n, k)
+    predict(members, CFG, U, ys)
+    assert threads == [threading.get_ident()] * 7
+
+
+def test_lanes_give_the_bytes_of_each_member_scored_alone():
+    members, U, ys = lane_case(3, ROWS)
+    want = alone(members, U, ys)
+    for given in (members, (p for p in members)):
+        assert [a.tobytes() for a in predict(given, CFG, U, ys)] == want
+
+
+def test_an_error_of_the_member_iterable_propagates_and_the_next_predict_works(monkeypatch):
+    record_lanes(monkeypatch, meet=True)
+    members, U, ys = lane_case(1, ROWS)
+
+    def source():
+        yield from members[:3]
+        raise OSError("member 3 is unreadable")
+
+    with pytest.raises(OSError, match="^member 3 is unreadable$"):
+        predict(source(), CFG, U, ys)
+    monkeypatch.undo()
+    assert [a.tobytes() for a in predict(members, CFG, U, ys)] == alone(members, U, ys)
+
+
+def test_the_error_of_the_lowest_member_wins(monkeypatch):
+    """Member 2 cannot be scored (it has no trunk head), and its lane fails
+    only after the iterable has failed at member 4 on the other lane: the
+    error raised is the one a loop over the members meets first."""
+    members, U, ys = lane_case(1, ROWS)
+    del members[2]["t_out_w"]
+    raised, curves = threading.Event(), deeponet._curves
+
+    def late(params, *args):
+        if "t_out_w" not in params:
+            assert raised.wait(10.0)
+        return curves(params, *args)
+
+    def source():
+        yield from members[:4]
+        raised.set()
+        raise OSError("member 4 is unreadable")
+
+    monkeypatch.setattr(deeponet, "_curves", late)
+    with pytest.raises(KeyError, match="t_out_w"):
+        predict(source(), CFG, U, ys)
+    assert raised.is_set()
+
+
+def test_a_bad_member_scored_on_the_worker_is_named(monkeypatch):
+    record_lanes(monkeypatch, meet=True)
+    members, U, ys = lane_case(1, ROWS)
+    caller, bad = threading.get_ident(), []
+
+    def source():
+        for i, p in enumerate(members):
+            if not bad and threading.get_ident() != caller:
+                p["t_out_b"] = np.full_like(p["t_out_b"], np.inf)
+                bad.append(i)
+            yield p
+
+    with pytest.raises(NumericError) as err:
+        predict(source(), CFG, U, ys)
+    assert len(bad) == 1 and str(err.value) == f"member {bad[0]} gives non-finite values"
+
+
+def test_a_lane_holds_one_member_at_a_time(monkeypatch):
+    """Members read as they are taken: at most two (one per lane) are alive
+    when the next is made."""
+    record_lanes(monkeypatch, meet=True)
+    refs, alive = [], []
+
+    def tracked(params):
+        refs.append([weakref.ref(a) for a in params.values()])
+        alive.append(sum(any(r() is not None for r in member) for member in refs))
+        return params
+
+    _, U, ys = lane_case(1, ROWS)
+    predict((tracked(init(CFG, "vanilla", s)) for s in range(8)), CFG, U, ys)
+    assert len(refs) == 8 and max(alive) <= 2, alive
+
+
+def test_callers_on_four_threads_share_the_worker_and_get_the_bytes_of_one_lane():
+    """More threads than cores, switching every microsecond, from a source
+    that gives up the interpreter lock before each member: a member lost,
+    scored twice or filed out of order would move the mean or the std."""
+    members, U, ys = lane_case(2, ROWS)
+    want, got = alone(members, U, ys), []
+
+    def source():
+        for p in members:
+            time.sleep(0)
+            yield p
+
+    def reads():
+        for _ in range(5):
+            got.append([a.tobytes() for a in predict(source(), CFG, U, ys)])
+
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        callers = [threading.Thread(target=reads) for _ in range(4)]
+        for t in callers:
+            t.start()
+        for t in callers:
+            t.join(timeout=60.0)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in callers)
+    assert got == [want] * 20

@@ -1,12 +1,17 @@
 """Every name a `gridonet` module exports through `__all__` exists in it and is
 defined there, so a moved or renamed function cannot leave a stale export or
-a re-export behind; and only `deeponet` imports the concurrency modules, so
-the package's threads stay in its one helper."""
+a re-export behind; only `deeponet` imports the concurrency modules, so
+the package's threads stay in its one helper; and importing the package puts
+BLAS on one thread before numpy loads, unless the user chose a count."""
 
 import ast
 import importlib
 import inspect
+import os
 import pkgutil
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -57,3 +62,28 @@ def imported_packages(module) -> set[str]:
 def test_only_deeponet_imports_concurrency():
     users = {m.__name__: imported_packages(m) & CONCURRENCY for m in MODULES}
     assert {k: v for k, v in users.items() if v} == {"gridonet.deeponet": CONCURRENCY}
+
+
+BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")
+
+
+@pytest.mark.parametrize("preset, want", [(None, "1 1 1"), ("3", "3 1 1")])
+def test_import_sets_one_blas_thread_unless_the_user_chose(preset, want):
+    env = {k: v for k, v in os.environ.items() if k not in BLAS_VARS}
+    env["PYTHONPATH"] = str(Path(gridonet.__file__).parents[1])
+    if preset:
+        env["OPENBLAS_NUM_THREADS"] = preset
+    code = f"import os, gridonet; print(*(os.environ[k] for k in {BLAS_VARS!r}))"
+    out = subprocess.run([sys.executable, "-c", code], env=env, capture_output=True, text=True,
+                         check=True, timeout=60).stdout
+    assert out.split() == want.split()
+
+
+def test_the_blas_setting_comes_before_any_import_but_os():
+    """BLAS reads its variables when numpy loads, so no import that could load
+    numpy may precede the setting in the package's `__init__`."""
+    body = ast.parse(inspect.getsource(gridonet)).body
+    setting = next(i for i, node in enumerate(body) if ".setdefault(" in ast.unparse(node))
+    imports = [ast.unparse(n) for n in body[:setting]
+               if isinstance(n, (ast.Import, ast.ImportFrom))]
+    assert imports == ["import os"]
