@@ -2,8 +2,9 @@
 
 Every command is a pure function of (config file, flags, input files); reruns
 write byte-identical artifacts. BLAS runs on one thread unless the user set a
-count (importing the package sets it), since a matmul's bits follow the
-thread count. The effective merged configuration is echoed into each output
+count (importing the package sets it, unless numpy came first: a library
+caller's bytes may then differ), since a matmul's bits follow the thread
+count. The effective merged configuration is echoed into each output
 manifest. Usage errors exit 2, runtime failures exit 1.
 
 Settings live in one place, the `OPTIONS` table: one row per config key,

@@ -19,24 +19,21 @@ residuals, or the Gaussian NLL), in a caller-owned `Workspace` that also
 holds the flat gradient in checkpoint order. The backward keeps the op order
 of a reverse-mode tape, so its gradients are the tape's bit for bit.
 
-The branch and the trunk are independent until their inner product, so both
-passes run the two sub-nets concurrently: the branch half on one worker
-thread, made on first use (a forked child makes its own), and the trunk half
-on the caller's, joined before the inner product and again before the
-gradient is returned. numpy's matmul, sin, cos and elementwise loops release
-the interpreter lock. Each sub-net keeps its own workspace and op order and
-writes its own slice of the flat gradient, so the bytes are those of the two
-halves run one after the other. The loss and the heads' adjoints run on the
-caller between the joins.
-
-`predict` scores its members on two lanes, the same worker thread and the
-caller, each in its own pair of sub-net workspaces. A lane takes the next
-member in the iterable's order under a lock, drops it once scored and files
-its curves by the member's index; every member runs the same ops on the
-same shapes, so the bytes are those of one lane. A pass whose larger side
-has fewer than `_LANE_ROWS` rows stays on the caller: its ops are too small
-to release the interpreter lock, and the hand-off would cost more than the
-second lane saves.
+The branch and the trunk are independent until their inner product, and so
+are an ensemble's members, so a pass may use one worker thread, made on first
+use (a forked child makes its own). The paired passes run the branch half
+there and the trunk half on the caller, joined before the inner product and
+again before the gradient is returned; the loss and the heads' adjoints run
+on the caller between the joins. `predict` scores its members on two lanes,
+the worker and the caller, each in its own pair of sub-net workspaces: a lane
+takes the next member in the iterable's order under a lock, drops it once
+scored and files its curves by the member's index. numpy's matmul, sin, cos
+and elementwise loops release the interpreter lock. `_both` alone decides
+whether a pass uses the worker: one smaller than `_WORKER_SIZE` runs its two
+halves, or lanes, one after the other on the caller, because the hand-off
+would cost more than the overlap saves. Each half keeps its own workspace and
+op order and writes only its own buffers, and every member runs the same ops
+on the same shapes, so the bytes do not depend on where a half runs.
 
 `predict(members, ...)` covers the three models and returns (mean, std):
 
@@ -97,9 +94,9 @@ _HEADS = {"vanilla": (("out", "tau_o"),), "prob": (("mu", "tau_o_mu"), ("ls", "t
 _worker: ThreadPoolExecutor | None = None
 _worker_lock = threading.Lock()
 
-# predict scores its members on two lanes when max(n inputs, k queries)
-# reaches this; below it, one lane is faster (measured in CHANGES.md)
-_LANE_ROWS = 48
+# a pass of this size (rows x width^2, one gate layer's multiply-adds) or more
+# uses the worker; 32 rows at width 100 (crossover measured in CHANGES.md)
+_WORKER_SIZE = 320_000
 
 
 class NumericError(ValueError):
@@ -178,8 +175,7 @@ class Workspace:
 def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y, ws: Workspace | None = None):
     """Paired evaluation, row i of U with row i of Y, in ws's buffers (a
     fresh forward-only workspace if None). The branch half (`hidden` and the
-    heads on U) runs on the worker thread while the trunk half runs here;
-    the inner products follow the join.
+    heads on U) and the trunk half go to `_both`; the inner products follow.
 
     Returns (mu, log_sigma) as (n, 1) buffers of ws; log_sigma is clamped,
     and is None for a vanilla net.
@@ -188,7 +184,7 @@ def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y, ws: Workspace | None 
     ws = ws or Workspace(cfg, params, len(U), grad=False)
     with np.errstate(over="ignore", invalid="ignore"):
         _both(_forward_half, (params, U, cfg.branch, "b_", ws.branch),
-              (params, Y, cfg.trunk, "t_", ws.trunk))
+              (params, Y, cfg.trunk, "t_", ws.trunk), len(U) * cfg.width ** 2)
         for i, (_, tau) in enumerate(_heads(params)):
             np.sum(np.multiply(ws.branch.out[i], ws.trunk.out[i], out=ws.prod), axis=1,
                    keepdims=True, out=ws.cols[i])
@@ -203,9 +199,9 @@ def loss_and_grad(params: dict, cfg: DeepOnetConfig, U, Y, G, coef: float, ws: W
     vanilla net and Gaussian NLL for a prob net, and its gradient: returns
     (loss, ws.grad), the gradient written into ws (a `grad` workspace).
 
-    The forward and the backward each run the branch half on the worker
-    thread and the trunk half here; the loss, the heads' adjoints and the
-    output biases' gradients run here between the two joins.
+    The forward and the backward each give their branch and trunk halves to
+    `_both`; the loss, the heads' adjoints and the output biases' gradients
+    run here between the two.
 
     Raises NumericError if exp(-2 log_sigma) is not finite.
     """
@@ -234,7 +230,8 @@ def loss_and_grad(params: dict, cfg: DeepOnetConfig, U, Y, G, coef: float, ws: W
             # one row passes its adjoint as the tape does; a sum would turn -0.0 into 0.0
             ws.grads[tau][...] = g if g.shape == (1, 1) else np.sum(g)
         _both(_backward_half, (params, U, cfg.branch, "b_", ws.branch, ws.trunk, douts, ws.grads),
-              (params, Y, cfg.trunk, "t_", ws.trunk, ws.branch, douts, ws.grads))
+              (params, Y, cfg.trunk, "t_", ws.trunk, ws.branch, douts, ws.grads),
+              len(U) * cfg.width ** 2)
     return loss, ws.grad
 
 
@@ -258,11 +255,17 @@ def _backward_half(params: dict, x, cfg: MlpConfig, prefix: str, sub: mlp.Worksp
     hidden_backward(params, x, cfg, prefix, sub, grads)
 
 
-def _both(half, there: tuple, here: tuple) -> None:
-    """half(*there) on the worker thread, in a copy of this thread's context
-    (numpy keeps `errstate` there), while half(*here) runs here. Returns, or
-    raises here's error, else there's, only after both are done."""
+def _both(half, there: tuple, here: tuple, size: int) -> None:
+    """half(*here) and half(*there) for a pass of size rows x width^2: below
+    `_WORKER_SIZE` both here, one after the other; from it, half(*there) on
+    the worker thread, in a copy of this thread's context (numpy keeps
+    `errstate` there), joined before this returns. Raises here's error, else
+    there's."""
     global _worker
+    if size < _WORKER_SIZE:
+        half(*here)
+        half(*there)
+        return
     with _worker_lock:
         if _worker is None:
             _worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-worker")
@@ -274,14 +277,14 @@ def _both(half, there: tuple, here: tuple) -> None:
     job.result()
 
 
-def _lanes(members, score, spaces: list) -> list:
-    """[score(member, space) for each member] in the iterable's order, on one
-    lane per entry of spaces: the last runs here and the one before it, if
-    any, on the worker thread. A lane takes the next member under a lock,
-    drops it once scored, and files the result by the member's index. After
-    an error no lane takes another member, and once both are done the error
-    of the lowest index is raised: the one a loop over the members meets
-    first, since every member taken before it was scored."""
+def _lanes(members, score, spaces: list, size: int) -> list:
+    """[score(member, space) for each member] in the iterable's order, on two
+    lanes, one per entry of spaces, that `_both` runs for a pass of size. A
+    lane takes the next member under a lock, drops it once scored, and files
+    the result by the member's index. After an error no lane takes another
+    member, and once both are done the error of the lowest index is raised:
+    the one a loop over the members meets first, since every member taken
+    before it was scored."""
     source, order, lock = iter(members), itertools.count(), threading.Lock()
     filed, failed = {}, []
 
@@ -300,10 +303,7 @@ def _lanes(members, score, spaces: list) -> list:
         except BaseException as err:  # an interrupt outranks every member's error
             failed.append((i if isinstance(err, Exception) else -1, err))
 
-    if len(spaces) == 1:
-        lane(spaces[0])
-    else:
-        _both(lane, (spaces[0],), (spaces[1],))
+    _both(lane, (spaces[0],), (spaces[1],), size)
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return [filed[i] for i in range(len(filed))]
@@ -341,10 +341,10 @@ def predict(members, cfg: DeepOnetConfig, u_disc, ys):
     vanilla net, one prob net or a vanilla ensemble (see the module doc). The
     inputs lie on the last axis of u_disc: (m,) gives (k,) curves, and (n, m)
     gives (n, k) curves, row i being the curve of input row i. The members
-    are scored on two lanes when n or k reaches `_LANE_ROWS`, else here; an
-    error of the iterable or of a member is raised as a loop over them would
-    meet it. NumericError names the first member whose raw curves (before
-    any clamp) are not finite."""
+    are scored on two lanes, placed by `_both` as a pass of max(n, k) rows;
+    an error of the iterable or of a member is raised as a loop over them
+    would meet it. NumericError names the first member whose raw curves
+    (before any clamp) are not finite."""
     u_disc = np.asarray(u_disc, dtype=float)
     u = np.ascontiguousarray(u_disc.reshape(-1, u_disc.shape[-1]))
     y = np.ascontiguousarray(np.asarray(ys, dtype=float).reshape(-1, 1))
@@ -353,11 +353,11 @@ def predict(members, cfg: DeepOnetConfig, u_disc, ys):
     shape = u_disc.shape[:-1] + (len(y),)
     # both made here: made by each lane on its own thread, they raised peak RSS by ~2 MB
     spaces = [(mlp.Workspace(cfg.branch, len(u), grad=False),
-               mlp.Workspace(cfg.trunk, len(y), grad=False))
-              for _ in range(2 if max(len(u), len(y)) >= _LANE_ROWS else 1)]
+               mlp.Workspace(cfg.trunk, len(y), grad=False)) for _ in range(2)]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values reach the check
         curves = _lanes(members, lambda p, space: [c.reshape(shape) for c in
-                                                   _curves(p, cfg, u, y, space)], spaces)
+                                                   _curves(p, cfg, u, y, space)],
+                        spaces, max(len(u), len(y)) * cfg.width ** 2)
     for i, c in enumerate(curves):
         if not all(np.isfinite(a).all() for a in c):
             raise NumericError(f"member {i} gives non-finite values")

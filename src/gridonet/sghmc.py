@@ -20,11 +20,9 @@ leaving the prior term unscaled.
 `sghmc_run` moves theta and r in place as flat vectors in checkpoint order.
 Each inner step is one `grad_potential` call: the minibatch is gathered into
 one workspace, the likelihood gradient is written there by deeponet's
-explicit forward and backward, which run the branch and the trunk sub-nets
-concurrently on two threads with the bytes of a serial pass, and the prior
-term is added on the flat vector. The noise is drawn into a reused buffer.
-Every op keeps the order of the update above, so the members do not depend
-on these buffers.
+explicit forward and backward, and the prior term is added on the flat
+vector. The noise is drawn into a reused buffer. Every op keeps the order of
+the update above, so the members do not depend on these buffers.
 """
 
 from __future__ import annotations

@@ -5,11 +5,9 @@ best training loss has not improved by a relative 1e-4 within `patience`
 epochs (floored at `min_lr`).
 
 Each step is one `loss_and_grads` call: deeponet's explicit forward and
-backward in a workspace kept for the batch size, each running the branch and
-the trunk sub-nets concurrently on two threads. The gradients are those of a
-reverse-mode tape over the same ops, bit for bit, as they were when the two
-sub-nets ran one after the other. `adam_update` then moves the weights and
-Adam's moments, flat vectors in checkpoint order, in place.
+backward in a workspace kept for the batch size. The gradients are those of a
+reverse-mode tape over the same ops, bit for bit. `adam_update` then moves
+the weights and Adam's moments, flat vectors in checkpoint order, in place.
 """
 
 from __future__ import annotations

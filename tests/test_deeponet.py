@@ -13,7 +13,8 @@ from gridonet import deeponet, mlp
 from gridonet.deeponet import DeepOnetConfig, NumericError, forward_batch, init, layout, predict
 
 CFG = DeepOnetConfig(m=10, q=6, width=8, depth=2)
-ROWS = deeponet._LANE_ROWS  # the rows from which predict scores on two lanes
+# the fewest rows from which a pass at CFG's width uses the worker thread
+ROWS = -(-deeponet._WORKER_SIZE // CFG.width ** 2)
 
 
 def curve(params, u, ys):
@@ -342,7 +343,7 @@ def alone(members, U, ys):
     return [stack.mean(axis=0).tobytes(), stack.std(axis=0, ddof=1).tobytes()]
 
 
-@pytest.mark.parametrize("n, k", [(1, ROWS), (ROWS, 1)])
+@pytest.mark.parametrize("n, k", [(1, ROWS), (ROWS, 1)], ids=["queries", "inputs"])
 def test_members_are_scored_on_two_lanes_from_the_row_constant(monkeypatch, n, k):
     threads = record_lanes(monkeypatch, meet=True)
     members, U, ys = lane_case(n, k)
@@ -350,7 +351,7 @@ def test_members_are_scored_on_two_lanes_from_the_row_constant(monkeypatch, n, k
     assert len(threads) == 7 and len(set(threads)) == 2 and threading.get_ident() in threads
 
 
-@pytest.mark.parametrize("n, k", [(1, ROWS - 1), (ROWS - 1, 1)])
+@pytest.mark.parametrize("n, k", [(1, ROWS - 1), (ROWS - 1, 1)], ids=["queries", "inputs"])
 def test_a_pass_below_the_row_constant_stays_on_the_caller(monkeypatch, n, k):
     threads = record_lanes(monkeypatch, meet=False)
     members, U, ys = lane_case(n, k)

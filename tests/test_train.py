@@ -156,9 +156,25 @@ def test_gradient_bytes_are_pinned(kind, digest):
     assert h.hexdigest() == digest
 
 
-def test_branch_and_trunk_halves_run_on_two_threads(monkeypatch):
-    """The branch's forward and backward run on one worker thread, the
-    trunk's on the caller's."""
+def worker_case(kind, below: int = 0):
+    """(params, cfg, batch) on a batch at `_WORKER_SIZE`, the smallest that
+    runs on the worker thread, less `below` rows. The net is wider than
+    pinned_case's, so that the batch is shorter and a step faster."""
+    cfg = DeepOnetConfig(m=20, q=8, width=40, depth=2)
+    rows = -(-deeponet._WORKER_SIZE // cfg.width ** 2) - below
+    return init(cfg, kind, seed=0), cfg, make_batch(np.random.default_rng(0), rows, m=cfg.m)
+
+
+def serial_digest(monkeypatch, params, cfg, batch) -> str:
+    """The gradient digest of a step whose halves both run on the caller."""
+    with monkeypatch.context() as patch:
+        patch.setattr(deeponet, "_WORKER_SIZE", np.inf)
+        return digest(loss_and_grads(params, cfg, *batch)[1])
+
+
+def record_halves(monkeypatch) -> dict:
+    """Patch deeponet's hidden and hidden_backward to record the thread that
+    runs each sub-net's call."""
     seen = {}
     for name in ("hidden", "hidden_backward"):
         def record(params, x, cfg, prefix, *rest, _name=name, _fn=getattr(deeponet, name)):
@@ -166,17 +182,32 @@ def test_branch_and_trunk_halves_run_on_two_threads(monkeypatch):
             return _fn(params, x, cfg, prefix, *rest)
 
         monkeypatch.setattr(deeponet, name, record)
-    params, cfg, batch = pinned_case("prob")
+    return seen
+
+
+def test_branch_and_trunk_halves_run_on_two_threads(monkeypatch):
+    """From `_WORKER_SIZE`, the branch's forward and backward run on one
+    worker thread, the trunk's on the caller's."""
+    seen = record_halves(monkeypatch)
+    params, cfg, batch = worker_case("prob")
     loss_and_grads(params, cfg, *batch)
     assert seen[("hidden", "t_")] == seen[("hidden_backward", "t_")] == threading.get_ident()
     assert seen[("hidden", "b_")] == seen[("hidden_backward", "b_")] != threading.get_ident()
 
 
+def test_a_step_one_row_below_the_worker_size_runs_both_halves_on_the_caller(monkeypatch):
+    seen = record_halves(monkeypatch)
+    params, cfg, batch = worker_case("prob", below=1)
+    loss_and_grads(params, cfg, *batch)
+    assert len(seen) == 4 and set(seen.values()) == {threading.get_ident()}
+
+
 @pytest.mark.parametrize("prefix", ["b_", "t_"])
 def test_an_error_in_either_half_propagates_and_the_next_step_is_exact(monkeypatch, prefix):
     """A half that raises ends the step with its error after the join, and
-    the same workspace then gives the pinned gradient bytes."""
-    params, cfg, batch = pinned_case("vanilla")
+    the same workspace then gives the bytes of a step run on the caller."""
+    params, cfg, batch = worker_case("vanilla")
+    want = serial_digest(monkeypatch, params, cfg, batch)
     ws = Workspace(cfg, params, len(batch[2]))
     backward = deeponet.hidden_backward
 
@@ -189,14 +220,14 @@ def test_an_error_in_either_half_propagates_and_the_next_step_is_exact(monkeypat
     with pytest.raises(FloatingPointError, match=f"^{prefix} half$"):
         loss_and_grads(params, cfg, *batch, ws)
     monkeypatch.undo()
-    assert digest(loss_and_grads(params, cfg, *batch, ws)[1]) == GRADIENT_PINS["vanilla"]
+    assert digest(loss_and_grads(params, cfg, *batch, ws)[1]) == want
 
 
-def test_callers_on_four_threads_share_the_worker_and_get_the_pinned_bytes():
+def test_callers_on_four_threads_share_the_worker_and_get_the_pinned_bytes(monkeypatch):
     """More threads than cores, switching every microsecond: each caller's
-    steps still give the pinned gradient bytes."""
-    params, cfg, batch = pinned_case("prob")
-    got = []
+    steps on the worker give the bytes of a step run on one thread."""
+    params, cfg, batch = worker_case("prob")
+    want, got = serial_digest(monkeypatch, params, cfg, batch), []
 
     def steps():
         ws = Workspace(cfg, params, len(batch[2]))
@@ -214,20 +245,20 @@ def test_callers_on_four_threads_share_the_worker_and_get_the_pinned_bytes():
     finally:
         sys.setswitchinterval(interval)
     assert not any(t.is_alive() for t in callers)
-    assert got == [GRADIENT_PINS["prob"]] * 80
+    assert got == [want] * 80
 
 
 def test_a_child_forked_after_fit_fits_again():
     """A forked child has no worker thread of its parent's, so it makes its
     own and gives the parent's bytes."""
-    batch = make_batch(np.random.default_rng(33), 9)
-    config = TrainConfig(epochs=2, batch_size=4)
-    want = digest(fit(init(CFG, "prob", seed=1), CFG, batch, config)[0])
+    _, cfg, batch = worker_case("prob")
+    config = TrainConfig(epochs=2, batch_size=len(batch[2]))
+    want = digest(fit(init(cfg, "prob", seed=1), cfg, batch, config)[0])
     pid = os.fork()
     if pid == 0:
         code = 1
         try:
-            code = int(digest(fit(init(CFG, "prob", seed=1), CFG, batch, config)[0]) != want)
+            code = int(digest(fit(init(cfg, "prob", seed=1), cfg, batch, config)[0]) != want)
         finally:
             os._exit(code)
     deadline = time.monotonic() + 60.0
