@@ -4,9 +4,10 @@ import os
 
 # BLAS on one thread, unless the user set a count: this must run before
 # anything imports numpy. The package runs its own second thread (see
-# `deeponet`), and a matmul's bits depend on the BLAS thread count. A caller
-# that imports numpy first keeps BLAS's default count (numpy has no setter),
-# so its default-geometry bytes may differ from the CLI's.
+# `deeponet`) and forks one child per `simulate` (see `gridsim`), and a
+# matmul's bits follow the BLAS thread count. A caller that imports numpy
+# first keeps BLAS's default count (numpy has no setter), so its
+# default-geometry bytes may differ from the CLI's.
 for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
     os.environ.setdefault(_name, "1")
 del _name

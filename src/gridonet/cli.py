@@ -23,7 +23,7 @@ on its way to a loader (`_load_pools`, `_load_split`, `_load_model`, and
 keys once, for `split.json`'s writer and reader. A model's geometry is read
 from its checkpoint, so only `train` takes the `[deeponet]` keys.
 `_load_model` streams a bayes ensemble's members to `predict`, which keeps
-their curves only.
+their curves only. `simulate` runs half of its scenarios in a forked child.
 """
 
 from __future__ import annotations
@@ -196,12 +196,12 @@ def write_json(path, obj) -> None:
 
 
 def _write_csv(path, header, rows) -> None:
-    """Deterministic CSV: fixed header order, repr-style floats, newline \\n."""
+    """Deterministic CSV: fixed header order, floats (numpy's too) as plain repr, newline \\n."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
         w.writerow(header)
         for row in rows:
-            w.writerow([repr(x) if isinstance(x, float) else x for x in row])
+            w.writerow([float.__repr__(x) if isinstance(x, float) else x for x in row])
 
 
 def read_json(path, *keys) -> dict:
@@ -247,15 +247,12 @@ def _need(cfg, rel: str) -> Path:
 
 def cmd_simulate(cfg, args) -> None:
     o = opts(cfg, "simulate")
-    n1, n2, seed = o["n1"], o["n2"], o["seed"]
     model = gs.build_model(load_scale=o["load_scale"], monitor_bus=o["monitor_bus"])
+    draws = [(o["n1"], "N1", [o["seed"], 10]), (o["n2"], "N2", [o["seed"], 11])]
+    pools = gs.generate_pools(model, draws, h_max=o["h_max"])
     out = _outdir(cfg, "simulate")
     report = {}
-    for kind, count, sub in (("N1", n1, 10), ("N2", n2, 11)):
-        offset = 0 if kind == "N1" else n1
-        pool = gs.generate_pool(
-            model, count, kind, seed=[seed, sub], id_offset=offset, h_max=o["h_max"]
-        )
+    for (_, kind, _), pool in zip(draws, pools):
         path = out / f"{kind.lower()}.jsonl"
         gs.save_pool(path, pool)
         report[kind] = {
@@ -629,8 +626,9 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TrainingError, SamplerError, gs.SimulationDiverged, gs.ScenarioRejected,
-            gs.PowerFlowError, gs.PoolError, CheckpointError, ArtifactError, NumericError) as e:
+    except (TrainingError, SamplerError, gs.SimulationDiverged, gs.SimulationLost,
+            gs.ScenarioRejected, gs.PowerFlowError, gs.PoolError, CheckpointError,
+            ArtifactError, NumericError) as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

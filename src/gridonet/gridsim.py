@@ -17,14 +17,21 @@ reduction's voltage-recovery map.
 
 Bus indices are 0-based: buses 0-2 are the machine terminals, 3-8 the rest
 of the classic numbering (bus index 7 is the textbook bus-8 load bus).
+
+`generate_pools` simulates half of a command's scenarios in a forked child
+(threads cannot share Python-float work); errors keep a serial loop's order.
 """
 
 from __future__ import annotations
 
 import hashlib
+import itertools
 import json
 import math
-from dataclasses import asdict, dataclass, replace
+import os
+import pickle
+import signal
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -33,6 +40,7 @@ __all__ = [
     "SimulationDiverged",
     "PowerFlowError",
     "PoolError",
+    "SimulationLost",
     "Branch",
     "GridModel",
     "FaultScenario",
@@ -46,6 +54,7 @@ __all__ = [
     "simulate",
     "admissible_trips",
     "sample_scenarios",
+    "generate_pools",
     "generate_pool",
     "save_pool",
     "load_pool",
@@ -69,6 +78,10 @@ class SimulationDiverged(RuntimeError):
 
 class PowerFlowError(RuntimeError):
     """The pre-fault power flow has no solution Newton-Raphson can find."""
+
+
+class SimulationLost(RuntimeError):
+    """The forked child simulating half of the pools ended without a result."""
 
 
 class PoolError(ValueError):
@@ -407,28 +420,22 @@ def simulate(
     scenario: FaultScenario,
     h_max: float = 1e-3,
     eq: Equilibrium | None = None,
-    reductions: dict | None = None,
 ) -> Trajectory:
     """Integrate one contingency and record |V| at the monitor bus.
 
-    The integration is deterministic. `eq`/`reductions` allow pool
-    generation to reuse the power-flow solution and Kron reductions across
-    scenarios. Each sample interval is cut at t_f and t_cl where they lie
-    strictly inside it; a segment follows the topology at its midpoint, and a
-    sample is recovered with the topology at its time. The fault window is
-    the closed interval [t_f, t_cl].
+    The integration is deterministic. `eq` lets pool generation reuse the
+    power-flow solution across scenarios; a Kron reduction (~0.05 ms, two
+    per run) is not worth a cache. Each sample interval is cut at t_f and
+    t_cl where they lie strictly inside it; a segment follows the topology
+    at its midpoint, and a sample is recovered with the topology at its
+    time. The fault window is the closed interval [t_f, t_cl].
     """
     if eq is None:
         eq = equilibrium(model)
-    if reductions is None:
-        reductions = {}
 
     def phase(tripped):
         """(stepper, monitor-bus recovery row) of one topology."""
-        key = frozenset(tripped)
-        if key not in reductions:
-            reductions[key] = kron_reduce(model, key, eq)
-        y_red, recovery = reductions[key]
+        y_red, recovery = kron_reduce(model, tripped, eq)
         return make_fast_stepper(model, y_red, eq.E, eq.Pm), recovery[model.monitor_bus]
 
     t_f, t_cl = scenario.t_f, scenario.t_cl
@@ -485,27 +492,63 @@ def sample_scenarios(model: GridModel, count: int, kind: str, seed) -> list[Faul
     return out
 
 
-def generate_pool(
-    model: GridModel,
-    count: int,
-    kind: str,
-    seed,
-    id_offset: int = 0,
-    h_max: float = 1e-3,
-) -> list[Trajectory]:
-    """Simulate `sample_scenarios(model, count, kind, seed)` with one shared
-    equilibrium and reduction cache; trajectory ids start at id_offset.
-
-    Nothing is redrawn: a diverged scenario raises SimulationDiverged, so a
-    pool holds exactly the scenarios its seed draws.
-    """
+def generate_pools(model: GridModel, draws, h_max: float = 1e-3) -> list[list[Trajectory]]:
+    """One pool of `sample_scenarios(model, count, kind, seed)` per entry of
+    `draws`, all drawn first, then simulated by `_split`: the first half here,
+    the rest in a child. Ids count from 0 across the pools. Nothing is
+    redrawn, no byte depends on the split, and the error is a serial loop's."""
     eq = equilibrium(model)
-    reductions = {}
-    return [
-        replace(simulate(model, sc, h_max=h_max, eq=eq, reductions=reductions),
-                traj_id=id_offset + k)
-        for k, sc in enumerate(sample_scenarios(model, count, kind, seed))
-    ]
+    pools = [sample_scenarios(model, count, kind, seed) for count, kind, seed in draws]
+    values = iter(_split(lambda sc: simulate(model, sc, h_max=h_max, eq=eq).values,
+                         [sc for pool in pools for sc in pool]))
+    ids = itertools.count()
+    return [[Trajectory(traj_id=next(ids), scenario=sc, bus_id=model.monitor_bus,
+                        times=sc.times, values=next(values)) for sc in pool] for pool in pools]
+
+
+def generate_pool(model: GridModel, count: int, kind: str, seed,
+                  h_max: float = 1e-3) -> list[Trajectory]:
+    """`generate_pools` on the one pool (count, kind, seed)."""
+    return generate_pools(model, [(count, kind, seed)], h_max)[0]
+
+
+def _split(run, items: list) -> list:
+    """[run(x) for x in items]: the first (larger) half here, the rest in one
+    forked child (unless it would be empty or there is no os.fork), reaped
+    on every path. Raises the error a serial loop meets first: this half's,
+    else the child's; or SimulationLost if the child ended without one."""
+    cut = (len(items) + 1) // 2
+    if cut == len(items) or not hasattr(os, "fork"):
+        return [run(x) for x in items]
+    r, w = os.pipe()
+    pid = os.fork()
+    if pid == 0:  # leaves by os._exit only: no atexit handler, no parent buffer
+        try:
+            os.close(r)  # else an orphan's write to the pipe would block for ever
+            try:
+                answer = [run(x) for x in items[cut:]], None
+            except Exception as err:
+                answer = None, err
+            with open(w, "wb", closefd=False) as f:  # w closes at exit: EOF means ended
+                pickle.dump(answer, f)
+            os._exit(0)
+        finally:
+            os._exit(1)
+    os.close(w)
+    try:
+        with open(r, "rb") as f:
+            here = [run(x) for x in items[:cut]]
+            data = f.read()
+    finally:  # stop the child unless its answer is in and it is exiting; reap it
+        os.kill(pid, signal.SIGKILL)
+        status = os.waitpid(pid, 0)[1]
+    if code := os.waitstatus_to_exitcode(status):
+        how = f"signal {-code}" if code < 0 else f"exit code {code}"
+        raise SimulationLost(f"the simulating child process ended by {how} without a result")
+    there, err = pickle.loads(data)
+    if err is not None:
+        raise err
+    return here + there
 
 
 def model_hash(model: GridModel) -> str:

@@ -61,6 +61,8 @@ class TrainConfig:
         for name, x in (("lr", self.lr), ("min_lr", self.min_lr)):
             if not (0.0 < x < np.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {x}")
+        if self.min_lr > self.lr:  # a plateau "drop" would raise the rate to the floor
+            raise ValueError(f"min_lr must be <= lr, got min_lr={self.min_lr} > lr={self.lr}")
 
 
 class PlateauSchedule:

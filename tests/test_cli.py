@@ -1,11 +1,18 @@
 """CLI contract: the option table, exit codes, stale inputs, byte-identical reruns."""
 
+import csv
 import hashlib
 import json
+import os
 import platform
 import shutil
+import signal
+import subprocess
+import sys
+import time
 import weakref
 from pathlib import Path
+from types import SimpleNamespace
 
 import numpy as np
 import pytest
@@ -179,6 +186,8 @@ def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
     (("evaluate", "--which", "prob", "--noise-seed", "-1"), "noise_seed must be >= 0, got -1"),
     (("evaluate", "--which", "vanilla", "--bands", "-1"), "bands must be >= 0, got -1"),
     (("simulate", "--h-max", "9e-6"), "h_max must be finite and > 0, at least 1e-5 s, got 9e-06"),
+    (("train", "--model", "vanilla", "--lr", "1e-7"),
+     "min_lr must be <= lr, got min_lr=1e-06 > lr=1e-07"),
 ])
 def test_invalid_config_value_exits_2(tmp_path, capsys, argv, message):
     rc, err = run(capsys, tmp_path / "wd", *argv)
@@ -205,6 +214,25 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text):
     assert not (tmp_path / "wd").exists()
 
 
+def test_every_csv_cell_is_a_number(pipeline):
+    """Every data cell of every CSV the tiny pipeline writes parses with int()
+    or float(): no numpy repr such as np.float64(...) leaks into a file."""
+    paths = sorted(pipeline[0].rglob("*.csv"))
+    assert len(paths) >= 10
+    bad = []
+    for path in paths:
+        for row in list(csv.reader(path.read_text().splitlines()))[1:]:
+            for cell in row:
+                try:
+                    int(cell)
+                except ValueError:
+                    try:
+                        float(cell)
+                    except ValueError:
+                        bad.append(f"{path.relative_to(pipeline[0])}: {cell}")
+    assert not bad, bad[:5]
+
+
 def test_power_flow_failure_exits_1(tmp_path, capsys):
     rc, err = run(capsys, tmp_path / "wd", "simulate", "--load-scale", "3.0",
                   "--n1", "1", "--n2", "1")
@@ -212,26 +240,82 @@ def test_power_flow_failure_exits_1(tmp_path, capsys):
     assert len(err) == 1 and err[0].startswith("error: power flow did not converge")
 
 
+DIVERGED = "non-physical state at t=1.70s (|V|=2.100)"
+
+
 @pytest.fixture
-def second_run_diverges(monkeypatch):
-    """gridsim.simulate with its second call raising SimulationDiverged; the
-    scenarios it was called with."""
-    real, calls = gs.simulate, []
+def second_run_diverges(monkeypatch, tmp_path):
+    """gridsim.simulate raising SimulationDiverged on the second scenario drawn.
+
+    Positions count the scenarios in the order they are drawn, over every pool
+    of the call. The fixture's sets name where simulate raises
+    SimulationDiverged (`diverge`, {1} by default), SIGKILLs its own process
+    (`kill`), raises KeyboardInterrupt (`interrupt`) or sleeps 60 s first
+    (`stall`); a divergence in the caller waits first for the child to log
+    `wait_for`, if set. `calls()` is
+    the (pid, position) of every call, read from a log that the caller and
+    its forked child both append to."""
+    real_sample, real_simulate = gs.sample_scenarios, gs.simulate
+    log, drawn, caller = tmp_path / "simulate-calls.log", [], os.getpid()
+
+    def calls():
+        return [tuple(map(int, line.split())) for line in log.read_text().splitlines()]
+
+    case = SimpleNamespace(diverge={1}, kill=set(), interrupt=set(), stall=set(), wait_for=None,
+                           calls=calls)
+    log.write_text("")
+
+    def sample_scenarios(*args, **kw):
+        out = real_sample(*args, **kw)
+        drawn.extend(out)
+        return out
 
     def simulate(model, scenario, **kw):
-        calls.append(scenario)
-        if len(calls) == 2:
-            raise gs.SimulationDiverged("non-physical state at t=1.70s (|V|=2.100)", scenario)
-        return real(model, scenario, **kw)
+        pos = drawn.index(scenario)
+        with open(log, "a") as f:
+            f.write(f"{os.getpid()} {pos}\n")
+        if pos in case.stall:
+            time.sleep(60)
+        if pos in case.kill:
+            os.kill(os.getpid(), signal.SIGKILL)
+        if pos in case.interrupt:
+            raise KeyboardInterrupt
+        if pos in case.diverge:
+            for _ in range(1000):  # at most 10 s
+                if case.wait_for is None or os.getpid() != caller or any(
+                        p != caller and at == case.wait_for for p, at in calls()):
+                    break
+                time.sleep(0.01)
+            raise gs.SimulationDiverged(DIVERGED, scenario)
+        return real_simulate(model, scenario, **kw)
 
+    monkeypatch.setattr(gs, "sample_scenarios", sample_scenarios)
     monkeypatch.setattr(gs, "simulate", simulate)
-    return calls
+    return case
+
+
+def no_child_left():
+    """True if this process has no child, running or unreaped."""
+    try:
+        os.waitpid(-1, os.WNOHANG)
+    except ChildProcessError:
+        return True
+    return False
+
+
+def by_process(calls):
+    """(positions simulated by this process, positions simulated by any other)."""
+    here = [at for pid, at in calls if pid == os.getpid()]
+    return here, [at for pid, at in calls if pid != os.getpid()]
 
 
 def test_diverged_scenario_fails_the_pool(second_run_diverges):
     with pytest.raises(gs.SimulationDiverged):
         gs.generate_pool(gs.build_model(), 3, "N1", seed=5)
-    assert len(second_run_diverges) == 2  # no redraw after the failure
+    here, there = by_process(second_run_diverges.calls())
+    assert here == [0, 1]  # no redraw after the failure
+    assert set(there) <= {2}
+    assert no_child_left()
 
 
 def test_diverged_scenario_exits_1(tmp_path, capsys, second_run_diverges):
@@ -239,6 +323,126 @@ def test_diverged_scenario_exits_1(tmp_path, capsys, second_run_diverges):
     assert rc == 1
     assert err == ["error: non-physical state at t=1.70s (|V|=2.100)"]
     assert not (tmp_path / "wd" / "pools" / "n1.jsonl").exists()
+    assert no_child_left()
+
+
+def test_a_divergence_in_the_childs_half_is_raised_with_its_scenario(second_run_diverges):
+    second_run_diverges.diverge = {2}
+    model = gs.build_model()
+    with pytest.raises(gs.SimulationDiverged) as caught:
+        gs.generate_pool(model, 3, "N1", seed=5)
+    assert (type(caught.value), str(caught.value)) == (gs.SimulationDiverged, DIVERGED)
+    assert caught.value.scenario == gs.sample_scenarios(model, 3, "N1", 5)[2]
+    assert by_process(second_run_diverges.calls()) == ([0, 1], [2])
+    assert no_child_left()
+
+
+def test_the_callers_divergence_wins_over_the_childs(second_run_diverges):
+    """Both halves diverge, the child's first: the error raised is the
+    caller's, the one a serial loop over the scenarios meets first."""
+    second_run_diverges.diverge, second_run_diverges.wait_for = {1, 2}, 2
+    model = gs.build_model()
+    with pytest.raises(gs.SimulationDiverged) as caught:
+        gs.generate_pool(model, 3, "N1", seed=5)
+    assert caught.value.scenario == gs.sample_scenarios(model, 3, "N1", 5)[1]
+    assert by_process(second_run_diverges.calls()) == ([0, 1], [2])
+    assert no_child_left()
+
+
+def test_a_child_killed_by_a_signal_exits_1(tmp_path, capsys, second_run_diverges):
+    second_run_diverges.diverge, second_run_diverges.kill = set(), {2}
+    rc, err = run(capsys, tmp_path / "wd", "simulate", "--n1", "2", "--n2", "1")
+    assert rc == 1
+    assert err == ["error: the simulating child process ended by signal 9 without a result"]
+    assert by_process(second_run_diverges.calls()) == ([0, 1], [2])
+    assert not (tmp_path / "wd" / "pools" / "n1.jsonl").exists()
+    assert no_child_left()
+
+
+def test_an_interrupt_in_the_callers_half_kills_the_child(second_run_diverges):
+    """The child, stalled in its half, is killed rather than awaited."""
+    second_run_diverges.diverge, second_run_diverges.interrupt = set(), {0}
+    second_run_diverges.stall = {2}
+    start = time.monotonic()
+    with pytest.raises(KeyboardInterrupt):
+        gs.generate_pool(gs.build_model(), 3, "N1", seed=5)
+    assert time.monotonic() - start < 30
+    assert by_process(second_run_diverges.calls())[0] == [0]
+    assert no_child_left()
+
+
+ORPHAN = """
+import os, sys, time, types
+import numpy as np
+from gridonet import gridsim as gs
+caller = os.getpid()
+
+def simulate(model, scenario, **kw):
+    if os.getpid() == caller:
+        time.sleep(60)
+    else:
+        with open(sys.argv[1], "w") as f:
+            f.write(str(os.getpid()))
+    return types.SimpleNamespace(values=np.zeros(100_000))  # more than a pipe buffer holds
+
+gs.simulate = simulate
+gs.generate_pool(gs.build_model(), 2, "N1", seed=0)
+"""
+
+
+def ended(pid) -> bool:
+    """True if process pid is gone or a zombie."""
+    try:
+        return Path(f"/proc/{pid}/stat").read_text().rsplit(")", 1)[1].split()[0] == "Z"
+    except FileNotFoundError:
+        return True
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_child_orphaned_by_a_killed_caller_exits(tmp_path):
+    """A caller killed without its cleanup leaves the child blocked on a full
+    pipe; the child holds no read end of its own, so its write fails and it exits."""
+    log = tmp_path / "child.pid"
+    env = {**os.environ, "PYTHONPATH": str(Path(gs.__file__).parents[1])}
+    proc = subprocess.Popen([sys.executable, "-c", ORPHAN, str(log)], env=env)
+    try:
+        for _ in range(3000):  # at most 30 s
+            if log.exists() and log.read_text():
+                break
+            time.sleep(0.01)
+    finally:
+        proc.kill()
+        proc.wait(timeout=30)
+    child = int(log.read_text())
+    try:
+        for _ in range(1000):  # at most 10 s
+            if ended(child):
+                break
+            time.sleep(0.01)
+        assert ended(child)
+    finally:
+        if not ended(child):
+            os.kill(child, signal.SIGKILL)
+
+
+def test_pools_run_on_the_caller_and_one_child(monkeypatch, second_run_diverges):
+    """The second half of a command's scenarios runs in one child process; a
+    one-scenario pool, or a platform without fork, runs all on the caller,
+    with the same bytes."""
+    second_run_diverges.diverge = set()
+    model, draws = gs.build_model(), [(2, "N1", [0, 10]), (1, "N2", [0, 11])]
+    forked = gs.generate_pools(model, draws)
+    here, there = by_process(second_run_diverges.calls())
+    assert here == [0, 1] and there == [2]
+    assert [[tr.traj_id for tr in pool] for pool in forked] == [[0, 1], [2]]
+    assert len(gs.generate_pool(model, 1, "N1", seed=5)) == 1
+    assert by_process(second_run_diverges.calls()[3:]) == ([3], [])
+    monkeypatch.delattr(os, "fork")
+    serial = gs.generate_pools(model, draws)
+    assert by_process(second_run_diverges.calls()[4:]) == ([0, 1, 2], [])
+    assert [[tr.values.tobytes() for tr in pool] for pool in serial] == \
+        [[tr.values.tobytes() for tr in pool] for pool in forked]
+    assert no_child_left()
 
 
 def test_no_admissible_trip_exits_1(tmp_path, capsys, monkeypatch):

@@ -429,6 +429,15 @@ def test_plateau_respects_min_lr():
     assert lr == 1e-5
 
 
+def test_config_rejects_a_floor_above_the_rate():
+    """A plateau "drop" may not raise the rate: PlateauSchedule(1e-7, 2, 0.5,
+    1e-6) would run at 1e-6 after its first plateau, so TrainConfig refuses
+    min_lr above lr; a floor equal to the rate is allowed."""
+    with pytest.raises(ValueError, match=r"^min_lr must be <= lr, got min_lr=1e-06 > lr=1e-07$"):
+        TrainConfig(epochs=5, lr=1e-7)
+    assert TrainConfig(epochs=5, lr=1e-6, min_lr=1e-6).min_lr == 1e-6
+
+
 def test_config_validation():
     with pytest.raises(ValueError):
         TrainConfig(epochs=0)
