@@ -342,9 +342,7 @@ def cmd_train(cfg, args) -> None:
     out = _outdir(cfg, "train")
     ckpt = out / f"{kind}.ckpt"
     save_checkpoint(ckpt, params, meta={"kind": kind, **dataclasses.asdict(net)})
-    _write_csv(out / f"{kind}_loss.csv",
-               ["epoch", "train_loss", "lr"],
-               [[h["epoch"], h["train_loss"], h["lr"]] for h in history])
+    _write_csv(out / f"{kind}_loss.csv", list(history[0]), [list(h.values()) for h in history])
     best = min(h["train_loss"] for h in history)
     write_json(out / f"{kind}.manifest.json", {
         "config": cfg, "checkpoint_sha256": file_sha256(ckpt),
@@ -364,17 +362,16 @@ def cmd_sghmc(cfg, args) -> None:
     data = build_train(train_pool, spec, seed=query_seed)
     members, trace = sghmc_run(params0, net, data, bc)
     out = _outdir(cfg, "sghmc")
-    names, hashes = [], {}
+    hashes = {}
     meta = {"kind": "bayes-member", **dataclasses.asdict(net)}
     for i, member in enumerate(members):
         path = out / f"member_{i:03d}.ckpt"
         save_checkpoint(path, member, meta=meta)
-        names.append(path.name)
         hashes[path.name] = file_sha256(path)
     _write_csv(out / "utrace.csv", ["iteration", "potential"],
                [[k, trace[k]] for k in sorted(trace)])
     write_json(out / "chain.manifest.json", {
-        "config": cfg, "members": names, "member_sha256": hashes,
+        "config": cfg, "members": list(hashes), "member_sha256": hashes,
         "init": str(init_path), "init_sha256": file_sha256(init_path),
         "final_potential": trace[max(trace)],
     })
@@ -460,10 +457,7 @@ def cmd_evaluate(cfg, args) -> None:
     out = _outdir(cfg, "evaluate")
     tag = which if noise == 0.0 else f"{which}_noise"
     agg = uqeval.aggregate_reports(l1, l2, eps)
-    _write_csv(out / f"{tag}_report.csv",
-               ["count", "mean_L1", "sd_L1", "mean_L2", "sd_L2", "eps_ratio"],
-               [[agg["count"], agg["mean_L1"], agg["sd_L1"], agg["mean_L2"],
-                 agg["sd_L2"], agg["eps_ratio"]]])
+    _write_csv(out / f"{tag}_report.csv", list(agg), [list(agg.values())])
     _write_csv(out / f"{tag}_per_traj.csv",
                ["traj_id", "l1_pct", "l2_pct", "eps_ratio"],
                zip(ids, l1.tolist(), l2.tolist(), eps.tolist()))

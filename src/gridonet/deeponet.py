@@ -19,21 +19,22 @@ residuals, or the Gaussian NLL), in a caller-owned `Workspace` that also
 holds the flat gradient in checkpoint order. The backward keeps the op order
 of a reverse-mode tape, so its gradients are the tape's bit for bit.
 
-The branch and the trunk are independent until their inner product, and so
-are an ensemble's members, so a pass may use one worker thread, made on first
-use (a forked child makes its own). The paired passes run the branch half
-there and the trunk half on the caller, joined before the inner product and
-again before the gradient is returned; the loss and the heads' adjoints run
-on the caller between the joins. `predict` scores its members on two lanes,
-the worker and the caller, each in its own pair of sub-net workspaces: a lane
-takes the next member in the iterable's order under a lock, drops it once
-scored and files its curves by the member's index. numpy's matmul, sin, cos
-and elementwise loops release the interpreter lock. `_both` alone decides
-whether a pass uses the worker: one smaller than `_WORKER_SIZE` runs its two
-halves, or lanes, one after the other on the caller, because the hand-off
-would cost more than the overlap saves. Each half keeps its own workspace and
-op order and writes only its own buffers, and every member runs the same ops
-on the same shapes, so the bytes do not depend on where a half runs.
+The branch and the trunk are independent until their inner product, and so are
+an ensemble's members, so a pass may use one worker thread, whose executor
+exists from import (a forked child gets a fresh one) and whose thread starts
+on first use. The paired passes run the branch half there and the trunk half
+on the caller, joined before the inner product and again before the gradient
+is returned; the loss and the heads' adjoints run on the caller between the
+joins. `predict` scores its members on two lanes, the worker and the caller,
+each in its own pair of sub-net workspaces: a lane takes the next member in
+the iterable's order under a lock, drops it once scored and files its curves
+by the member's index. numpy's matmul, sin, cos and elementwise loops release
+the interpreter lock. `_both` alone decides whether a pass uses the worker:
+one smaller than `_WORKER_SIZE` runs its two halves, or lanes, one after the
+other on the caller, because the hand-off would cost more than the overlap
+saves. Each half keeps its own workspace and op order and writes only its own
+buffers, and every member runs the same ops on the same shapes, so the bytes
+do not depend on where a half runs.
 
 `predict(members, ...)` covers the three models and returns (mean, std):
 
@@ -90,9 +91,8 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 _HEADS = {"vanilla": (("out", "tau_o"),), "prob": (("mu", "tau_o_mu"), ("ls", "tau_o_ls"))}
 
 # the one thread that runs the branch half of the paired passes and predict's
-# second lane, made on first use
-_worker: ThreadPoolExecutor | None = None
-_worker_lock = threading.Lock()
+# second lane; it starts at the first submit
+_worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-worker")
 
 # a pass of this size (rows x width^2, one gate layer's multiply-adds) or more
 # uses the worker; 32 rows at width 100 (crossover measured in CHANGES.md)
@@ -261,15 +261,11 @@ def _both(half, there: tuple, here: tuple, size: int) -> None:
     the worker thread, in a copy of this thread's context (numpy keeps
     `errstate` there), joined before this returns. Raises here's error, else
     there's."""
-    global _worker
     if size < _WORKER_SIZE:
         half(*here)
         half(*there)
         return
-    with _worker_lock:
-        if _worker is None:
-            _worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-worker")
-        job = _worker.submit(contextvars.copy_context().run, half, *there)
+    job = _worker.submit(contextvars.copy_context().run, half, *there)
     try:
         half(*here)
     finally:
@@ -309,14 +305,14 @@ def _lanes(members, score, spaces: list, size: int) -> list:
     return [filed[i] for i in range(len(filed))]
 
 
-def _drop_worker() -> None:
+def _new_worker() -> None:
     """In a forked child: the parent's worker thread does not exist there."""
-    global _worker, _worker_lock
-    _worker, _worker_lock = None, threading.Lock()
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-worker")
 
 
 if hasattr(os, "register_at_fork"):  # a platform without fork has no stale worker
-    os.register_at_fork(after_in_child=_drop_worker)
+    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _heads(params: dict):

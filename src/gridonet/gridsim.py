@@ -31,7 +31,7 @@ import math
 import os
 import pickle
 import signal
-from dataclasses import asdict, dataclass
+from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
@@ -55,7 +55,6 @@ __all__ = [
     "admissible_trips",
     "sample_scenarios",
     "generate_pools",
-    "generate_pool",
     "save_pool",
     "load_pool",
     "model_hash",
@@ -384,6 +383,7 @@ class FaultScenario:
     sample_rate: float = 100.0
 
     def __post_init__(self):
+        object.__setattr__(self, "tripped", tuple(self.tripped))  # a pool file holds a list
         if self.kind not in ("N1", "N2"):
             raise ValueError(f"kind must be N1 or N2, got {self.kind!r}")
         if len(set(self.tripped)) != len(self.tripped):
@@ -506,27 +506,27 @@ def generate_pools(model: GridModel, draws, h_max: float = 1e-3) -> list[list[Tr
                         times=sc.times, values=next(values)) for sc in pool] for pool in pools]
 
 
-def generate_pool(model: GridModel, count: int, kind: str, seed,
-                  h_max: float = 1e-3) -> list[Trajectory]:
-    """`generate_pools` on the one pool (count, kind, seed)."""
-    return generate_pools(model, [(count, kind, seed)], h_max)[0]
-
-
 def _split(run, items: list) -> list:
     """[run(x) for x in items]: the first (larger) half here, the rest in one
-    forked child (unless it would be empty or there is no os.fork), reaped
-    on every path. Raises the error a serial loop meets first: this half's,
-    else the child's; or SimulationLost if the child ended without one."""
+    forked child (unless it would be empty or there is no os.fork), reaped on
+    every path, and gone before its next item once orphaned. Raises the error
+    a serial loop meets first: this half's, else the child's, or SimulationLost."""
     cut = (len(items) + 1) // 2
     if cut == len(items) or not hasattr(os, "fork"):
         return [run(x) for x in items]
     r, w = os.pipe()
+    caller = os.getpid()
     pid = os.fork()
     if pid == 0:  # leaves by os._exit only: no atexit handler, no parent buffer
         try:
             os.close(r)  # else an orphan's write to the pipe would block for ever
+            there = []
             try:
-                answer = [run(x) for x in items[cut:]], None
+                for x in items[cut:]:
+                    if os.getppid() != caller:  # orphaned: the caller died uncleaned
+                        os._exit(1)
+                    there.append(run(x))
+                answer = there, None
             except Exception as err:
                 answer = None, err
             with open(w, "wb", closefd=False) as f:  # w closes at exit: EOF means ended
@@ -557,20 +557,12 @@ def model_hash(model: GridModel) -> str:
 
 
 def save_pool(path, trajectories) -> None:
-    """One JSON record per line; `simulate.manifest.json` describes the pool."""
+    """One JSON record per line: the scenario's fields plus the trajectory's
+    id, bus and samples; `simulate.manifest.json` describes the pool."""
     with open(path, "w") as f:
         for tr in trajectories:
-            rec = {
-                "id": tr.traj_id,
-                "kind": tr.scenario.kind,
-                "tripped": list(tr.scenario.tripped),
-                "t_f": tr.scenario.t_f,
-                "t_cl": tr.scenario.t_cl,
-                "T": tr.scenario.T,
-                "sample_rate": tr.scenario.sample_rate,
-                "bus_id": tr.bus_id,
-                "values": tr.values.tolist(),
-            }
+            rec = {"id": tr.traj_id, "bus_id": tr.bus_id, "values": tr.values.tolist(),
+                   **asdict(tr.scenario)}
             f.write(json.dumps(rec, sort_keys=True) + "\n")
 
 
@@ -581,14 +573,7 @@ def load_pool(path, data: bytes) -> list[Trajectory]:
     for line_no, line in enumerate(data.splitlines(), 1):
         try:
             rec = json.loads(line)
-            sc = FaultScenario(
-                kind=rec["kind"],
-                tripped=tuple(rec["tripped"]),
-                t_f=rec["t_f"],
-                t_cl=rec["t_cl"],
-                T=rec["T"],
-                sample_rate=rec["sample_rate"],
-            )
+            sc = FaultScenario(**{fl.name: rec[fl.name] for fl in fields(FaultScenario)})
             times, values = sc.times, np.asarray(rec["values"], dtype=float)
             if values.shape != times.shape:
                 raise ValueError(f"{values.size} values, expected {times.size}")

@@ -311,7 +311,7 @@ def by_process(calls):
 
 def test_diverged_scenario_fails_the_pool(second_run_diverges):
     with pytest.raises(gs.SimulationDiverged):
-        gs.generate_pool(gs.build_model(), 3, "N1", seed=5)
+        gs.generate_pools(gs.build_model(), [(3, "N1", 5)])
     here, there = by_process(second_run_diverges.calls())
     assert here == [0, 1]  # no redraw after the failure
     assert set(there) <= {2}
@@ -330,7 +330,7 @@ def test_a_divergence_in_the_childs_half_is_raised_with_its_scenario(second_run_
     second_run_diverges.diverge = {2}
     model = gs.build_model()
     with pytest.raises(gs.SimulationDiverged) as caught:
-        gs.generate_pool(model, 3, "N1", seed=5)
+        gs.generate_pools(model, [(3, "N1", 5)])
     assert (type(caught.value), str(caught.value)) == (gs.SimulationDiverged, DIVERGED)
     assert caught.value.scenario == gs.sample_scenarios(model, 3, "N1", 5)[2]
     assert by_process(second_run_diverges.calls()) == ([0, 1], [2])
@@ -343,7 +343,7 @@ def test_the_callers_divergence_wins_over_the_childs(second_run_diverges):
     second_run_diverges.diverge, second_run_diverges.wait_for = {1, 2}, 2
     model = gs.build_model()
     with pytest.raises(gs.SimulationDiverged) as caught:
-        gs.generate_pool(model, 3, "N1", seed=5)
+        gs.generate_pools(model, [(3, "N1", 5)])
     assert caught.value.scenario == gs.sample_scenarios(model, 3, "N1", 5)[1]
     assert by_process(second_run_diverges.calls()) == ([0, 1], [2])
     assert no_child_left()
@@ -365,7 +365,7 @@ def test_an_interrupt_in_the_callers_half_kills_the_child(second_run_diverges):
     second_run_diverges.stall = {2}
     start = time.monotonic()
     with pytest.raises(KeyboardInterrupt):
-        gs.generate_pool(gs.build_model(), 3, "N1", seed=5)
+        gs.generate_pools(gs.build_model(), [(3, "N1", 5)])
     assert time.monotonic() - start < 30
     assert by_process(second_run_diverges.calls())[0] == [0]
     assert no_child_left()
@@ -381,12 +381,13 @@ def simulate(model, scenario, **kw):
     if os.getpid() == caller:
         time.sleep(60)
     else:
-        with open(sys.argv[1], "w") as f:
-            f.write(str(os.getpid()))
-    return types.SimpleNamespace(values=np.zeros(100_000))  # more than a pipe buffer holds
+        with open(sys.argv[1], "a") as f:
+            f.write(f"{os.getpid()}\\n")
+        time.sleep(0.5)
+    return types.SimpleNamespace(values=np.zeros(1))
 
 gs.simulate = simulate
-gs.generate_pool(gs.build_model(), 2, "N1", seed=0)
+gs.generate_pools(gs.build_model(), [(20, "N1", 0)])
 """
 
 
@@ -400,24 +401,26 @@ def ended(pid) -> bool:
 
 @pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
 def test_a_child_orphaned_by_a_killed_caller_exits(tmp_path):
-    """A caller killed without its cleanup leaves the child blocked on a full
-    pipe; the child holds no read end of its own, so its write fails and it exits."""
+    """A caller killed without its cleanup leaves its child orphaned in a
+    10-scenario half of 0.5 s per scenario; the child sees its parent change
+    before its next scenario and exits, well before the half is done."""
     log = tmp_path / "child.pid"
     env = {**os.environ, "PYTHONPATH": str(Path(gs.__file__).parents[1])}
     proc = subprocess.Popen([sys.executable, "-c", ORPHAN, str(log)], env=env)
+    child = None
     try:
         for _ in range(3000):  # at most 30 s
-            if log.exists() and log.read_text():
+            if log.exists() and "\n" in (text := log.read_text()):
+                child = int(text.split()[0])
                 break
             time.sleep(0.01)
     finally:
         proc.kill()
         proc.wait(timeout=30)
-    child = int(log.read_text())
+    assert child is not None, "the child logged no scenario within 30 s"
     try:
-        for _ in range(1000):  # at most 10 s
-            if ended(child):
-                break
+        deadline = time.monotonic() + 3.0
+        while not ended(child) and time.monotonic() < deadline:
             time.sleep(0.01)
         assert ended(child)
     finally:
@@ -435,7 +438,7 @@ def test_pools_run_on_the_caller_and_one_child(monkeypatch, second_run_diverges)
     here, there = by_process(second_run_diverges.calls())
     assert here == [0, 1] and there == [2]
     assert [[tr.traj_id for tr in pool] for pool in forked] == [[0, 1], [2]]
-    assert len(gs.generate_pool(model, 1, "N1", seed=5)) == 1
+    assert len(gs.generate_pools(model, [(1, "N1", 5)])[0]) == 1
     assert by_process(second_run_diverges.calls()[3:]) == ([3], [])
     monkeypatch.delattr(os, "fork")
     serial = gs.generate_pools(model, draws)

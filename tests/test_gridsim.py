@@ -270,7 +270,7 @@ def _pinned_runs():
     off the default step and timing on the default grid."""
     stressed = G.build_model(load_scale=1.51)
     for kind, count, seed in (("N1", 4, 3), ("N2", 6, 4)):
-        pool = G.generate_pool(stressed, count, kind, seed=seed)
+        pool = G.generate_pools(stressed, [(count, kind, seed)])[0]
         yield f"{kind} pool", b"".join(tr.values.tobytes() for tr in pool)
     runs = {
         "no fault": (G.FaultScenario(kind="N1", tripped=(3,), t_f=9.0), 1e-3),
@@ -335,7 +335,7 @@ def test_scenario_validation():
 
 
 def test_pool_roundtrip(tmp_path, base_model):
-    pool = G.generate_pool(base_model, 3, "N2", seed=5)
+    pool = G.generate_pools(base_model, [(3, "N2", 5)])[0]
     assert [tr.traj_id for tr in pool] == [0, 1, 2]
     path = tmp_path / "pool.jsonl"
     G.save_pool(path, pool)
