@@ -90,9 +90,19 @@ LOG_2PI = float(np.log(2.0 * np.pi))
 # (head stem, output bias) per net kind, in checkpoint order
 _HEADS = {"vanilla": (("out", "tau_o"),), "prob": (("mu", "tau_o_mu"), ("ls", "tau_o_ls"))}
 
-# the one thread that runs the branch half of the paired passes and predict's
-# second lane; it starts at the first submit
-_worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-worker")
+
+def _new_worker() -> None:
+    """Make `_worker`, the one thread that runs the branch half of the paired
+    passes and predict's second lane; it starts at the first submit. Called at
+    import and in a forked child, where the parent's worker thread does not exist."""
+    global _worker
+    _worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-worker")
+
+
+_new_worker()
+if hasattr(os, "register_at_fork"):  # a platform without fork has no stale worker
+    os.register_at_fork(after_in_child=_new_worker)
+
 
 # a pass of this size (rows x width^2, one gate layer's multiply-adds) or more
 # uses the worker; 32 rows at width 100 (crossover measured in CHANGES.md)
@@ -303,16 +313,6 @@ def _lanes(members, score, spaces: list, size: int) -> list:
     if failed:
         raise min(failed, key=lambda f: f[0])[1]
     return [filed[i] for i in range(len(filed))]
-
-
-def _new_worker() -> None:
-    """In a forked child: the parent's worker thread does not exist there."""
-    global _worker
-    _worker = ThreadPoolExecutor(1, thread_name_prefix="gridonet-worker")
-
-
-if hasattr(os, "register_at_fork"):  # a platform without fork has no stale worker
-    os.register_at_fork(after_in_child=_new_worker)
 
 
 def _heads(params: dict):

@@ -375,19 +375,20 @@ ORPHAN = """
 import os, sys, time, types
 import numpy as np
 from gridonet import gridsim as gs
+log, count, nap, size = sys.argv[1], int(sys.argv[2]), float(sys.argv[3]), int(sys.argv[4])
 caller = os.getpid()
 
 def simulate(model, scenario, **kw):
     if os.getpid() == caller:
         time.sleep(60)
     else:
-        with open(sys.argv[1], "a") as f:
+        with open(log, "a") as f:
             f.write(f"{os.getpid()}\\n")
-        time.sleep(0.5)
-    return types.SimpleNamespace(values=np.zeros(1))
+        time.sleep(nap)
+    return types.SimpleNamespace(values=np.zeros(size))
 
 gs.simulate = simulate
-gs.generate_pools(gs.build_model(), [(20, "N1", 0)])
+gs.generate_pools(gs.build_model(), [(count, "N1", 0)])
 """
 
 
@@ -399,14 +400,15 @@ def ended(pid) -> bool:
         return True
 
 
-@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
-def test_a_child_orphaned_by_a_killed_caller_exits(tmp_path):
-    """A caller killed without its cleanup leaves its child orphaned in a
-    10-scenario half of 0.5 s per scenario; the child sees its parent change
-    before its next scenario and exits, well before the half is done."""
+def orphan_ends_within(tmp_path, seconds, count, nap, size) -> bool:
+    """Run ORPHAN with a `count`-scenario pool whose child sleeps `nap` s per
+    scenario and returns `size` floats each; SIGKILL the caller (asleep in its
+    own half) once the child has logged, and say whether the child is gone
+    `seconds` later. A survivor is killed."""
     log = tmp_path / "child.pid"
     env = {**os.environ, "PYTHONPATH": str(Path(gs.__file__).parents[1])}
-    proc = subprocess.Popen([sys.executable, "-c", ORPHAN, str(log)], env=env)
+    args = [sys.executable, "-c", ORPHAN, str(log), str(count), str(nap), str(size)]
+    proc = subprocess.Popen(args, env=env)
     child = None
     try:
         for _ in range(3000):  # at most 30 s
@@ -419,13 +421,29 @@ def test_a_child_orphaned_by_a_killed_caller_exits(tmp_path):
         proc.wait(timeout=30)
     assert child is not None, "the child logged no scenario within 30 s"
     try:
-        deadline = time.monotonic() + 3.0
+        deadline = time.monotonic() + seconds
         while not ended(child) and time.monotonic() < deadline:
             time.sleep(0.01)
-        assert ended(child)
+        return ended(child)
     finally:
         if not ended(child):
             os.kill(child, signal.SIGKILL)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_a_child_orphaned_by_a_killed_caller_exits(tmp_path):
+    """A caller killed without its cleanup leaves the child, past its last
+    scenario, blocked on a full pipe; the child holds no read end of its own,
+    so its write fails and it exits."""
+    assert orphan_ends_within(tmp_path, 10.0, count=2, nap=0.0, size=100_000)
+
+
+@pytest.mark.skipif(not Path("/proc/self/stat").exists(), reason="reads /proc")
+def test_an_orphaned_child_leaves_before_its_next_scenario(tmp_path):
+    """A caller killed without its cleanup leaves its child orphaned in a
+    10-scenario half of 0.5 s per scenario; the child sees its parent change
+    before its next scenario and exits, well before the half is done."""
+    assert orphan_ends_within(tmp_path, 3.0, count=20, nap=0.5, size=1)
 
 
 def test_pools_run_on_the_caller_and_one_child(monkeypatch, second_run_diverges):
