@@ -24,6 +24,7 @@ keys once, for `split.json`'s writer and reader. A model's geometry is read
 from its checkpoint, so only `train` takes the `[deeponet]` keys.
 `_load_model` streams a bayes ensemble's members to `predict`, which keeps
 their curves only. `simulate` runs half of its scenarios in a forked child.
+Every CSV is written by `_write_csv` from named columns, one dict per file.
 """
 
 from __future__ import annotations
@@ -195,13 +196,15 @@ def write_json(path, obj) -> None:
     Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
 
 
-def _write_csv(path, header, rows) -> None:
-    """Deterministic CSV: fixed header order, floats (numpy's too) as plain repr, newline \\n."""
+def _write_csv(path, columns: dict) -> None:
+    """Deterministic CSV of `columns`, a dict of equal-length columns (a scalar
+    is a one-row column) whose names are the header; each column becomes
+    Python numbers once, so a cell is a number's plain repr. A column holds one
+    type, since numpy turns a mixed int/float column into floats."""
     with open(path, "w", newline="") as f:
         w = csv.writer(f, lineterminator="\n")
-        w.writerow(header)
-        for row in rows:
-            w.writerow([float.__repr__(x) if isinstance(x, float) else x for x in row])
+        w.writerow(columns)
+        w.writerows(zip(*(np.ravel(c).tolist() for c in columns.values()), strict=True))
 
 
 def read_json(path, *keys) -> dict:
@@ -342,7 +345,7 @@ def cmd_train(cfg, args) -> None:
     out = _outdir(cfg, "train")
     ckpt = out / f"{kind}.ckpt"
     save_checkpoint(ckpt, params, meta={"kind": kind, **dataclasses.asdict(net)})
-    _write_csv(out / f"{kind}_loss.csv", list(history[0]), [list(h.values()) for h in history])
+    _write_csv(out / f"{kind}_loss.csv", {key: [h[key] for h in history] for key in history[0]})
     best = min(h["train_loss"] for h in history)
     write_json(out / f"{kind}.manifest.json", {
         "config": cfg, "checkpoint_sha256": file_sha256(ckpt),
@@ -368,8 +371,8 @@ def cmd_sghmc(cfg, args) -> None:
         path = out / f"member_{i:03d}.ckpt"
         save_checkpoint(path, member, meta=meta)
         hashes[path.name] = file_sha256(path)
-    _write_csv(out / "utrace.csv", ["iteration", "potential"],
-               [[k, trace[k]] for k in sorted(trace)])
+    _write_csv(out / "utrace.csv", {"iteration": sorted(trace),
+                                    "potential": [trace[k] for k in sorted(trace)]})
     write_json(out / "chain.manifest.json", {
         "config": cfg, "members": list(hashes), "member_sha256": hashes,
         "init": str(init_path), "init_sha256": file_sha256(init_path),
@@ -457,30 +460,25 @@ def cmd_evaluate(cfg, args) -> None:
     out = _outdir(cfg, "evaluate")
     tag = which if noise == 0.0 else f"{which}_noise"
     agg = uqeval.aggregate_reports(l1, l2, eps)
-    _write_csv(out / f"{tag}_report.csv", list(agg), [list(agg.values())])
-    _write_csv(out / f"{tag}_per_traj.csv",
-               ["traj_id", "l1_pct", "l2_pct", "eps_ratio"],
-               zip(ids, l1.tolist(), l2.tolist(), eps.tolist()))
-
-    outputs = [f"{tag}_report.csv", f"{tag}_per_traj.csv"]
+    tables = {f"{tag}_report.csv": agg,  # output name: its columns
+              f"{tag}_per_traj.csv": {"traj_id": ids, "l1_pct": l1, "l2_pct": l2,
+                                      "eps_ratio": eps}}
     if std is not None:
         chis = np.linspace(0.0, o["chi_max"], o["chi_points"])
         emp, ana = uqeval.chi_coverage_curve(mean, std, G, chis)
-        _write_csv(out / f"{tag}_chi.csv", ["chi", "empirical", "analytic"],
-                   [[float(c), float(e), float(a)] for c, e, a in zip(chis, emp, ana)])
-        outputs.append(f"{tag}_chi.csv")
-
+        tables[f"{tag}_chi.csv"] = {"chi": chis, "empirical": emp, "analytic": ana}
     b = min(o["bands"], len(G))
-    band_cols = [np.repeat(ids[:b], len(mesh)), np.tile(mesh, b), G[:b], mean[:b], lo[:b], hi[:b]]
-    _write_csv(out / f"{tag}_bands.csv", ["traj_id", "y", "truth", "mean", "lower", "upper"],
-               zip(*(np.ravel(c).tolist() for c in band_cols)))
-    outputs.append(f"{tag}_bands.csv")
+    tables[f"{tag}_bands.csv"] = {"traj_id": np.repeat(ids[:b], len(mesh)),
+                                  "y": np.tile(mesh, b), "truth": G[:b], "mean": mean[:b],
+                                  "lower": lo[:b], "upper": hi[:b]}
+    for name, columns in tables.items():
+        _write_csv(out / name, columns)
 
     write_json(out / f"{tag}_eval.manifest.json", {
         "config": cfg, "which": which, "noise_sigma": noise, "level": level,
         "aggregate": {k: (None if isinstance(v, float) and np.isnan(v) else v)
                       for k, v in agg.items()},
-        "outputs": {name: file_sha256(out / name) for name in outputs},
+        "outputs": {name: file_sha256(out / name) for name in tables},
     })
     print(f"{which}: mean L2 {agg['mean_L2']:.3f}% "
           f"(sd {agg['sd_L2']:.3f}), eps_ratio {agg['eps_ratio']:.2f}%"
@@ -508,10 +506,8 @@ def cmd_alarms(cfg, args) -> None:
     flags, summary = uqeval.alarm_analysis(lo, hi, truth, y_star=y_star, t_cl=spec.t_cl)
     out = _outdir(cfg, "alarms")
     _write_csv(out / f"{which}_alarms.csv",
-               ["traj_id", "truth", "mean", "lower", "upper",
-                *(key.lower() for key in uqeval.ALARM_FLAGS)],
-               zip(ids, truth.tolist(), mean.tolist(), lo.tolist(), hi.tolist(),
-                   *(flags[key].astype(int).tolist() for key in uqeval.ALARM_FLAGS)))
+               {"traj_id": ids, "truth": truth, "mean": mean, "lower": lo, "upper": hi,
+                **{key.lower(): flags[key].astype(int) for key in uqeval.ALARM_FLAGS}})
     write_json(out / f"{which}_alarms.manifest.json",
                {"config": cfg, "which": which, "level": level, "summary": summary})
     print(f"{which} alarms at y*={y_star}: FN={summary['FN']} "
@@ -533,9 +529,9 @@ def cmd_residuals(cfg, args) -> None:
         raise ArtifactError(f"{workdir(cfg) / 'dataset/split.json'} cannot be scored "
                             f"for residual normality: {e}") from None
     out = _outdir(cfg, "residuals")
-    _write_csv(out / f"{which}_residuals.csv", ["bin_left", "bin_right", "count"],
-               [[float(report.hist_edges[i]), float(report.hist_edges[i + 1]),
-                 int(report.hist_counts[i])] for i in range(len(report.hist_counts))])
+    edges = report.hist_edges
+    _write_csv(out / f"{which}_residuals.csv",
+               {"bin_left": edges[:-1], "bin_right": edges[1:], "count": report.hist_counts})
     write_json(out / f"{which}_residuals.manifest.json", {
         "config": cfg, "which": which, "n": int(res.size),
         "skewness": report.skewness, "excess_kurtosis": report.excess_kurtosis,
@@ -562,12 +558,10 @@ def cmd_predict(cfg, args) -> None:
     lo, hi = _band(mean, std, level)
     out = _outdir(cfg, "predict")
     path = Path(args.out) if args.out else out / f"predict_{which}_{traj_id}.csv"
-    nanv = float("nan")
     try:
-        _write_csv(path, ["y", "truth", "mean", "std", "lower", "upper"],
-                   [[float(mesh[j]), float(truth[j]), float(mean[j]),
-                     nanv if std is None else float(std[j]), float(lo[j]), float(hi[j])]
-                    for j in range(len(mesh))])
+        _write_csv(path, {"y": mesh, "truth": truth, "mean": mean,
+                          "std": np.full_like(mean, np.nan) if std is None else std,
+                          "lower": lo, "upper": hi})
     except OSError as e:
         raise UsageError(f"cannot write --out {path}: {e.strerror}") from None
     print(f"wrote {path}")

@@ -14,7 +14,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from .gridsim import Trajectory
+from .gridsim import FaultScenario, Trajectory
 
 __all__ = [
     "SplitSpec",
@@ -36,8 +36,8 @@ class SplitSpec:
     m: int = 200  # branch sensors on [0, t_cl]
     Q: int = 10  # training queries per trajectory
     train_frac: float = 0.7
-    t_cl: float = 2.0
-    T: float = 9.0
+    t_cl: float = FaultScenario.t_cl  # the simulated pools' fault timing
+    T: float = FaultScenario.T
     n_mesh: int = 500  # test query mesh size
 
     def __post_init__(self):
@@ -59,11 +59,13 @@ def query_mesh(spec: SplitSpec) -> np.ndarray:
 
 
 def check_coverage(tr: Trajectory, spec: SplitSpec):
-    """ValueError unless the trajectory reaches the spec's horizon T."""
+    """ValueError unless the trajectory reaches the spec's horizon T and its
+    fault clears at the spec's t_cl, where the branch window ends."""
     if tr.times[-1] < spec.T - 1e-9:
+        raise ValueError(f"trajectory {tr.traj_id} ends at {tr.times[-1]:.3f}s, needs {spec.T}s")
+    if tr.scenario.t_cl != spec.t_cl:
         raise ValueError(
-            f"trajectory {tr.traj_id} ends at {tr.times[-1]:.3f}s, needs {spec.T}s"
-        )
+            f"trajectory {tr.traj_id} clears at {tr.scenario.t_cl}s, needs t_cl={spec.t_cl}s")
 
 
 def _u_disc(tr: Trajectory, spec: SplitSpec) -> np.ndarray:

@@ -61,6 +61,7 @@ __all__ = [
 ]
 
 F0 = 60.0  # nominal frequency, Hz
+_TRIPS = {"N1": 1, "N2": 2}  # contingency kind: lines it trips
 
 
 class ScenarioRejected(ValueError):
@@ -384,12 +385,12 @@ class FaultScenario:
 
     def __post_init__(self):
         object.__setattr__(self, "tripped", tuple(self.tripped))  # a pool file holds a list
-        if self.kind not in ("N1", "N2"):
+        if self.kind not in _TRIPS:
             raise ValueError(f"kind must be N1 or N2, got {self.kind!r}")
         if len(set(self.tripped)) != len(self.tripped):
             raise ValueError("tripped lines must be distinct")
-        if len(self.tripped) != (1 if self.kind == "N1" else 2):
-            raise ValueError(f"{self.kind} scenario must trip {1 if self.kind == 'N1' else 2} lines")
+        if len(self.tripped) != _TRIPS[self.kind]:
+            raise ValueError(f"{self.kind} scenario must trip {_TRIPS[self.kind]} lines")
         if not (0 < self.T < np.inf and 0 < self.sample_rate < np.inf):
             raise ValueError(f"need finite T, sample_rate > 0, got {self.T}, {self.sample_rate}")
         # t_f at or past the horizon is an equilibrium run: its window [t_f, t_cl] is empty
@@ -465,13 +466,9 @@ def simulate(
 
 def admissible_trips(model: GridModel, kind: str) -> list[tuple]:
     """All connectivity-preserving single or double circuit outages."""
-    ids = trippable_ids(model)
-    if kind == "N1":
-        cands = [(i,) for i in ids]
-    elif kind == "N2":
-        cands = [(i, j) for a, i in enumerate(ids) for j in ids[a + 1 :]]
-    else:
+    if kind not in _TRIPS:
         raise ValueError(f"kind must be N1 or N2, got {kind!r}")
+    cands = itertools.combinations(trippable_ids(model), _TRIPS[kind])
     return [c for c in cands if _connected(model, c)]
 
 

@@ -214,6 +214,20 @@ def test_bad_config_file_is_a_usage_error(tmp_path, capsys, text):
     assert not (tmp_path / "wd").exists()
 
 
+@pytest.mark.parametrize("text, message", [
+    (None, "config file not found: {ini}"),
+    ("[x]\nepochs = 3\n", "unknown config section [x]"),
+    ("[train]\nx = 3\n", "unknown config key [train] x"),
+], ids=["missing", "unknown-section", "unknown-key"])
+def test_unknown_config_file_section_or_key_exits_2(tmp_path, capsys, text, message):
+    ini = tmp_path / "cfg.ini"
+    if text is not None:
+        ini.write_text(text)
+    rc, err = run(capsys, tmp_path / "wd", "simulate", "--n1", "1", "--n2", "1", config=ini)
+    assert (rc, err) == (2, [f"error: {message.format(ini=ini)}"])
+    assert not (tmp_path / "wd").exists()
+
+
 def test_every_csv_cell_is_a_number(pipeline):
     """Every data cell of every CSV the tiny pipeline writes parses with int()
     or float(): no numpy repr such as np.float64(...) leaks into a file."""
@@ -525,6 +539,14 @@ def _edit(key, *value):
             del node[last]
         return json.dumps(doc)
     return edit
+
+
+def _first_record(edit):
+    """An edit of a pool file's first record by `edit`, a JSON document edit."""
+    def apply(text):
+        first, rest = text.split("\n", 1)
+        return edit(first) + "\n" + rest
+    return apply
 
 
 VANILLA, BAYES = ("predict", "--which", "vanilla"), ("predict", "--which", "bayes")
@@ -868,12 +890,30 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
      LAST["predict"], 2, "missing {path.parent}/..; run `sghmc` first"),
     (None, None, (*LAST["sghmc"], "--prior-lambda", "1e-310"), 2,
      "2 pi / prior_lambda must be finite, got prior_lambda=1e-310"),
+    ("dataset/split.json", _edit("spec.t_cl", 1.5), ("evaluate", "--which", "vanilla"), 1,
+     "{path} is not a valid split: trajectory 2 clears at 2.0s, needs t_cl=1.5s"),
+    ("dataset/split.json", _edit("spec.m", 10), ("evaluate", "--which", "vanilla"), 2,
+     "checkpoint expects m=20 sensors, dataset provides m=10"),
+    ("dataset/split.json", _edit("test_ids", [77]), ("evaluate", "--which", "vanilla"), 2,
+     "split references unknown trajectory id 77"),
+    ("models/bayes/chain.manifest.json", _edit("members", ["member_000.ckpt"]),
+     LAST["predict"], 2, "ensemble has fewer than 2 members"),
+    (None, None, ("alarms", "--which", "vanilla"), 2,
+     "alarm analysis needs a predictive band; use prob or bayes"),
+    (None, None, ("predict", "--which", "vanilla", "--traj-id", "99"), 2,
+     "trajectory 99 is not in the test split"),
+    ("pools/n1.jsonl", _first_record(_edit("kind")), LAST["dataset"], 1,
+     "{path} line 1: record lacks key 'kind'"),
+    ("pools/n1.jsonl", _first_record(_edit("T", 0)), LAST["dataset"], 1,
+     "{path} line 1: need finite T, sample_rate > 0, got 0, 100.0"),
 ], ids=["train-frac-0.1", "sigma-l-1e-300", "sigma-l-1e300", "sigma-l-1e154", "n1-empty",
         "split-T-20-evaluate", "split-T-20-train", "split-n-mesh-0", "split-n-mesh-1-residuals",
         "split-test-ids-empty-evaluate", "split-test-ids-empty-residuals",
         "split-test-ids-empty-predict", "split-train-ids-empty-train",
         "split-train-ids-empty-sghmc", "chain-member-empty", "chain-member-parent-dir",
-        "prior-lambda-1e-310"])
+        "prior-lambda-1e-310", "split-t-cl-1.5", "split-m-10", "split-unknown-id",
+        "chain-one-member", "alarms-vanilla", "predict-unknown-traj-id", "pool-no-kind",
+        "pool-T-0"])
 def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,
                                                              artifact, edit, argv, code,
                                                              message):

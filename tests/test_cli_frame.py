@@ -1,8 +1,10 @@
 """The CLI's frame stays in one place: in `cli`, only `_outdir` makes a
-directory, and only `_need` raises the error that names a missing input's
-writer. A command that made its own directory or spelled its own writer
-would bypass the `COMMANDS` stage table. `main` turns every error the
-package defines into one line, so none ends in a traceback."""
+directory, only `_need` raises the error that names a missing input's
+writer, and only `_write_csv` writes a CSV. A command that made its own
+directory or spelled its own writer would bypass the `COMMANDS` stage
+table, and one that wrote its own rows would bypass the named columns.
+`main` turns every error the package defines into one line, so none ends in
+a traceback."""
 
 import ast
 import importlib
@@ -39,6 +41,14 @@ def test_only_need_names_the_writer_of_a_missing_input():
             and c.value.startswith("missing ") for c in ast.walk(node.exc))
 
     assert holders(raises_missing) == {"_need"}
+
+
+def test_only_write_csv_writes_csv():
+    def writes_csv(node):
+        return (isinstance(node, ast.Attribute) and node.attr == "writer"
+                and isinstance(node.value, ast.Name) and node.value.id == "csv")
+
+    assert holders(writes_csv) == {"_write_csv"}
 
 
 def package_errors() -> set[str]:

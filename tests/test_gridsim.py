@@ -321,6 +321,17 @@ def test_sampled_fault_window(base_model):
     assert {s.kind for s in scs} == {"N1"}
 
 
+def test_sample_scenarios_needs_a_positive_count(base_model):
+    with pytest.raises(ValueError, match="count must be >= 1, got 0"):
+        G.sample_scenarios(base_model, 0, "N1", seed=0)
+
+
+def test_fast_stepper_needs_three_machines(base_model):
+    two = dataclasses.replace(base_model, gen_bus=(0, 1))
+    with pytest.raises(ValueError, match="specialized to 3 machines"):
+        G.make_fast_stepper(two, np.eye(2, dtype=complex), np.ones(2), np.ones(2))
+
+
 def test_scenario_validation():
     with pytest.raises(ValueError):
         G.FaultScenario(kind="N3", tripped=(3,), t_f=1.6)

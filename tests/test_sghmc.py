@@ -229,6 +229,12 @@ def test_config_validation():
             unit_bc(C=C)
 
 
+def test_potential_of_empty_data_raises():
+    empty = (np.empty((0, CFG.m)), np.empty((0, 1)), np.empty((0, 1)))
+    with pytest.raises(ValueError, match="data must be non-empty"):
+        potential_energy(init(CFG, "vanilla", 0), CFG, empty, unit_bc())
+
+
 @pytest.mark.parametrize("sigma_l", [1e-300, 1e300])
 def test_sigma_l_whose_square_leaves_the_floats_is_rejected(sigma_l):
     """sigma_l**2 would underflow to 0 (a division by zero in the gradient's

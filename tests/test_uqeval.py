@@ -1,13 +1,17 @@
-"""Alarm outcome partition and the normal confidence band."""
+"""Alarm outcome partition, the normal confidence band, and each metric's
+input checks."""
 
 import math
+import re
 
 from statistics import NormalDist
 
 import numpy as np
 import pytest
 
-from gridonet.uqeval import ALARM_FLAGS, alarm_analysis, confidence_interval
+from gridonet.uqeval import (ALARM_FLAGS, alarm_analysis, chi_coverage_curve,
+                             confidence_interval, epsilon_ratio, relative_errors,
+                             residual_normality, threshold_profile)
 
 # threshold_profile gives 0.70 pu at y* = 2.2 s (t_cl = 2.0)
 THR = 0.70
@@ -59,3 +63,20 @@ def test_inverse_normal_cdf_round_trips_through_erf(p):
     x = float(lo if p < 0.5 else hi)
     cdf = 0.5 * (1.0 + math.erf(x / math.sqrt(2.0)))
     assert abs(cdf - p) <= 1e-9 * min(p, 1.0 - p)
+
+
+@pytest.mark.parametrize("fn, args, message", [
+    (relative_errors, (np.ones((2, 3)), np.ones((2, 4))), "shape mismatch (2, 3) vs (2, 4)"),
+    (relative_errors, (np.ones((2, 3)), np.array([[1.0, 2.0, 3.0], [0.0, 0.0, 0.0]])),
+     "target has zero norm"),
+    (confidence_interval, ([1.0, 1.0], [0.1, -0.1]), "std must be non-negative"),
+    (confidence_interval, ([1.0], [0.1], 1.0), "level must be in (0, 1), got 1.0"),
+    (epsilon_ratio, ([0.9, 0.9], [1.1, 1.1], [1.0]), "band and target lengths differ"),
+    (chi_coverage_curve, ([1.0], [0.1], [1.0], [0.0, 2.0, 1.0]), "chis must be non-decreasing"),
+    (threshold_profile, (2.0, 2.0), "threshold is defined on the post-fault interval, got t=2.0"),
+    (residual_normality, (np.full(8, 0.5),), "residuals have zero variance"),
+], ids=["errors-shape", "errors-zero-norm", "band-negative-std", "band-level-1",
+        "eps-lengths", "chi-decreasing", "threshold-at-clearing", "residuals-constant"])
+def test_invalid_input_raises(fn, args, message):
+    with pytest.raises(ValueError, match=re.escape(message)):
+        fn(*args)
