@@ -327,7 +327,7 @@ def _load_split(cfg):
         if type(q := doc["seeds"]["queries"]) is not int or q < 0:
             raise ValueError(f"seeds.queries must be an int >= 0, got {q!r}")
     except KeyError as e:
-        raise UsageError(f"split references unknown trajectory id {e}") from None
+        raise ArtifactError(f"split references unknown trajectory id {e} in {path}") from None
     except (TypeError, ValueError) as e:
         raise ArtifactError(f"{path} is not a valid split: {e}") from None
     return train, test, spec, q

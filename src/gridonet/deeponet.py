@@ -14,27 +14,28 @@ and `tau_o_ls` for a probabilistic one. Everything else reads the kind from
 the parameter names.
 
 Training runs the paired pass, row i of U with row i of Y: `forward_batch`,
-then `loss_and_grad`'s explicit backward of the summed loss (squared
-residuals, or the Gaussian NLL), in a caller-owned `Workspace` that also
-holds the flat gradient in checkpoint order. The backward keeps the op order
-of a reverse-mode tape, so its gradients are the tape's bit for bit.
+then `loss_and_grad`'s explicit backward of the summed loss (squared residuals,
+or the Gaussian NLL), in a caller-owned `Workspace` that also holds the flat
+gradient in checkpoint order. The backward keeps the op order of a reverse-mode
+tape, so its gradients are the tape's bit for bit. It raises no NumericError:
+non-finite values flow to the caller's loss and gradient check.
 
 The branch and the trunk are independent until their inner product, and so are
 an ensemble's members, so a pass may use one worker thread, whose executor
-exists from import (a forked child gets a fresh one) and whose thread starts
-on first use. The paired passes run the branch half there and the trunk half
-on the caller, joined before the inner product and again before the gradient
-is returned; the loss and the heads' adjoints run on the caller between the
-joins. `predict` scores its members on two lanes, the worker and the caller,
-each in its own pair of sub-net workspaces: a lane takes the next member in
-the iterable's order under a lock, drops it once scored and files its curves
-by the member's index. numpy's matmul, sin, cos and elementwise loops release
-the interpreter lock. `_both` alone decides whether a pass uses the worker:
-one smaller than `_WORKER_SIZE` runs its two halves, or lanes, one after the
-other on the caller, because the hand-off would cost more than the overlap
-saves. Each half keeps its own workspace and op order and writes only its own
-buffers, and every member runs the same ops on the same shapes, so the bytes
-do not depend on where a half runs.
+exists from import (a forked child gets a fresh one) and whose thread starts on
+first use. The paired passes run the branch half there and the trunk half on
+the caller, joined before the inner product and again before the gradient is
+returned; the loss and the heads' adjoints run on the caller between the joins.
+`predict` runs each member through the paired passes' `_forward_half` on two
+lanes, the worker and the caller, each in its own pair of sub-net workspaces: a
+lane takes the next member in the iterable's order under a lock, drops it once
+scored and files its curves by the member's index. numpy's matmul, sin, cos and
+elementwise loops release the interpreter lock. `_both` alone decides whether a
+pass uses the worker: one smaller than `_WORKER_SIZE` runs its two halves, or
+lanes, one after the other on the caller, because the hand-off would cost more
+than the overlap saves. Each half keeps its own workspace and op order and
+writes only its own buffers, and every member runs the same ops on the same
+shapes, so the bytes do not depend on where a half runs.
 
 `predict(members, ...)` covers the three models and returns (mean, std):
 
@@ -212,8 +213,6 @@ def loss_and_grad(params: dict, cfg: DeepOnetConfig, U, Y, G, coef: float, ws: W
     The forward and the backward each give their branch and trunk halves to
     `_both`; the loss, the heads' adjoints and the output biases' gradients
     run here between the two.
-
-    Raises NumericError if exp(-2 log_sigma) is not finite.
     """
     U, Y, G = (np.ascontiguousarray(a, dtype=float) for a in (U, Y, G))
     heads = _heads(params)
@@ -225,9 +224,7 @@ def loss_and_grad(params: dict, cfg: DeepOnetConfig, U, Y, G, coef: float, ws: W
             loss = float(np.sum(sq)) * coef
             douts = [(2.0 * coef) * r]
         else:
-            e = np.exp(ls * -2.0)
-            if not np.all(np.isfinite(e)):
-                raise NumericError("exp produced non-finite values")
+            e = np.exp(ls * -2.0)  # in [e^-6, e^20] by the clamp; a NaN ls makes the loss NaN
             # 0.5 r^2 / sigma^2 + 0.5 log(2 pi sigma^2), with sigma = exp(ls)
             loss = float(np.sum(sq * e * 0.5 + ls + 0.5 * LOG_2PI)) * coef
             half = coef * 0.5
@@ -320,15 +317,13 @@ def _heads(params: dict):
     return _HEADS["vanilla" if "tau_o" in params else "prob"]
 
 
-def _curves(params: dict, cfg: DeepOnetConfig, u, y, spaces) -> list[np.ndarray]:
+def _curves(params: dict, cfg: DeepOnetConfig, u, y, bws, tws) -> list[np.ndarray]:
     """Each head's (n, k) values for the n rows of u at the query column y
-    (log-sigma not yet clamped); the branch and the trunk run once, in `spaces`."""
-    bws, tws = spaces
-    bh = hidden(params, u, cfg.branch, "b_", bws)  # (n, width)
-    th = hidden(params, y, cfg.trunk, "t_", tws)  # (k, width)
-    out = [head(params, th, "t_", stem, tws.out[0])
-           @ np.ascontiguousarray(head(params, bh, "b_", stem, bws.out[0]).T)
-           + float(np.asarray(params[tau]).item()) for stem, tau in _heads(params)]
+    (log-sigma not yet clamped), from one `_forward_half` per sub-net, in bws and tws."""
+    _forward_half(params, u, cfg.branch, "b_", bws)  # (n, q) per head
+    _forward_half(params, y, cfg.trunk, "t_", tws)  # (k, q) per head
+    out = [t @ np.ascontiguousarray(b.T) + float(np.asarray(params[tau]).item())
+           for t, b, (_, tau) in zip(tws.out, bws.out, _heads(params))]
     return [np.ascontiguousarray(c.T) for c in out]  # (n, k)
 
 
@@ -347,12 +342,12 @@ def predict(members, cfg: DeepOnetConfig, u_disc, ys):
     if u.shape[1] != cfg.m:
         raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
     shape = u_disc.shape[:-1] + (len(y),)
-    # both made here: made by each lane on its own thread, they raised peak RSS by ~2 MB
-    spaces = [(mlp.Workspace(cfg.branch, len(u), grad=False),
-               mlp.Workspace(cfg.trunk, len(y), grad=False)) for _ in range(2)]
+    # made here, not per lane (+2 MB peak RSS); two heads for any kind: unused np.empty is unpaged
+    spaces = [(mlp.Workspace(cfg.branch, len(u), grad=False, heads=2),
+               mlp.Workspace(cfg.trunk, len(y), grad=False, heads=2)) for _ in range(2)]
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values reach the check
         curves = _lanes(members, lambda p, space: [c.reshape(shape) for c in
-                                                   _curves(p, cfg, u, y, space)],
+                                                   _curves(p, cfg, u, y, *space)],
                         spaces, max(len(u), len(y)) * cfg.width ** 2)
     for i, c in enumerate(curves):
         if not all(np.isfinite(a).all() for a in c):

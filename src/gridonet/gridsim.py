@@ -450,7 +450,10 @@ def simulate(
         for a, b in zip(cuts[:-1], cuts[1:]):
             stepper, _ = phases[t_f <= 0.5 * (a + b) <= t_cl]
             n = _n_steps(b - a, h_max)
-            state = stepper(state, (b - a) / n, n)
+            try:
+                state = stepper(state, (b - a) / n, n)
+            except ValueError:  # math.sin of an angle that overflowed to inf
+                raise SimulationDiverged(f"state overflowed by t={t_next:.2f}s", scenario) from None
         _, row = phases[t_f <= t_next <= t_cl]
         v = abs(row @ (eq.E * np.exp(1j * np.asarray(state[:3]))))
         if not (0.0 < v < 2.0) or not all(map(math.isfinite, state)):

@@ -8,8 +8,8 @@ Two encoders U and V are mixed through d update gates:
     f(X) = H W + b
 
 The first gate maps from the raw input, so Wz_1 is (input_dim, width) and the
-remaining gate weights are (width, width). Activation is plain sin throughout;
-the final layer is linear.
+remaining gate weights are (width, width). Every layer is one `_linear`, h W + b,
+with one gradient `_linear_backward`: sin of it throughout, the final one linear.
 
 `hidden` and `head` are the package's one forward pass, and `hidden_backward`
 and `head_backward` its gradient, written out for this fixed shape. They run
@@ -107,10 +107,21 @@ class Workspace:
         self.dout = np.empty((n, cfg.output_dim)) if grad else None
 
 
-def _sin_layer(params, h, w, b, pre, out):
-    np.matmul(h, params[w], out=pre)
-    np.add(pre, params[b], out=pre)
-    return np.sin(pre, out=out)
+def _linear(params, h, name: str, out):
+    """h W + b of the layer `name` ({name}_w, {name}_b), into out (fresh if None)."""
+    out = np.matmul(h, params[f"{name}_w"], out=out)
+    return np.add(out, params[f"{name}_b"], out=out)
+
+
+def _linear_backward(params, h, name: str, d, grads, dh=None, tmp=None) -> None:
+    """Gradients of `_linear` on h from d = dL/d(h W + b): the bias's into grads, dL/dh
+    into dh if given (added through the scratch tmp if given), the weight's into grads."""
+    np.sum(d, axis=0, keepdims=True, out=grads[f"{name}_b"])
+    if tmp is not None:
+        dh += np.matmul(d, params[f"{name}_w"].T, out=tmp)
+    elif dh is not None:
+        np.matmul(d, params[f"{name}_w"].T, out=dh)
+    np.matmul(h.T, d, out=grads[f"{name}_w"])
 
 
 def hidden(params: dict, x, cfg: MlpConfig, prefix: str = "", ws: Workspace | None = None):
@@ -119,13 +130,12 @@ def hidden(params: dict, x, cfg: MlpConfig, prefix: str = "", ws: Workspace | No
     Returns a buffer of ws."""
     ws = ws or Workspace(cfg, len(x), grad=False)
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values flow
-        u = _sin_layer(params, x, f"{prefix}u_w", f"{prefix}u_b", ws.pre_u, ws.u)
-        v = _sin_layer(params, x, f"{prefix}v_w", f"{prefix}v_b", ws.pre_v, ws.v)
+        u = np.sin(_linear(params, x, f"{prefix}u", ws.pre_u), out=ws.u)
+        v = np.sin(_linear(params, x, f"{prefix}v", ws.pre_v), out=ws.v)
         h = x
         for l in range(cfg.depth):
             i = l % len(ws.z)
-            z = _sin_layer(params, h, f"{prefix}z{l + 1}_w", f"{prefix}z{l + 1}_b",
-                           ws.pre[i], ws.z[i])
+            z = np.sin(_linear(params, h, f"{prefix}z{l + 1}", ws.pre[i]), out=ws.z[i])
             a = np.subtract(1.0, z, out=ws.a[i])
             h = np.multiply(a, u, out=ws.h[i])
             h += np.multiply(z, v, out=ws.zv)
@@ -134,8 +144,7 @@ def hidden(params: dict, x, cfg: MlpConfig, prefix: str = "", ws: Workspace | No
 
 def head(params: dict, h, prefix: str = "", stem: str = "out", out=None):
     """Final linear layer applied to a hidden state, into `out` if given."""
-    out = np.matmul(h, params[f"{prefix}{stem}_w"], out=out)
-    return np.add(out, params[f"{prefix}{stem}_b"], out=out)
+    return _linear(params, h, f"{prefix}{stem}", out)
 
 
 def head_backward(params: dict, h, prefix: str, stem: str, ws: Workspace, grads: dict,
@@ -143,23 +152,7 @@ def head_backward(params: dict, h, prefix: str, stem: str, ws: Workspace, grads:
     """Gradients of `head` on hidden state h, given ws.dout = dL/d(output):
     the layer's into grads (in place), and dL/dh into ws.dh, or added to it
     when `add` (a second head on the same h)."""
-    w = params[f"{prefix}{stem}_w"]
-    np.sum(ws.dout, axis=0, keepdims=True, out=grads[f"{prefix}{stem}_b"])
-    if add:
-        ws.dh += np.matmul(ws.dout, w.T, out=ws.tmp)
-    else:
-        np.matmul(ws.dout, w.T, out=ws.dh)
-    np.matmul(h.T, ws.dout, out=grads[f"{prefix}{stem}_w"])
-
-
-def _sin_layer_backward(params, h, w, b, pre, d, grads, tmp, dh=None):
-    """d = dL/d sin(h W + b) becomes dL/d(pre-activation); the layer's
-    gradients go into grads and dL/dh into dh, if given."""
-    d *= np.cos(pre, out=tmp)
-    np.sum(d, axis=0, keepdims=True, out=grads[b])
-    if dh is not None:
-        np.matmul(d, params[w].T, out=dh)
-    np.matmul(h.T, d, out=grads[w])
+    _linear_backward(params, h, f"{prefix}{stem}", ws.dout, grads, ws.dh, ws.tmp if add else None)
 
 
 def hidden_backward(params: dict, x, cfg: MlpConfig, prefix: str, ws: Workspace,
@@ -179,9 +172,9 @@ def hidden_backward(params: dict, x, cfg: MlpConfig, prefix: str, ws: Workspace,
                 du += np.multiply(g, a, out=tmp)
             np.multiply(g, ws.v, out=dz)
             dz -= np.multiply(g, ws.u, out=tmp)
-            _sin_layer_backward(params, x if l == 1 else ws.h[l - 2], f"{prefix}z{l}_w",
-                                f"{prefix}z{l}_b", ws.pre[l - 1], dz, grads, tmp,
-                                g if l > 1 else None)
+            dz *= np.cos(ws.pre[l - 1], out=tmp)
+            _linear_backward(params, x if l == 1 else ws.h[l - 2], f"{prefix}z{l}", dz, grads,
+                             g if l > 1 else None)
         for stem, pre, d in (("v", ws.pre_v, dv), ("u", ws.pre_u, du)):
-            _sin_layer_backward(params, x, f"{prefix}{stem}_w", f"{prefix}{stem}_b", pre, d,
-                                grads, tmp)
+            d *= np.cos(pre, out=tmp)
+            _linear_backward(params, x, f"{prefix}{stem}", d, grads)

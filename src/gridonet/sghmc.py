@@ -45,6 +45,8 @@ __all__ = [
     "sghmc_run",
 ]
 
+TRACE_EVERY = 20  # cadence, in outer iterations, of the potential-energy diagnostic trace
+
 
 class SamplerError(RuntimeError):
     def __init__(self, msg, iteration=None):
@@ -66,7 +68,6 @@ class BayesConfig:
     M: int = 100
     batch_size: int = 256
     seed: int = 0
-    trace_every: int = 20  # cadence of the potential-energy diagnostic trace
 
     def __post_init__(self):
         if not (np.inf > self.C >= self.B_hat >= 0.0):
@@ -137,7 +138,7 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
     grad_fn(theta, rng) must return the noisy potential gradient, drawing any
     minibatch indices from rng. Returns (members, diag) where members are the
     last M retained post-burn-in positions (chronological order) and diag
-    maps outer iteration -> diag_fn(theta) evaluated at trace_every cadence.
+    maps outer iteration -> diag_fn(theta) at every TRACE_EVERY-th and the last.
     """
     rng = np.random.default_rng([bc.seed, 3])
     theta = np.asarray(theta0, dtype=float).copy()
@@ -164,7 +165,7 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
             raise SamplerError(f"non-finite state at outer iteration {k}", iteration=k)
         if k > bc.burn_in and (k - bc.burn_in) % bc.thinning == 0:
             retained.append(theta.copy())
-        if diag_fn is not None and (k % bc.trace_every == 0 or k == bc.n_outer):
+        if diag_fn is not None and (k % TRACE_EVERY == 0 or k == bc.n_outer):
             trace[k] = diag_fn(theta)
     return list(retained), trace
 

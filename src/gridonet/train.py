@@ -17,7 +17,7 @@ from dataclasses import dataclass
 import numpy as np
 
 from .checkpoint import flatten, unflatten
-from .deeponet import DeepOnetConfig, NumericError, Workspace, loss_and_grad
+from .deeponet import DeepOnetConfig, Workspace, loss_and_grad
 
 __all__ = [
     "TrainingError",
@@ -155,10 +155,7 @@ def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
             ws = spaces.get(len(idx))
             if ws is None:
                 ws = spaces[len(idx)] = Workspace(cfg, params, len(idx))
-            try:
-                loss, grads = loss_and_grads(params, cfg, *ws.take(data, idx), ws)
-            except NumericError as e:
-                raise TrainingError(f"numeric failure at epoch {epoch}: {e}", history=history)
+            loss, grads = loss_and_grads(params, cfg, *ws.take(data, idx), ws)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}", history=history)
             if not np.all(np.isfinite(ws.grad)):

@@ -1,7 +1,9 @@
 """CLI contract: the option table, exit codes, stale inputs, byte-identical reruns."""
 
 import csv
+import dataclasses
 import hashlib
+import inspect
 import json
 import os
 import platform
@@ -20,6 +22,10 @@ import pytest
 from gridonet import cli
 from gridonet import gridsim as gs
 from gridonet.checkpoint import load_checkpoint, save_checkpoint
+from gridonet.dataset import SplitSpec
+from gridonet.deeponet import DeepOnetConfig
+from gridonet.sghmc import BayesConfig
+from gridonet.train import TrainConfig
 
 INI = "[deeponet]\nq = 4\nwidth = 6\ndepth = 2\n[sghmc]\nm_inner = 2\n[evaluate]\nbands = 1\n"
 WHICH = ("vanilla", "prob", "bayes")
@@ -143,6 +149,28 @@ def test_options_table_has_one_row_per_key():
     for section, key, default, cast, domain, _, _ in cli.OPTIONS:
         assert domain is None or domain in cli.DOMAINS, (section, key)
         assert cli.check(key, cast(default), domain) == cast(default)
+
+
+def test_config_defaults_agree_with_the_options_table():
+    """Each default spelled again beside its `OPTIONS` row, by a config
+    dataclass or a function, is the row's. `load_scale` differs on purpose:
+    `build_model` defaults to the unscaled model, and the CLI runs at 1.51."""
+    row = {(section, key): cast(default) for section, key, default, cast, *_ in cli.OPTIONS}
+    renames = {"C": "c", "B_hat": "b_hat", "M": "m_ensemble", "Q": "queries"}
+    spelled = {}
+    for config, sections in ((TrainConfig, ("train",)), (BayesConfig, ("sghmc",)),
+                             (DeepOnetConfig, ("deeponet", "dataset")), (SplitSpec, ("dataset",))):
+        for f in dataclasses.fields(config):
+            key = renames.get(f.name, f.name)
+            hit = next(((s, key) for s in sections if (s, key) in row), None)
+            if hit and f.default is not dataclasses.MISSING:
+                spelled[f"{config.__name__}.{f.name}"] = (f.default, row[hit])
+    for fn, name in ((gs.simulate, "h_max"), (gs.generate_pools, "h_max"),
+                     (gs.build_model, "monitor_bus")):
+        spelled[f"{fn.__name__}.{name}"] = (inspect.signature(fn).parameters[name].default,
+                                            row["simulate", name])
+    assert len(spelled) == 6 + 12 + 4 + 3 + 3
+    assert {k: v for k, v in spelled.items() if v[0] != v[1]} == {}
 
 
 def test_bad_ini_value_is_a_usage_error(tmp_path, capsys):
@@ -894,8 +922,8 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
      "{path} is not a valid split: trajectory 2 clears at 2.0s, needs t_cl=1.5s"),
     ("dataset/split.json", _edit("spec.m", 10), ("evaluate", "--which", "vanilla"), 2,
      "checkpoint expects m=20 sensors, dataset provides m=10"),
-    ("dataset/split.json", _edit("test_ids", [77]), ("evaluate", "--which", "vanilla"), 2,
-     "split references unknown trajectory id 77"),
+    ("dataset/split.json", _edit("test_ids", [77]), ("evaluate", "--which", "vanilla"), 1,
+     "split references unknown trajectory id 77 in {path}"),
     ("models/bayes/chain.manifest.json", _edit("members", ["member_000.ckpt"]),
      LAST["predict"], 2, "ensemble has fewer than 2 members"),
     (None, None, ("alarms", "--which", "vanilla"), 2,

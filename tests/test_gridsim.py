@@ -246,6 +246,15 @@ def test_simulate_is_deterministic(base_model):
     assert np.array_equal(a.values, b.values)
 
 
+def test_an_overflowing_state_raises_simulation_diverged(base_model):
+    """At a thousandth of the inertia the angles overflow to inf within the
+    fault window, where math.sin raises before any per-sample check."""
+    sc = G.FaultScenario(kind="N1", tripped=(3,), t_f=1.7)
+    with pytest.raises(G.SimulationDiverged, match=r"^state overflowed by t=\d+\.\d\ds$") as err:
+        G.simulate(dataclasses.replace(base_model, H=(1e-3,) * 3), sc)
+    assert err.value.scenario == sc
+
+
 # sha256 of simulate's |V| bytes in each case of _pinned_runs, recorded on
 # the host below: math.sin and math.cos come from its libm, np.exp and the
 # recovery matmul from its numpy

@@ -1,14 +1,30 @@
 """Gated-network init bounds, forward correctness against a straight-line oracle,
 and the explicit backward against finite differences and the tape."""
 
+import ast
+import inspect
+
 import numpy as np
 import pytest
 
+from gridonet import mlp
 from gridonet import tensor as T
 from gridonet.mlp import (MlpConfig, Workspace, glorot_init, head, head_backward, hidden,
                           hidden_backward, param_shapes)
 
 import tape_oracle as oracle
+
+
+def test_only_linear_reads_the_weights():
+    """Every layer is one `_linear`: no other top-level definition of `mlp`
+    reads `params[...]` (`glorot_init` only stores into it)."""
+    def reads_params(node):
+        return (isinstance(node, ast.Subscript) and isinstance(node.ctx, ast.Load)
+                and isinstance(node.value, ast.Name) and node.value.id == "params")
+
+    tree = ast.parse(inspect.getsource(mlp))
+    assert {getattr(top, "name", "<module>") for top in tree.body
+            if any(reads_params(node) for node in ast.walk(top))} == {"_linear", "_linear_backward"}
 
 
 def forward(params, x, cfg, prefix=""):

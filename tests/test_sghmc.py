@@ -10,6 +10,7 @@ import math
 import numpy as np
 import pytest
 
+from gridonet import sghmc
 from gridonet.deeponet import DeepOnetConfig, init
 from gridonet.sghmc import (
     BayesConfig,
@@ -184,9 +185,9 @@ def test_injected_noise_statistics():
         assert abs(noise.var() - target) < 4.0 * target * math.sqrt(2.0 / p)
 
 
-def test_chain_retention_and_trace():
-    bc = unit_bc(n_outer=10, burn_in=4, thinning=2, M=2, m_inner=1,
-                 trace_every=4, seed=1)
+def test_chain_retention_and_trace(monkeypatch):
+    monkeypatch.setattr(sghmc, "TRACE_EVERY", 4)
+    bc = unit_bc(n_outer=10, burn_in=4, thinning=2, M=2, m_inner=1, seed=1)
     positions = []
 
     def grad_fn(theta, rng):
@@ -267,13 +268,14 @@ def test_run_is_deterministic():
     assert all(np.isfinite(v) for v in trace_a.values())
 
 
-def test_run_bytes_are_pinned():
+def test_run_bytes_are_pinned(monkeypatch):
     # members and trace of a 3-outer-iteration chain on minibatches of 5 of
     # 7 rows, with noise: any change to the gradient's or the update's
     # arithmetic, or to the draw order, moves the digest
     batch = make_batch(np.random.default_rng(22), 7)
+    monkeypatch.setattr(sghmc, "TRACE_EVERY", 1)
     bc = unit_bc(sigma_l=0.1, prior_lambda=0.5, eps_t=1e-4, C=10.0, B_hat=1.0, n_outer=3,
-                 burn_in=0, thinning=1, M=3, m_inner=4, batch_size=5, trace_every=1, seed=6)
+                 burn_in=0, thinning=1, M=3, m_inner=4, batch_size=5, seed=6)
     members, trace = sghmc_run(init(CFG, "vanilla", seed=8), CFG, batch, bc)
     h = hashlib.sha256()
     for member in members:

@@ -13,7 +13,7 @@ import time
 import numpy as np
 import pytest
 
-from gridonet import deeponet, tensor, train
+from gridonet import deeponet, sghmc, tensor, train
 from gridonet.deeponet import LOG_2PI, DeepOnetConfig, Workspace, forward_batch, init, predict
 from gridonet.sghmc import BayesConfig, sghmc_run
 from gridonet.train import (
@@ -355,8 +355,9 @@ def test_training_sampling_and_predict_stay_off_the_tape(monkeypatch):
     for kind in ("vanilla", "prob"):
         best, _ = fit(init(CFG, kind, seed=1), CFG, batch, TrainConfig(epochs=2, batch_size=4))
         assert predict([best], CFG, u, ys)[0].shape == (2, 2)
+    monkeypatch.setattr(sghmc, "TRACE_EVERY", 1)
     bc = BayesConfig(sigma_l=1.0, eps_t=1e-4, n_outer=2, burn_in=0, thinning=1, M=2, m_inner=2,
-                     batch_size=4, trace_every=1)
+                     batch_size=4)
     members, _ = sghmc_run(init(CFG, "vanilla", seed=2), CFG, batch, bc)
     assert predict(members, CFG, u, ys)[1].shape == (2, 2)
 
@@ -475,6 +476,17 @@ def test_fit_raises_on_divergence():
     with pytest.raises(TrainingError) as exc:
         fit(init(CFG, "vanilla", seed=2), CFG, batch, config)
     assert isinstance(exc.value.history, list)
+
+
+def test_a_nan_log_sigma_bias_fails_fit_as_a_diverged_loss():
+    """The clamp keeps exp(-2 log-sigma) finite, so a NaN log-sigma is the one
+    way it is not; the NaN reaches the loss, and fit's loss check rejects it."""
+    p = init(CFG, "prob", seed=3)
+    p["tau_o_ls"][...] = np.nan
+    batch = make_batch(np.random.default_rng(16), 8)
+    with pytest.raises(TrainingError, match="^loss diverged at epoch 0$") as exc:
+        fit(p, CFG, batch, TrainConfig(epochs=1, batch_size=4))
+    assert exc.value.history == []
 
 
 def _integral_benchmark(n_funcs, q_per, seed):
