@@ -13,3 +13,7 @@ for _name in ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS"):
 del _name
 
 __version__ = "0.1.0"
+
+
+class Error(Exception):
+    """The base of every error the package raises on purpose; the CLI prints one as one line."""

@@ -20,13 +20,15 @@ import os
 
 import numpy as np
 
+from . import Error
+
 __all__ = ["MAGIC", "CheckpointError", "flatten", "unflatten", "save_checkpoint",
            "load_checkpoint"]
 
 MAGIC = "GONC1"
 
 
-class CheckpointError(ValueError):
+class CheckpointError(Error):
     """The file is not a whole checkpoint: bad header, manifest or blob."""
 
 

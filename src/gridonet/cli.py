@@ -5,7 +5,8 @@ write byte-identical artifacts. BLAS runs on one thread unless the user set a
 count (importing the package sets it, unless numpy came first: a library
 caller's bytes may then differ), since a matmul's bits follow the thread
 count. The effective merged configuration is echoed into each output
-manifest. Usage errors exit 2, runtime failures exit 1.
+manifest. Every error the package raises on purpose is a `gridonet.Error`:
+`main` exits 2 on a `UsageError` and 1 on any other, in one line.
 
 Settings live in one place, the `OPTIONS` table: one row per config key,
 with its INI section, default string, type, domain, help and the commands
@@ -13,18 +14,17 @@ that take it as a flag. The INI defaults, every command's config flags, the
 flag -> config override and the typed, range-checked reads (`opts`) all come
 from that table, so a new setting is one new row there. A domain names the
 `DOMAINS` rule of the key's values, or is None where a config dataclass or
-the split (`y_star`) holds the rule.
+the split (`y_star`) holds the rule. A config field is named by its key.
 
 The commands form one stage table, `COMMANDS`: each row holds a command's
 help text and its output directory, which `_outdir` makes. Every input file
 passes `_need`, which names the command whose directory holds a missing one,
 on its way to a loader (`_load_pools`, `_load_split`, `_load_model`, and
-`_load_test` for the read commands). `SPEC_FIELDS` spells the split's spec
-keys once, for `split.json`'s writer and reader. A model's geometry is read
-from its checkpoint, so only `train` takes the `[deeponet]` keys.
-`_load_model` streams a bayes ensemble's members to `predict`, which keeps
-their curves only. `simulate` runs half of its scenarios in a forked child.
-Every CSV is written by `_write_csv` from named columns, one dict per file.
+`_load_test` for the read commands). A model's geometry is read from its
+checkpoint, so only `train` takes the `[deeponet]` keys. `_load_model`
+streams a bayes ensemble's members to `predict`, which keeps their curves
+only. `simulate` runs half of its scenarios in a forked child. Every CSV is
+written by `_write_csv` from named columns, one dict per file.
 """
 
 from __future__ import annotations
@@ -40,13 +40,13 @@ from pathlib import Path
 
 import numpy as np
 
-from . import gridsim as gs
-from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
+from . import Error, gridsim as gs
+from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (SplitSpec, add_input_noise, build_test, build_train, check_coverage,
                       split_pools)
-from .deeponet import DeepOnetConfig, NumericError, init, layout, predict
-from .sghmc import BayesConfig, SamplerError, sghmc_run
-from .train import TrainConfig, TrainingError, fit
+from .deeponet import DeepOnetConfig, init, layout, predict
+from .sghmc import BayesConfig, sghmc_run
+from .train import TrainConfig, fit
 from . import uqeval
 
 
@@ -127,11 +127,11 @@ COMMANDS = {  # name: (help, output directory under the workdir)
 WHICH = ("vanilla", "prob", "bayes")
 
 
-class UsageError(ValueError):
+class UsageError(Error):
     pass
 
 
-class ArtifactError(ValueError):
+class ArtifactError(Error):
     """A JSON artifact that does not parse or lacks a key its reader needs."""
 
 
@@ -230,7 +230,10 @@ def workdir(cfg) -> Path:
 def _outdir(cfg, command: str) -> Path:
     """The output directory of `command`'s `COMMANDS` row, made if missing."""
     out = workdir(cfg) / COMMANDS[command][1]
-    out.mkdir(parents=True, exist_ok=True)
+    try:
+        out.mkdir(parents=True, exist_ok=True)
+    except OSError as e:
+        raise UsageError(f"cannot make {out}: {e.strerror}") from None
     return out
 
 
@@ -250,10 +253,10 @@ def _need(cfg, rel: str) -> Path:
 
 def cmd_simulate(cfg, args) -> None:
     o = opts(cfg, "simulate")
+    out = _outdir(cfg, "simulate")
     model = gs.build_model(load_scale=o["load_scale"], monitor_bus=o["monitor_bus"])
     draws = [(o["n1"], "N1", [o["seed"], 10]), (o["n2"], "N2", [o["seed"], 11])]
     pools = gs.generate_pools(model, draws, h_max=o["h_max"])
-    out = _outdir(cfg, "simulate")
     report = {}
     for (_, kind, _), pool in zip(draws, pools):
         path = out / f"{kind.lower()}.jsonl"
@@ -272,33 +275,34 @@ def cmd_simulate(cfg, args) -> None:
 
 
 def _load_pools(cfg):
-    """(N-1 pool, N-2 pool, sha256 of each pool file), from one read of each."""
-    pools, sha256 = [], {}
+    """(N-1 pool, N-2 pool, sha256 of each pool file), from one read of each;
+    no trajectory id may appear twice across the two."""
+    pools, sha256, ids = [], {}, set()
     for kind in ("n1", "n2"):
         path = _need(cfg, f"pools/{kind}.jsonl")
         data = path.read_bytes()
         pools.append(gs.load_pool(path, data))
         if not pools[-1]:
             raise gs.PoolError(f"{path} holds no trajectories")
+        for tr in pools[-1]:
+            if tr.traj_id in ids:
+                raise gs.PoolError(f"{path} repeats trajectory id {tr.traj_id}")
+            ids.add(tr.traj_id)
         sha256[kind] = hashlib.sha256(data).hexdigest()
     return *pools, sha256
 
 
 # ----------------------------------------------------------------- dataset
 
-SPEC_FIELDS = {"m": "m", "queries": "Q", "train_frac": "train_frac", "t_cl": "t_cl",
-               "T": "T", "n_mesh": "n_mesh"}  # split.json "spec" key: SplitSpec field
-
-
 def cmd_dataset(cfg, args) -> None:
     o = opts(cfg, "dataset")
-    spec = _build(SplitSpec, m=o["m"], Q=o["queries"], train_frac=o["train_frac"])
+    spec = _build(SplitSpec, m=o["m"], queries=o["queries"], train_frac=o["train_frac"])
     n1, n2, pool_sha256 = _load_pools(cfg)
     train, test = _build(split_pools, n1, n2, spec.train_frac, seed=o["seed"])
     doc = {
         "train_ids": [tr.traj_id for tr in train],
         "test_ids": [tr.traj_id for tr in test],
-        "spec": {key: getattr(spec, field) for key, field in SPEC_FIELDS.items()},
+        "spec": dataclasses.asdict(spec),
         "seeds": {"split": o["seed"], "queries": o["query_seed"]},
         "pool_sha256": pool_sha256,
         "config": cfg,
@@ -310,8 +314,8 @@ def cmd_dataset(cfg, args) -> None:
 def _load_split(cfg):
     """(train pool, test pool, spec, query seed) of `split.json`."""
     path = _need(cfg, "dataset/split.json")
-    doc = read_json(path, "train_ids", "test_ids", "seeds.queries",
-                    *(f"spec.{key}" for key in SPEC_FIELDS))
+    keys = [f.name for f in dataclasses.fields(SplitSpec)]
+    doc = read_json(path, "train_ids", "test_ids", "seeds.queries", *(f"spec.{k}" for k in keys))
     n1, n2, pool_sha256 = _load_pools(cfg)
     if doc.get("pool_sha256") != pool_sha256:
         raise UsageError("pools changed since `dataset`; rerun `dataset`")
@@ -319,7 +323,7 @@ def _load_split(cfg):
     try:
         train = [by_id[i] for i in doc["train_ids"]]
         test = [by_id[i] for i in doc["test_ids"]]
-        spec = SplitSpec(**{field: doc["spec"][key] for key, field in SPEC_FIELDS.items()})
+        spec = SplitSpec(**{k: doc["spec"][k] for k in keys})
         if not (train and test):
             raise ValueError("train_ids and test_ids must both be non-empty")
         for tr in train + test:
@@ -340,9 +344,9 @@ def cmd_train(cfg, args) -> None:
     config = _build(TrainConfig, **opts(cfg, "train"))
     train_pool, _, spec, query_seed = _load_split(cfg)
     net = _build(DeepOnetConfig, m=spec.m, **opts(cfg, "deeponet"))
+    out = _outdir(cfg, "train")
     data = build_train(train_pool, spec, seed=query_seed)
     params, history = fit(init(net, kind, config.seed), net, data, config)
-    out = _outdir(cfg, "train")
     ckpt = out / f"{kind}.ckpt"
     save_checkpoint(ckpt, params, meta={"kind": kind, **dataclasses.asdict(net)})
     _write_csv(out / f"{kind}_loss.csv", {key: [h[key] for h in history] for key in history[0]})
@@ -358,13 +362,12 @@ def cmd_train(cfg, args) -> None:
 # ------------------------------------------------------------------- sghmc
 
 def cmd_sghmc(cfg, args) -> None:
-    o = opts(cfg, "sghmc")
-    bc = _build(BayesConfig, C=o.pop("c"), B_hat=o.pop("b_hat"), M=o.pop("m_ensemble"), **o)
+    bc = _build(BayesConfig, **opts(cfg, "sghmc"))
     train_pool, _, spec, query_seed = _load_split(cfg)
     (params0,), net, init_path = _load_model(cfg, "vanilla", spec)
+    out = _outdir(cfg, "sghmc")
     data = build_train(train_pool, spec, seed=query_seed)
     members, trace = sghmc_run(params0, net, data, bc)
-    out = _outdir(cfg, "sghmc")
     hashes = {}
     meta = {"kind": "bayes-member", **dataclasses.asdict(net)}
     for i, member in enumerate(members):
@@ -524,22 +527,18 @@ def cmd_residuals(cfg, args) -> None:
     U, mesh, G = build_test(test_pool, spec)
     res = predict(members, net, U, mesh)[0] - G
     try:
-        report = uqeval.residual_normality(res)
+        report, counts, edges = uqeval.residual_normality(res)
     except ValueError as e:
         raise ArtifactError(f"{workdir(cfg) / 'dataset/split.json'} cannot be scored "
                             f"for residual normality: {e}") from None
     out = _outdir(cfg, "residuals")
-    edges = report.hist_edges
     _write_csv(out / f"{which}_residuals.csv",
-               {"bin_left": edges[:-1], "bin_right": edges[1:], "count": report.hist_counts})
-    write_json(out / f"{which}_residuals.manifest.json", {
-        "config": cfg, "which": which, "n": int(res.size),
-        "skewness": report.skewness, "excess_kurtosis": report.excess_kurtosis,
-        "normal": report.normal,
-    })
-    print(f"{which} residuals: skew {report.skewness:+.3f}, "
-          f"excess kurtosis {report.excess_kurtosis:+.3f}, "
-          f"verdict {'normal' if report.normal else 'not normal'}")
+               {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts})
+    write_json(out / f"{which}_residuals.manifest.json",
+               {"config": cfg, "which": which, "n": int(res.size), **report})
+    print(f"{which} residuals: skew {report['skewness']:+.3f}, "
+          f"excess kurtosis {report['excess_kurtosis']:+.3f}, "
+          f"verdict {'normal' if report['normal'] else 'not normal'}")
 
 
 # ----------------------------------------------------------------- predict
@@ -614,9 +613,7 @@ def main(argv=None) -> int:
     except UsageError as e:
         print(f"error: {e}", file=sys.stderr)
         return 2
-    except (TrainingError, SamplerError, gs.SimulationDiverged, gs.SimulationLost,
-            gs.ScenarioRejected, gs.PowerFlowError, gs.PoolError, CheckpointError,
-            ArtifactError, NumericError) as e:
+    except Error as e:
         print(f"error: {e}", file=sys.stderr)
         return 1
     return 0

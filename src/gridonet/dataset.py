@@ -34,14 +34,14 @@ _KIND_CODE = {"N1": 1, "N2": 2}
 @dataclass(frozen=True)
 class SplitSpec:
     m: int = 200  # branch sensors on [0, t_cl]
-    Q: int = 10  # training queries per trajectory
+    queries: int = 10  # Q, training queries per trajectory
     train_frac: float = 0.7
     t_cl: float = FaultScenario.t_cl  # the simulated pools' fault timing
     T: float = FaultScenario.T
     n_mesh: int = 500  # test query mesh size
 
     def __post_init__(self):
-        if self.m < 2 or self.Q < 1 or self.n_mesh < 1 or not (0.0 < self.train_frac < 1.0):
+        if self.m < 2 or self.queries < 1 or self.n_mesh < 1 or not (0.0 < self.train_frac < 1.0):
             raise ValueError(f"invalid split spec {self}")
         if not (0.0 < self.t_cl < self.T):
             raise ValueError(f"need 0 < t_cl < T, got {self.t_cl}, {self.T}")
@@ -88,12 +88,12 @@ def build_train(pool, spec: SplitSpec, seed: int) -> tuple[np.ndarray, np.ndarra
     us, ys, gs = [], [], []
     for tr in pool:
         check_coverage(tr, spec)
-        y = trajectory_rng(seed, tr).uniform(spec.t_cl, spec.T, size=spec.Q)
+        y = trajectory_rng(seed, tr).uniform(spec.t_cl, spec.T, size=spec.queries)
         us.append(_u_disc(tr, spec))
         ys.append(y)
         gs.append(np.interp(y, tr.times, tr.values))
-    order = np.random.default_rng([seed, 0]).permutation(len(ys) * spec.Q)
-    U = np.repeat(np.reshape(us, (-1, spec.m)), spec.Q, axis=0)
+    order = np.random.default_rng([seed, 0]).permutation(len(ys) * spec.queries)
+    U = np.repeat(np.reshape(us, (-1, spec.m)), spec.queries, axis=0)
     return U[order], np.reshape(ys, (-1, 1))[order], np.reshape(gs, (-1, 1))[order]
 
 

@@ -64,7 +64,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from . import mlp
+from . import Error, mlp
 from .checkpoint import unflatten
 from .mlp import MlpConfig, glorot_init, head, head_backward, hidden, hidden_backward, param_shapes
 
@@ -110,7 +110,7 @@ if hasattr(os, "register_at_fork"):  # a platform without fork has no stale work
 _WORKER_SIZE = 320_000
 
 
-class NumericError(ValueError):
+class NumericError(Error):
     """A pass produced (or would produce) non-finite values."""
 
 

@@ -35,6 +35,8 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
+from . import Error
+
 __all__ = [
     "ScenarioRejected",
     "SimulationDiverged",
@@ -64,11 +66,11 @@ F0 = 60.0  # nominal frequency, Hz
 _TRIPS = {"N1": 1, "N2": 2}  # contingency kind: lines it trips
 
 
-class ScenarioRejected(ValueError):
+class ScenarioRejected(Error):
     """Contingency cannot be simulated (disconnected or singular network)."""
 
 
-class SimulationDiverged(RuntimeError):
+class SimulationDiverged(Error):
     """Integration produced a non-finite or non-physical state."""
 
     def __init__(self, msg, scenario=None):
@@ -76,15 +78,15 @@ class SimulationDiverged(RuntimeError):
         self.scenario = scenario
 
 
-class PowerFlowError(RuntimeError):
+class PowerFlowError(Error):
     """The pre-fault power flow has no solution Newton-Raphson can find."""
 
 
-class SimulationLost(RuntimeError):
+class SimulationLost(Error):
     """The forked child simulating half of the pools ended without a result."""
 
 
-class PoolError(ValueError):
+class PoolError(Error):
     """A pool file holds a record that is not a trajectory of its scenario."""
 
 
@@ -573,6 +575,8 @@ def load_pool(path, data: bytes) -> list[Trajectory]:
     for line_no, line in enumerate(data.splitlines(), 1):
         try:
             rec = json.loads(line)
+            if type(rec["id"]) is not int or rec["id"] < 0:  # a bool is not an id
+                raise ValueError(f"id {rec['id']!r} is not an int >= 0")
             sc = FaultScenario(**{fl.name: rec[fl.name] for fl in fields(FaultScenario)})
             times, values = sc.times, np.asarray(rec["values"], dtype=float)
             if values.shape != times.shape:

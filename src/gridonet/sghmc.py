@@ -32,6 +32,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import Error
 from .checkpoint import flatten, unflatten
 from .deeponet import DeepOnetConfig, Workspace, forward_batch, loss_and_grad
 
@@ -48,10 +49,8 @@ __all__ = [
 TRACE_EVERY = 20  # cadence, in outer iterations, of the potential-energy diagnostic trace
 
 
-class SamplerError(RuntimeError):
-    def __init__(self, msg, iteration=None):
-        super().__init__(msg)
-        self.iteration = iteration
+class SamplerError(Error):
+    """The chain's state went non-finite; the message names the outer iteration."""
 
 
 @dataclass(frozen=True)
@@ -59,19 +58,19 @@ class BayesConfig:
     sigma_l: float = 0.01  # likelihood noise scale, pu
     prior_lambda: float = 1.0
     eps_t: float = 1e-5
-    C: float = 10.0  # friction, times identity
-    B_hat: float = 0.0
+    c: float = 10.0  # C, the friction, times identity
+    b_hat: float = 0.0  # B_hat, the gradient-noise estimate
     m_inner: int = 50
     n_outer: int = 2000
     burn_in: int = 1000
     thinning: int = 5
-    M: int = 100
+    m_ensemble: int = 100  # M, the retained ensemble size
     batch_size: int = 256
     seed: int = 0
 
     def __post_init__(self):
-        if not (np.inf > self.C >= self.B_hat >= 0.0):
-            raise ValueError(f"need finite C >= B_hat >= 0, got C={self.C}, B_hat={self.B_hat}")
+        if not (np.inf > self.c >= self.b_hat >= 0.0):
+            raise ValueError(f"need finite C >= B_hat >= 0, got C={self.c}, B_hat={self.b_hat}")
         for name in ("eps_t", "sigma_l", "prior_lambda"):
             if not (0.0 < getattr(self, name) < np.inf):
                 raise ValueError(f"{name} must be finite and > 0, got {getattr(self, name)}")
@@ -88,9 +87,9 @@ class BayesConfig:
         if not (0 <= self.burn_in < self.n_outer):
             raise ValueError(f"need 0 <= burn_in < n_outer, got {self.burn_in}, {self.n_outer}")
         retained = (self.n_outer - self.burn_in) // self.thinning
-        if not (1 <= self.M <= retained):
+        if not (1 <= self.m_ensemble <= retained):
             raise ValueError(
-                f"M={self.M} but the chain retains only {retained} post-burn-in samples"
+                f"M={self.m_ensemble} but the chain retains only {retained} post-burn-in samples"
             )
 
 
@@ -144,8 +143,8 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
     theta = np.asarray(theta0, dtype=float).copy()
     r, step, drag = (np.empty_like(theta) for _ in range(3))
     eps = bc.eps_t
-    noise_std = np.sqrt(2.0 * (bc.C - bc.B_hat) * eps)
-    retained = deque(maxlen=bc.M)  # only the last M positions are ever returned
+    noise_std = np.sqrt(2.0 * (bc.c - bc.b_hat) * eps)
+    retained = deque(maxlen=bc.m_ensemble)  # only the last M positions are ever returned
     trace = {}
     for k in range(1, bc.n_outer + 1):
         rng.standard_normal(out=r)
@@ -156,13 +155,13 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
                 g = grad_fn(theta, rng)
                 # r - eps g - (eps C) r, in that order, into r
                 np.multiply(g, eps, out=step)
-                np.multiply(r, eps * bc.C, out=drag)
+                np.multiply(r, eps * bc.c, out=drag)
                 r -= step
                 r -= drag
                 if noise_std > 0.0:
                     r += np.multiply(rng.standard_normal(out=step), noise_std, out=step)
         if not np.all(np.isfinite(theta)):
-            raise SamplerError(f"non-finite state at outer iteration {k}", iteration=k)
+            raise SamplerError(f"non-finite state at outer iteration {k}")
         if k > bc.burn_in and (k - bc.burn_in) % bc.thinning == 0:
             retained.append(theta.copy())
         if diag_fn is not None and (k % TRACE_EVERY == 0 or k == bc.n_outer):

@@ -16,6 +16,7 @@ from dataclasses import dataclass
 
 import numpy as np
 
+from . import Error
 from .checkpoint import flatten, unflatten
 from .deeponet import DeepOnetConfig, Workspace, loss_and_grad
 
@@ -32,11 +33,8 @@ REL_IMPROVE = 1e-4  # the plateau schedule's relative improvement threshold
 BETA1, BETA2, ADAM_EPS = 0.9, 0.999, 1e-8  # Adam moment decays and denominator guard
 
 
-class TrainingError(RuntimeError):
-    def __init__(self, msg, history=None, param=None):
-        super().__init__(msg)
-        self.history = history or []
-        self.param = param
+class TrainingError(Error):
+    """The loss or a gradient went non-finite; the message says which."""
 
 
 @dataclass(frozen=True)
@@ -157,10 +155,10 @@ def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
                 ws = spaces[len(idx)] = Workspace(cfg, params, len(idx))
             loss, grads = loss_and_grads(params, cfg, *ws.take(data, idx), ws)
             if not np.isfinite(loss):
-                raise TrainingError(f"loss diverged at epoch {epoch}", history=history)
+                raise TrainingError(f"loss diverged at epoch {epoch}")
             if not np.all(np.isfinite(ws.grad)):
                 name = next(k for k, g in grads.items() if not np.all(np.isfinite(g)))
-                raise TrainingError(f"non-finite gradient for {name!r}", history, name)
+                raise TrainingError(f"non-finite gradient for {name!r}")
             t += 1
             adam_update(theta, ws.grad, m, v, t, lr, tmp, step)
             total += loss * len(idx)

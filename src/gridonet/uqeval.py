@@ -9,7 +9,6 @@ point of every row."""
 from __future__ import annotations
 
 import math
-from dataclasses import dataclass
 from statistics import NormalDist
 
 import numpy as np
@@ -23,7 +22,6 @@ __all__ = [
     "threshold_profile",
     "ALARM_FLAGS",
     "alarm_analysis",
-    "NormalityReport",
     "residual_normality",
     "aggregate_reports",
 ]
@@ -127,18 +125,13 @@ def alarm_analysis(lower, upper, truth, y_star: float, t_cl: float = 2.0):
     return flags, summary
 
 
-@dataclass(frozen=True)
-class NormalityReport:
-    skewness: float
-    excess_kurtosis: float
-    normal: bool
-    hist_counts: np.ndarray
-    hist_edges: np.ndarray
-
-
-def residual_normality(residuals) -> NormalityReport:
+def residual_normality(residuals):
     """Moment-based verdict: |skew| < 0.2 and |excess kurtosis| < 0.5, with a
-    40-bin histogram of the standardized residuals."""
+    40-bin histogram of the standardized residuals.
+
+    Returns (report, counts, edges): the skewness, excess kurtosis and verdict
+    by name, and the histogram's 40 counts and 41 edges.
+    """
     r = np.asarray(residuals, dtype=float).ravel()
     if r.size < 8:
         raise ValueError(f"need at least 8 residuals, got {r.size}")
@@ -148,14 +141,9 @@ def residual_normality(residuals) -> NormalityReport:
     z = (r - r.mean()) / s
     skew = float(np.mean(z**3))
     kurt = float(np.mean(z**4) - 3.0)
-    counts, edges = np.histogram(z, bins=40)
-    return NormalityReport(
-        skewness=skew,
-        excess_kurtosis=kurt,
-        normal=bool(abs(skew) < 0.2 and abs(kurt) < 0.5),
-        hist_counts=counts,
-        hist_edges=edges,
-    )
+    report = {"skewness": skew, "excess_kurtosis": kurt,
+              "normal": bool(abs(skew) < 0.2 and abs(kurt) < 0.5)}
+    return report, *np.histogram(z, bins=40)
 
 
 def aggregate_reports(l1, l2, eps) -> dict:

@@ -77,7 +77,7 @@ def test_bytes_deterministic(tmp_path):
 def test_bad_magic_rejected(tmp_path):
     path = tmp_path / "junk.bin"
     path.write_bytes(b"NOPE 2\n{}")
-    with pytest.raises(ValueError):
+    with pytest.raises(CheckpointError):
         load_checkpoint(path)
 
 

@@ -26,6 +26,7 @@ from gridonet.dataset import SplitSpec
 from gridonet.deeponet import DeepOnetConfig
 from gridonet.sghmc import BayesConfig
 from gridonet.train import TrainConfig
+from gridonet.uqeval import residual_normality
 
 INI = "[deeponet]\nq = 4\nwidth = 6\ndepth = 2\n[sghmc]\nm_inner = 2\n[evaluate]\nbands = 1\n"
 WHICH = ("vanilla", "prob", "bayes")
@@ -156,13 +157,11 @@ def test_config_defaults_agree_with_the_options_table():
     dataclass or a function, is the row's. `load_scale` differs on purpose:
     `build_model` defaults to the unscaled model, and the CLI runs at 1.51."""
     row = {(section, key): cast(default) for section, key, default, cast, *_ in cli.OPTIONS}
-    renames = {"C": "c", "B_hat": "b_hat", "M": "m_ensemble", "Q": "queries"}
     spelled = {}
     for config, sections in ((TrainConfig, ("train",)), (BayesConfig, ("sghmc",)),
                              (DeepOnetConfig, ("deeponet", "dataset")), (SplitSpec, ("dataset",))):
         for f in dataclasses.fields(config):
-            key = renames.get(f.name, f.name)
-            hit = next(((s, key) for s in sections if (s, key) in row), None)
+            hit = next(((s, f.name) for s in sections if (s, f.name) in row), None)
             if hit and f.default is not dataclasses.MISSING:
                 spelled[f"{config.__name__}.{f.name}"] = (f.default, row[hit])
     for fn, name in ((gs.simulate, "h_max"), (gs.generate_pools, "h_max"),
@@ -934,6 +933,12 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
      "{path} line 1: record lacks key 'kind'"),
     ("pools/n1.jsonl", _first_record(_edit("T", 0)), LAST["dataset"], 1,
      "{path} line 1: need finite T, sample_rate > 0, got 0, 100.0"),
+    ("pools/n1.jsonl", _first_record(_edit("id", 1.5)), LAST["dataset"], 1,
+     "{path} line 1: id 1.5 is not an int >= 0"),
+    ("pools/n1.jsonl", _first_record(_edit("id", "x")), LAST["dataset"], 1,
+     "{path} line 1: id 'x' is not an int >= 0"),
+    ("pools/n1.jsonl", _first_record(_edit("id", 2)), LAST["dataset"], 1,
+     "{path.parent}/n2.jsonl repeats trajectory id 2"),
 ], ids=["train-frac-0.1", "sigma-l-1e-300", "sigma-l-1e300", "sigma-l-1e154", "n1-empty",
         "split-T-20-evaluate", "split-T-20-train", "split-n-mesh-0", "split-n-mesh-1-residuals",
         "split-test-ids-empty-evaluate", "split-test-ids-empty-residuals",
@@ -941,7 +946,7 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
         "split-train-ids-empty-sghmc", "chain-member-empty", "chain-member-parent-dir",
         "prior-lambda-1e-310", "split-t-cl-1.5", "split-m-10", "split-unknown-id",
         "chain-one-member", "alarms-vanilla", "predict-unknown-traj-id", "pool-no-kind",
-        "pool-T-0"])
+        "pool-T-0", "pool-id-1.5", "pool-id-str", "pool-id-dup"])
 def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,
                                                              artifact, edit, argv, code,
                                                              message):
@@ -975,3 +980,31 @@ def test_singular_power_flow_exits_1(tmp_path, capsys):
                   "--n1", "1", "--n2", "1")
     assert rc == 1
     assert err == ["error: power flow Jacobian is singular"]
+
+
+def test_residuals_manifest_holds_the_normality_report(pipeline):
+    doc = json.loads((pipeline[0] / "eval/vanilla_residuals.manifest.json").read_text())
+    report = residual_normality(np.arange(8.0))[0]
+    assert set(doc) - {"config", "which", "n"} == set(report)
+
+
+@pytest.mark.parametrize("command, blocked, work", [
+    (("simulate", "--n1", "1", "--n2", "1"), ".", "generate_pools"),
+    (LAST["train"], "models", "fit"),
+    (LAST["sghmc"], "models/bayes", "sghmc_run"),
+], ids=["simulate", "train", "sghmc"])
+def test_an_output_directory_that_cannot_be_made_exits_2_before_the_work(
+        pipeline, workdir_copy, capsys, monkeypatch, command, blocked, work):
+    """A file where a command's output directory belongs is a usage error, met
+    before the command's compute runs."""
+    shutil.rmtree(workdir_copy / blocked)
+    (workdir_copy / blocked).write_text("")
+
+    def computed(*args, **kwargs):
+        raise AssertionError(f"{work} ran")
+
+    monkeypatch.setattr(cli.gs if work == "generate_pools" else cli, work, computed)
+    rc, err = run(capsys, workdir_copy, *command, config=pipeline[3])
+    out = workdir_copy / cli.COMMANDS[command[0]][1]
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: cannot make {out}: ")

@@ -3,8 +3,9 @@ directory, only `_need` raises the error that names a missing input's
 writer, and only `_write_csv` writes a CSV. A command that made its own
 directory or spelled its own writer would bypass the `COMMANDS` stage
 table, and one that wrote its own rows would bypass the named columns.
-`main` turns every error the package defines into one line, so none ends in
-a traceback."""
+Every error the package defines is a `gridonet.Error`, and `main` turns
+one into one line, exit 2 for a `UsageError` and 1 for any other, so none
+ends in a traceback and no list of error classes needs keeping in step."""
 
 import ast
 import importlib
@@ -51,21 +52,22 @@ def test_only_write_csv_writes_csv():
     assert holders(writes_csv) == {"_write_csv"}
 
 
-def package_errors() -> set[str]:
-    """The names of the exception classes that the package's modules define."""
-    found = set()
+def package_errors() -> dict:
+    """The exception classes that the package's modules define, by name."""
+    found = {}
     for info in pkgutil.iter_modules(gridonet.__path__):
         module = importlib.import_module(f"gridonet.{info.name}")
-        found |= {name for name, c in inspect.getmembers(module, inspect.isclass)
+        found |= {name: c for name, c in inspect.getmembers(module, inspect.isclass)
                   if issubclass(c, Exception) and c.__module__ == module.__name__}
     return found
 
 
-def test_main_exits_1_on_every_package_error_but_usage():
+def test_every_package_error_is_an_error_and_main_catches_usage_then_error():
+    errors = package_errors()
+    assert "UsageError" in errors and len(errors) >= 10
+    assert {name: c.__bases__ for name, c in errors.items()
+            if c.__bases__ != (gridonet.Error,)} == {}
     main = next(top for top in TREE.body if getattr(top, "name", None) == "main")
-    exit_1 = [h for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)
-              and any(isinstance(r, ast.Return) and getattr(r.value, "value", None) == 1
-                      for r in h.body)]
-    assert len(exit_1) == 1
-    caught = {t.attr if isinstance(t, ast.Attribute) else t.id for t in exit_1[0].type.elts}
-    assert package_errors() - {"UsageError"} <= caught
+    handlers = [(ast.unparse(h.type), h.body[-1].value.value)
+                for h in ast.walk(main) if isinstance(h, ast.ExceptHandler)]
+    assert handlers == [("UsageError", 2), ("Error", 1)]

@@ -42,7 +42,7 @@ def test_sensors_land_on_the_sampling_grid():
 
 def test_constant_trajectory_targets():
     tr = make_traj(0, np.ones(900))
-    U, Y, G = build_train([tr], SplitSpec(Q=5), seed=1)
+    U, Y, G = build_train([tr], SplitSpec(queries=5), seed=1)
     assert U.shape == (5, 200) and Y.shape == G.shape == (5, 1)
     assert np.all(G == 1.0)
     U, _, G = build_test([tr], SplitSpec())
@@ -75,7 +75,7 @@ def test_affine_trajectory_is_interpolated_exactly():
     tr = make_traj(0, 0.3 + 0.05 * GRID)
     _, mesh, G = build_test([tr], SplitSpec())
     assert np.allclose(G, 0.3 + 0.05 * mesh, rtol=0, atol=1e-12)
-    _, Y, G = build_train([tr], SplitSpec(Q=20), seed=3)
+    _, Y, G = build_train([tr], SplitSpec(queries=20), seed=3)
     assert np.max(np.abs(G - (0.3 + 0.05 * Y))) < 1e-12
     assert np.all((2.0 < Y) & (Y <= 9.0))
 
@@ -122,18 +122,18 @@ def test_split_rejects_degenerate_fractions():
 def test_build_train_determinism():
     rng = np.random.default_rng(8)
     pool = [make_traj(i, rng.uniform(0.8, 1.1, 900)) for i in range(5)]
-    a = build_train(pool, SplitSpec(Q=4), seed=21)
-    b = build_train(pool, SplitSpec(Q=4), seed=21)
+    a = build_train(pool, SplitSpec(queries=4), seed=21)
+    b = build_train(pool, SplitSpec(queries=4), seed=21)
     assert all(np.array_equal(x, y) for x, y in zip(a, b))
-    c = build_train(pool, SplitSpec(Q=4), seed=22)
+    c = build_train(pool, SplitSpec(queries=4), seed=22)
     assert not np.array_equal(a[1], c[1])
 
 
 def test_queries_nest_across_Q():
     rng = np.random.default_rng(13)
     pool = [make_traj(i, rng.uniform(0.8, 1.1, 900)) for i in range(4)]
-    small = build_train(pool, SplitSpec(Q=3), seed=6)
-    large = build_train(pool, SplitSpec(Q=10), seed=6)
+    small = build_train(pool, SplitSpec(queries=3), seed=6)
+    large = build_train(pool, SplitSpec(queries=10), seed=6)
 
     def by_input(rows):
         """The query times of each input function, keyed by its U row."""
@@ -152,7 +152,7 @@ def test_sample_provenance():
     rng = np.random.default_rng(30)
     tr = make_traj(17, rng.uniform(0.8, 1.1, 900), kind="N2")
     seed = 41
-    _, Y, G = build_train([tr], SplitSpec(Q=6), seed=seed)
+    _, Y, G = build_train([tr], SplitSpec(queries=6), seed=seed)
     ys = trajectory_rng(seed, tr).uniform(2.0, 9.0, size=6)
     expected = {(float(y), float(np.interp(y, tr.times, tr.values))) for y in ys}
     assert set(zip(Y[:, 0].tolist(), G[:, 0].tolist())) == expected
@@ -189,7 +189,7 @@ def test_spec_validation():
     with pytest.raises(ValueError):
         SplitSpec(m=1)
     with pytest.raises(ValueError):
-        SplitSpec(Q=0)
+        SplitSpec(queries=0)
     with pytest.raises(ValueError):
         SplitSpec(train_frac=1.0)
     with pytest.raises(ValueError):

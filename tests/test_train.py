@@ -356,8 +356,8 @@ def test_training_sampling_and_predict_stay_off_the_tape(monkeypatch):
         best, _ = fit(init(CFG, kind, seed=1), CFG, batch, TrainConfig(epochs=2, batch_size=4))
         assert predict([best], CFG, u, ys)[0].shape == (2, 2)
     monkeypatch.setattr(sghmc, "TRACE_EVERY", 1)
-    bc = BayesConfig(sigma_l=1.0, eps_t=1e-4, n_outer=2, burn_in=0, thinning=1, M=2, m_inner=2,
-                     batch_size=4)
+    bc = BayesConfig(sigma_l=1.0, eps_t=1e-4, n_outer=2, burn_in=0, thinning=1, m_ensemble=2,
+                     m_inner=2, batch_size=4)
     members, _ = sghmc_run(init(CFG, "vanilla", seed=2), CFG, batch, bc)
     assert predict(members, CFG, u, ys)[1].shape == (2, 2)
 
@@ -394,9 +394,8 @@ def test_fit_names_the_parameter_of_a_nonfinite_gradient(monkeypatch):
 
     monkeypatch.setattr(train, "loss_and_grad", poisoned)
     batch = make_batch(np.random.default_rng(4), 8)
-    with pytest.raises(TrainingError) as exc:
+    with pytest.raises(TrainingError, match="^non-finite gradient for 't_u_w'$"):
         fit(init(CFG, "vanilla", seed=1), CFG, batch, TrainConfig(epochs=1, batch_size=8))
-    assert exc.value.param == "t_u_w"
 
 
 def test_plateau_halves_on_constant_stream():
@@ -473,9 +472,8 @@ def test_fit_raises_on_divergence():
     batch = make_batch(rng, 8)
     # the sin gates saturate, so the loss only overflows at an absurd rate
     config = TrainConfig(epochs=50, batch_size=8, lr=1e200, seed=0)
-    with pytest.raises(TrainingError) as exc:
+    with pytest.raises(TrainingError, match=r"^loss diverged at epoch \d+$"):
         fit(init(CFG, "vanilla", seed=2), CFG, batch, config)
-    assert isinstance(exc.value.history, list)
 
 
 def test_a_nan_log_sigma_bias_fails_fit_as_a_diverged_loss():
@@ -484,9 +482,8 @@ def test_a_nan_log_sigma_bias_fails_fit_as_a_diverged_loss():
     p = init(CFG, "prob", seed=3)
     p["tau_o_ls"][...] = np.nan
     batch = make_batch(np.random.default_rng(16), 8)
-    with pytest.raises(TrainingError, match="^loss diverged at epoch 0$") as exc:
+    with pytest.raises(TrainingError, match="^loss diverged at epoch 0$"):
         fit(p, CFG, batch, TrainConfig(epochs=1, batch_size=4))
-    assert exc.value.history == []
 
 
 def _integral_benchmark(n_funcs, q_per, seed):

@@ -1,5 +1,5 @@
-"""Alarm outcome partition, the normal confidence band, and each metric's
-input checks."""
+"""Alarm outcome partition, the normal confidence band, the residual
+normality verdict, and each metric's input checks."""
 
 import math
 import re
@@ -80,3 +80,18 @@ def test_inverse_normal_cdf_round_trips_through_erf(p):
 def test_invalid_input_raises(fn, args, message):
     with pytest.raises(ValueError, match=re.escape(message)):
         fn(*args)
+
+
+def test_residual_normality_of_a_symmetric_flat_sample():
+    report, counts, edges = residual_normality([-3.0, -2.0, -1.0, 0.0, 0.0, 1.0, 2.0, 3.0])
+    assert report["skewness"] == 0.0
+    assert abs(report["excess_kurtosis"] + 1.0) < 1e-12  # E z^4 = 24.5 / 3.5^2 = 2
+    assert report["normal"] is False
+    assert (counts.sum(), counts.size, edges.size) == (8, 40, 41)
+
+
+def test_residual_normality_tells_a_normal_sample_from_a_skewed_one():
+    normal = residual_normality(np.random.default_rng(0).standard_normal(20_000))[0]
+    skewed = residual_normality(np.random.default_rng(0).exponential(size=20_000))[0]
+    assert normal["normal"] is True
+    assert abs(skewed["skewness"] - 2.0) < 0.1 and skewed["normal"] is False
