@@ -3,8 +3,8 @@
 import os
 
 # BLAS on one thread, unless the user set a count: this must run before
-# anything imports numpy. The package runs its own second thread (see
-# `deeponet`) and forks one child per `simulate` (see `gridsim`), and a
+# anything imports numpy. The package runs its own threads (see `deeponet`
+# and `sghmc`) and forks one child per `simulate` (see `gridsim`), and a
 # matmul's bits follow the BLAS thread count. A caller that imports numpy
 # first keeps BLAS's default count (numpy has no setter), so its
 # default-geometry bytes may differ from the CLI's.

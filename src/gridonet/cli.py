@@ -319,8 +319,15 @@ def _load_split(cfg):
     n1, n2, pool_sha256 = _load_pools(cfg)
     if doc.get("pool_sha256") != pool_sha256:
         raise UsageError("pools changed since `dataset`; rerun `dataset`")
-    by_id = {tr.traj_id: tr for tr in n1 + n2}
+    by_id, listed = {tr.traj_id: tr for tr in n1 + n2}, {}
     try:
+        for name in ("train_ids", "test_ids"):
+            for i in doc[name]:  # True and 1.0 would look up trajectory 1
+                if type(i) is not int or i < 0:
+                    raise ValueError(f"{name} id {i!r} is not an int >= 0")
+                if i in listed:
+                    raise ValueError(f"id {i} is in {listed[i]} and again in {name}")
+                listed[i] = name
         train = [by_id[i] for i in doc["train_ids"]]
         test = [by_id[i] for i in doc["test_ids"]]
         spec = SplitSpec(**{k: doc["spec"][k] for k in keys})

@@ -18,15 +18,35 @@ and the minibatch estimate rescales the likelihood term by |D| / |batch|,
 leaving the prior term unscaled.
 
 `sghmc_run` moves theta and r in place as flat vectors in checkpoint order.
-Each inner step is one `grad_potential` call: the minibatch is gathered into
+Each gradient is one `grad_potential` call: the minibatch is gathered into
 one workspace, the likelihood gradient is written there by deeponet's
 explicit forward and backward, and the prior term is added on the flat
-vector. The noise is drawn into a reused buffer. Every op keeps the order of
-the update above, so the members do not depend on these buffers.
+vector. Every op keeps the order of the update above, so the members do not
+depend on these buffers.
+
+Every random draw comes from one generator, in the order of a serial loop:
+per outer iteration the momentum, then per inner step the minibatch
+(`draw(rng)`) and, if the noise scale is > 0, the noise. One producer thread
+makes them, up to `LOOKAHEAD` items ahead of the chain, so a draw runs while
+a gradient does (numpy's normal fill releases the interpreter lock). It
+writes each p-sized draw into a ring of buffers that the chain allocates: a
+thread that allocated its own would grow a malloc arena of its own. The
+thread checks for a stop before each draw and is joined on every way out of
+`sghmc_chain`, an error included.
+
+The last inner step of an outer iteration moves theta and takes its
+minibatch and noise, but evaluates no gradient: its only output would be a
+momentum that the next resample, or the end of the chain, overwrites. Taking
+its draws keeps the stream, so the members and the trace keep their bytes.
+With m_inner = 1 no gradient is evaluated at all, and the chain is a random
+walk: theta += eps * r for a fresh normal r per outer iteration.
 """
 
 from __future__ import annotations
 
+import itertools
+import queue
+import threading
 from collections import deque
 from dataclasses import dataclass
 
@@ -47,6 +67,7 @@ __all__ = [
 ]
 
 TRACE_EVERY = 20  # cadence, in outer iterations, of the potential-energy diagnostic trace
+LOOKAHEAD = 1  # draws the producer may have ready beyond the one the chain is using
 
 
 class SamplerError(Error):
@@ -131,41 +152,102 @@ def grad_potential(params: dict, cfg: DeepOnetConfig, data, idx, bc: BayesConfig
     return ws.grads
 
 
-def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, diag_fn=None):
+def _draws(bc: BayesConfig, draw, noise_std: float, ring: list):
+    """The chain's random draws in the serial loop's order: per outer iteration
+    the momentum, then per inner step draw(rng) and, if noise_std > 0, the
+    noise times noise_std. The p-sized ones are written into ring's buffers in
+    turn."""
+    rng = np.random.default_rng([bc.seed, 3])
+    slots = itertools.cycle(ring)
+    for _ in range(bc.n_outer):
+        yield rng.standard_normal(out=next(slots))
+        for _ in range(bc.m_inner):
+            yield draw(rng)
+            if noise_std > 0.0:
+                z = rng.standard_normal(out=next(slots))
+                yield np.multiply(z, noise_std, out=z)
+
+
+def _produce(items, ready: queue.Queue, stop: threading.Event) -> None:
+    """Put each of items on ready until they run out or stop is set, which is
+    checked before each is made; an error is put in place of its item."""
+    try:
+        # divergence surfaces through the chain's finiteness check, not warnings
+        with np.errstate(over="ignore", invalid="ignore"):
+            while not stop.is_set():
+                ready.put(next(items))
+    except StopIteration:
+        pass
+    except BaseException as err:  # raised by the chain when it takes this item
+        ready.put(err)
+
+
+def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, draw=lambda rng: None,
+                diag_fn=None):
     """Run the sampler on a flat parameter vector.
 
-    grad_fn(theta, rng) must return the noisy potential gradient, drawing any
-    minibatch indices from rng. Returns (members, diag) where members are the
-    last M retained post-burn-in positions (chronological order) and diag
-    maps outer iteration -> diag_fn(theta) at every TRACE_EVERY-th and the last.
+    draw(rng) returns one inner step's minibatch, and grad_fn(theta, batch)
+    the noisy potential gradient on it. Returns (members, diag) where members
+    are the last M retained post-burn-in positions (chronological order) and
+    diag maps outer iteration -> diag_fn(theta) at every TRACE_EVERY-th and
+    the last.
     """
-    rng = np.random.default_rng([bc.seed, 3])
     theta = np.asarray(theta0, dtype=float).copy()
     r, step, drag = (np.empty_like(theta) for _ in range(3))
+    # the item the chain reads, LOOKAHEAD waiting and the one being made are
+    # LOOKAHEAD + 2 in a row, one of them a batch: p-sized draws come at most
+    # two in a row (a noise, then the next momentum)
+    ring = [np.empty_like(theta) for _ in range(LOOKAHEAD + 1)]
     eps = bc.eps_t
     noise_std = np.sqrt(2.0 * (bc.c - bc.b_hat) * eps)
     retained = deque(maxlen=bc.m_ensemble)  # only the last M positions are ever returned
     trace = {}
-    for k in range(1, bc.n_outer + 1):
-        rng.standard_normal(out=r)
-        # divergence surfaces through the finiteness check, not warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            for _ in range(bc.m_inner):
+    ready, stop = queue.Queue(LOOKAHEAD), threading.Event()
+    producer = threading.Thread(target=_produce, name="gridonet-sghmc-draws",
+                                args=(_draws(bc, draw, noise_std, ring), ready, stop))
+
+    def take():
+        """The next draw; done with the previous one, whose buffer it frees."""
+        item = ready.get()
+        if isinstance(item, BaseException):
+            raise item
+        return item
+
+    producer.start()
+    try:
+        for k in range(1, bc.n_outer + 1):
+            np.copyto(r, take())
+            # divergence surfaces through the finiteness check, not warnings
+            with np.errstate(over="ignore", invalid="ignore"):
                 theta += np.multiply(r, eps, out=step)
-                g = grad_fn(theta, rng)
-                # r - eps g - (eps C) r, in that order, into r
-                np.multiply(g, eps, out=step)
-                np.multiply(r, eps * bc.c, out=drag)
-                r -= step
-                r -= drag
-                if noise_std > 0.0:
-                    r += np.multiply(rng.standard_normal(out=step), noise_std, out=step)
-        if not np.all(np.isfinite(theta)):
-            raise SamplerError(f"non-finite state at outer iteration {k}")
-        if k > bc.burn_in and (k - bc.burn_in) % bc.thinning == 0:
-            retained.append(theta.copy())
-        if diag_fn is not None and (k % TRACE_EVERY == 0 or k == bc.n_outer):
-            trace[k] = diag_fn(theta)
+                for _ in range(bc.m_inner - 1):
+                    g = grad_fn(theta, take())
+                    # r - eps g - (eps C) r, in that order, into r
+                    np.multiply(g, eps, out=step)
+                    np.multiply(r, eps * bc.c, out=drag)
+                    r -= step
+                    r -= drag
+                    if noise_std > 0.0:
+                        r += take()
+                    theta += np.multiply(r, eps, out=step)
+            # the last step's batch and noise would feed only a momentum that
+            # the resample, or the end of the chain, overwrites
+            take()
+            if noise_std > 0.0:
+                take()
+            if not np.all(np.isfinite(theta)):
+                raise SamplerError(f"non-finite state at outer iteration {k}")
+            if k > bc.burn_in and (k - bc.burn_in) % bc.thinning == 0:
+                retained.append(theta.copy())
+            if diag_fn is not None and (k % TRACE_EVERY == 0 or k == bc.n_outer):
+                trace[k] = diag_fn(theta)
+    finally:
+        stop.set()
+        # once drained, the producer puts at most once more: it checks stop
+        # before each draw, so the join never waits on a full queue
+        while not ready.empty():
+            ready.get_nowait()
+        producer.join()
     return list(retained), trace
 
 
@@ -185,13 +267,14 @@ def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig):
     b = min(bc.batch_size, n)
     ws = Workspace(cfg, init_params, b)
 
-    def grad_fn(theta, rng):
+    def grad_fn(theta, batch):
         params = unflatten(layout, theta, copy=False)
-        grad_potential(params, cfg, data, rng.permutation(n)[:b], bc, ws)
+        grad_potential(params, cfg, data, batch, bc, ws)
         return ws.grad
 
     def diag_fn(theta):
         return potential_energy(unflatten(layout, theta, copy=False), cfg, data, bc)
 
-    members_flat, trace = sghmc_chain(grad_fn, theta0, bc, diag_fn=diag_fn)
+    members_flat, trace = sghmc_chain(grad_fn, theta0, bc,
+                                      draw=lambda rng: rng.permutation(n)[:b], diag_fn=diag_fn)
     return [unflatten(layout, th, copy=False) for th in members_flat], trace

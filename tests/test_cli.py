@@ -923,6 +923,15 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
      "checkpoint expects m=20 sensors, dataset provides m=10"),
     ("dataset/split.json", _edit("test_ids", [77]), ("evaluate", "--which", "vanilla"), 1,
      "split references unknown trajectory id 77 in {path}"),
+    # the split is train [2, 0] / test [1, 3]: each edit below trains at the parent
+    ("dataset/split.json", _edit("train_ids", [2, 0.0]), LAST["train"], 1,
+     "{path} is not a valid split: train_ids id 0.0 is not an int >= 0"),
+    ("dataset/split.json", _edit("train_ids", [2, True]), LAST["train"], 1,
+     "{path} is not a valid split: train_ids id True is not an int >= 0"),
+    ("dataset/split.json", _edit("train_ids", [2, 2]), LAST["train"], 1,
+     "{path} is not a valid split: id 2 is in train_ids and again in train_ids"),
+    ("dataset/split.json", _edit("train_ids", [2, 0, 1]), LAST["train"], 1,
+     "{path} is not a valid split: id 1 is in train_ids and again in test_ids"),
     ("models/bayes/chain.manifest.json", _edit("members", ["member_000.ckpt"]),
      LAST["predict"], 2, "ensemble has fewer than 2 members"),
     (None, None, ("alarms", "--which", "vanilla"), 2,
@@ -945,6 +954,7 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
         "split-test-ids-empty-predict", "split-train-ids-empty-train",
         "split-train-ids-empty-sghmc", "chain-member-empty", "chain-member-parent-dir",
         "prior-lambda-1e-310", "split-t-cl-1.5", "split-m-10", "split-unknown-id",
+        "split-id-float", "split-id-bool", "split-id-repeat", "split-id-overlap",
         "chain-one-member", "alarms-vanilla", "predict-unknown-traj-id", "pool-no-kind",
         "pool-T-0", "pool-id-1.5", "pool-id-str", "pool-id-dup"])
 def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,

@@ -1,8 +1,9 @@
 """Every name a `gridonet` module exports through `__all__` exists in it and is
 defined there, so a moved or renamed function cannot leave a stale export or
-a re-export behind; only `deeponet` imports the concurrency modules, so
-the package's threads stay in its one helper; and importing the package puts
-BLAS on one thread before numpy loads, unless the user chose a count."""
+a re-export behind; only `deeponet` and `sghmc` import the concurrency
+modules, so the package's threads stay in their two helpers; and importing
+the package puts BLAS on one thread before numpy loads, unless the user
+chose a count."""
 
 import ast
 import importlib
@@ -20,7 +21,7 @@ import gridonet
 MODULES = [importlib.import_module(f"gridonet.{info.name}")
            for info in pkgutil.iter_modules(gridonet.__path__)]
 EXPORTING = [m for m in MODULES if hasattr(m, "__all__")]
-CONCURRENCY = {"concurrent", "contextvars", "threading"}
+CONCURRENCY = {"concurrent", "contextvars", "queue", "threading"}
 
 
 def top_level_definitions(module) -> set[str]:
@@ -60,8 +61,13 @@ def imported_packages(module) -> set[str]:
 
 
 def test_only_deeponet_imports_concurrency():
+    """deeponet's worker runs a pass's halves (and an ensemble's second lane),
+    and sghmc's producer runs a chain's draws; no other module starts a thread."""
     users = {m.__name__: imported_packages(m) & CONCURRENCY for m in MODULES}
-    assert {k: v for k, v in users.items() if v} == {"gridonet.deeponet": CONCURRENCY}
+    assert {k: v for k, v in users.items() if v} == {
+        "gridonet.deeponet": {"concurrent", "contextvars", "threading"},
+        "gridonet.sghmc": {"queue", "threading"},
+    }
 
 
 BLAS_VARS = ("OPENBLAS_NUM_THREADS", "OMP_NUM_THREADS", "MKL_NUM_THREADS")

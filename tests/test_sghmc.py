@@ -1,11 +1,17 @@
 """Sampler checks: potential arithmetic against hand values and loops, exact
 minibatch unbiasedness by subset enumeration, the update order of the chain,
-injected-noise statistics recovered from positions alone, and a conjugate
-Gaussian posterior with a closed form."""
+the chain against a serial loop with its draws on the caller, the draw
+thread's lifetime on every way out of the chain, injected-noise statistics
+recovered from positions alone, and a conjugate Gaussian posterior with a
+closed form."""
 
 import hashlib
 import itertools
 import math
+import sys
+import threading
+import time
+from collections import deque
 
 import numpy as np
 import pytest
@@ -152,7 +158,7 @@ def test_chain_update_order_and_drift():
     theta0 = np.array([1.0, -2.0, 0.5])
     seen = []
 
-    def grad_fn(theta, rng):
+    def grad_fn(theta, batch):
         seen.append(theta.copy())
         return np.zeros_like(theta)
 
@@ -169,13 +175,14 @@ def test_injected_noise_statistics():
     eps, C = 0.01, 0.3
     p = 20000
     bc = unit_bc(eps_t=eps, c=C, b_hat=0.0, m_inner=4, n_outer=1, m_ensemble=1, seed=17)
-    positions = [np.zeros(p)]  # theta_0; grad_fn sees theta_1 .. theta_m
+    positions = [np.zeros(p)]  # theta_0; grad_fn sees theta_1 .. theta_{m-1}
 
-    def grad_fn(theta, rng):
+    def grad_fn(theta, batch):
         positions.append(theta.copy())
         return np.zeros_like(theta)
 
-    sghmc_chain(grad_fn, positions[0], bc)
+    members, _ = sghmc_chain(grad_fn, positions[0], bc)
+    positions.append(members[0])  # theta_m: the last step evaluates no gradient
     r_mom = [(b - a) / eps for a, b in zip(positions[:-1], positions[1:])]
     target = 2.0 * C * eps
     assert len(r_mom) == 4
@@ -190,7 +197,7 @@ def test_chain_retention_and_trace(monkeypatch):
     bc = unit_bc(n_outer=10, burn_in=4, thinning=2, m_ensemble=2, m_inner=1, seed=1)
     positions = []
 
-    def grad_fn(theta, rng):
+    def grad_fn(theta, batch):
         return np.zeros_like(theta)
 
     members, trace = sghmc_chain(grad_fn, np.zeros(2), bc,
@@ -206,11 +213,190 @@ def test_chain_retention_and_trace(monkeypatch):
 def test_chain_divergence_raises():
     bc = unit_bc(eps_t=1.0, c=0.0, m_inner=5, n_outer=10, m_ensemble=1, seed=2)
 
-    def grad_fn(theta, rng):
+    def grad_fn(theta, batch):
         return -1e10 * theta  # runaway anti-restoring force
 
     with pytest.raises(SamplerError, match=r"^non-finite state at outer iteration \d+$"):
         sghmc_chain(grad_fn, np.ones(3), bc)
+
+
+def serial_chain(grad_fn, theta0, bc, draw=lambda rng: None, diag_fn=None):
+    """The chain as one loop, every draw made on the caller and a gradient
+    evaluated at every inner step: the reference for `sghmc_chain`."""
+    rng = np.random.default_rng([bc.seed, 3])
+    theta = np.asarray(theta0, dtype=float).copy()
+    r, step, drag = (np.empty_like(theta) for _ in range(3))
+    eps = bc.eps_t
+    noise_std = np.sqrt(2.0 * (bc.c - bc.b_hat) * eps)
+    retained = deque(maxlen=bc.m_ensemble)
+    trace = {}
+    for k in range(1, bc.n_outer + 1):
+        rng.standard_normal(out=r)
+        with np.errstate(over="ignore", invalid="ignore"):
+            for _ in range(bc.m_inner):
+                theta += np.multiply(r, eps, out=step)
+                g = grad_fn(theta, draw(rng))
+                np.multiply(g, eps, out=step)
+                np.multiply(r, eps * bc.c, out=drag)
+                r -= step
+                r -= drag
+                if noise_std > 0.0:
+                    r += np.multiply(rng.standard_normal(out=step), noise_std, out=step)
+        if not np.all(np.isfinite(theta)):
+            raise SamplerError(f"non-finite state at outer iteration {k}")
+        if k > bc.burn_in and (k - bc.burn_in) % bc.thinning == 0:
+            retained.append(theta.copy())
+        if diag_fn is not None and (k % sghmc.TRACE_EVERY == 0 or k == bc.n_outer):
+            trace[k] = diag_fn(theta)
+    return list(retained), trace
+
+
+# a quadratic potential over 7 data rows of 6 values: its minibatch gradient
+# depends on the batch, so a batch handed to the wrong step moves the members
+ROWS = np.random.default_rng(30).standard_normal((7, 6))
+
+
+def draw_rows(rng):
+    return rng.permutation(len(ROWS))[:3]
+
+
+def recording_grad(batches):
+    def grad_fn(theta, batch):
+        batches.append(batch.copy())
+        return len(ROWS) / len(batch) * (len(batch) * theta - ROWS[batch].sum(0)) + theta
+    return grad_fn
+
+
+def run_both(bc):
+    """(chain, oracle): each (members, trace, the batches grad_fn saw)."""
+    runs = []
+    for chain in (sghmc_chain, serial_chain):
+        batches = []
+        members, trace = chain(recording_grad(batches), np.linspace(-1, 1, 6), bc,
+                               draw=draw_rows, diag_fn=lambda th: float(th @ th))
+        runs.append((members, trace, batches))
+    return runs
+
+
+@pytest.mark.parametrize("kw", [
+    dict(m_inner=1), dict(m_inner=2), dict(m_inner=4),
+    dict(m_inner=3, c=2.0, b_hat=2.0),
+    dict(m_inner=3, burn_in=3, thinning=2, m_ensemble=2),
+], ids=["m1", "m2", "m4", "no-noise", "burn-in-thinning"])
+def test_chain_matches_the_serial_loop(monkeypatch, kw):
+    """Members and trace bit-equal the serial loop's; grad_fn gets the
+    serial loop's batches, less each outer iteration's last, and runs
+    n_outer x (m_inner - 1) times (never at m_inner = 1: a random walk)."""
+    monkeypatch.setattr(sghmc, "TRACE_EVERY", 2)
+    bc = unit_bc(**{**dict(eps_t=0.02, c=2.0, b_hat=0.5, n_outer=7, m_ensemble=3,
+                           seed=11), **kw})
+    (members, trace, batches), (want, want_trace, want_batches) = run_both(bc)
+    assert len(members) == len(want) >= 2
+    assert all(np.array_equal(a, b) for a, b in zip(members, want))
+    assert trace == want_trace and sorted(trace) == [2, 4, 6, 7]
+    live = [b for i, b in enumerate(want_batches) if i % bc.m_inner < bc.m_inner - 1]
+    assert len(batches) == bc.n_outer * (bc.m_inner - 1) == len(live)
+    assert all(np.array_equal(a, b) for a, b in zip(batches, live))
+
+
+def test_chains_on_many_threads_with_a_short_switch_interval_match_the_serial_loop():
+    """Three chains of 50,000 parameters at once (six threads on a two-core
+    host), with the interpreter switching threads every microsecond: a draw
+    written into a buffer that the chain still reads would move the members."""
+    bc = unit_bc(eps_t=0.02, c=2.0, b_hat=0.5, n_outer=20, m_inner=3, m_ensemble=5, seed=12)
+
+    def run(chain):
+        return chain(lambda theta, batch: theta, np.zeros(50_000), bc, draw=draw_rows)[0]
+
+    want, results = run(serial_chain), []
+    interval = sys.getswitchinterval()
+    sys.setswitchinterval(1e-6)
+    try:
+        threads = [threading.Thread(target=lambda: results.append(run(sghmc_chain)))
+                   for _ in range(3)]
+        for t in threads:
+            t.start()
+        for t in threads:
+            t.join(60)
+    finally:
+        sys.setswitchinterval(interval)
+    assert not any(t.is_alive() for t in threads) and len(results) == 3
+    for members in results:
+        assert len(members) == len(want) == 5
+        assert all(np.array_equal(a, b) for a, b in zip(members, want))
+
+
+def bounded(fn, timeout=60.0):
+    """(result, error) of fn() run on a thread joined within timeout, so that
+    a chain that deadlocks fails the test instead of hanging it."""
+    out = {}
+
+    def target():
+        try:
+            out["result"] = fn()
+        except Exception as err:
+            out["error"] = err
+
+    t = threading.Thread(target=target, daemon=True)
+    t.start()
+    t.join(timeout)
+    assert not t.is_alive(), "the chain did not return"
+    return out.get("result"), out.get("error")
+
+
+def numbered_draws(fail_at=None):
+    """A draw that takes a permutation of the rows from rng but returns its
+    own call number from 1, so a batch names its step: draw j is inner step
+    (j - 1) % m_inner + 1 of outer iteration (j - 1) // m_inner + 1. Its
+    call fail_at raises instead."""
+    calls = itertools.count(1)
+
+    def draw(rng):
+        rng.permutation(len(ROWS))
+        time.sleep(0.002)  # the producer is most often mid-draw when the chain stops
+        if (j := next(calls)) == fail_at:
+            raise RuntimeError(f"draw {j}")
+        return j
+    return draw
+
+
+def grad_failing_at(fail_at):
+    """A zero gradient, except that it raises on the batch of draw fail_at,
+    or is a runaway anti-restoring force if fail_at is "runaway"."""
+    def grad_fn(theta, batch):
+        if fail_at == "runaway":
+            return -1e10 * theta
+        if batch == fail_at:
+            time.sleep(0.05)  # time for the producer to fill the queue and block on it
+            raise ValueError(f"gradient on draw {batch}")
+        return np.zeros_like(theta)
+    return grad_fn
+
+
+@pytest.mark.parametrize("m_inner, grad_at, draw_at", [
+    (2, None, None), (5, "runaway", None), (2, 3, None), (3, 5, None), (3, None, 5),
+    (2, None, 2), (2, 1, 2),
+], ids=["return", "sampler-error", "grad-raises-m2", "grad-raises-m3", "draw-raises",
+        "last-step-draw-raises", "grad-raises-before-a-failing-draw"])
+def test_no_draw_thread_outlives_the_chain(m_inner, grad_at, draw_at):
+    """On every way out, the chain returns or raises what the serial loop
+    does, and no thread it started is left running. The failing gradients
+    fail at a middle step (outer iteration 2), which both loops evaluate."""
+    bc = unit_bc(eps_t=1.0 if grad_at == "runaway" else 0.01, m_inner=m_inner, n_outer=10,
+                 seed=13)
+    runs = []
+    for chain in (serial_chain, sghmc_chain):
+        baseline = threading.active_count()
+        runs.append(bounded(lambda: chain(grad_failing_at(grad_at), np.ones(3), bc,
+                                          draw=numbered_draws(draw_at))))
+        assert threading.active_count() == baseline
+        assert not [t for t in threading.enumerate() if t.name == "gridonet-sghmc-draws"]
+    (want, want_error), (got, error) = runs
+    assert (type(error), str(error)) == (type(want_error), str(want_error))
+    assert (error is None) == (grad_at is None and draw_at is None)
+    if error is None:
+        assert len(got[0]) == len(want[0]) == 1
+        assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
 
 
 def test_config_validation():
@@ -315,7 +501,7 @@ def run_conjugate_chain(z, seed):
     zs = z.sum()
     n = z.size
 
-    def grad_fn(theta, rng):
+    def grad_fn(theta, batch):
         return (n * theta - zs) / CONJ_SIGMA**2 + CONJ_LAMBDA * theta
 
     members, _ = sghmc_chain(grad_fn, np.zeros(1), bc)
