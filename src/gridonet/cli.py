@@ -405,6 +405,8 @@ def _load_model(cfg, which: str, spec: SplitSpec):
         if not (isinstance(names, list)
                 and all(isinstance(n, str) and n and n == Path(n).name for n in names)):
             raise ArtifactError(f"{manifest} is not a valid chain: members is not a list of names")
+        if repeated := [n for n in names if names.count(n) > 1]:
+            raise ArtifactError(f"{manifest} is not a valid chain: {repeated[0]} is listed twice")
         paths = [_need(cfg, f"models/bayes/{name}") for name in names]
         if len(paths) < 2:
             raise UsageError("ensemble has fewer than 2 members")

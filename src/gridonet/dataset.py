@@ -41,6 +41,9 @@ class SplitSpec:
     n_mesh: int = 500  # test query mesh size
 
     def __post_init__(self):
+        for name in ("m", "queries", "n_mesh"):  # 20.0 or True would pass the bounds below
+            if type(getattr(self, name)) is not int:
+                raise ValueError(f"{name} must be an int, got {getattr(self, name)!r}")
         if self.m < 2 or self.queries < 1 or self.n_mesh < 1 or not (0.0 < self.train_frac < 1.0):
             raise ValueError(f"invalid split spec {self}")
         if not (0.0 < self.t_cl < self.T):

@@ -26,13 +26,14 @@ depend on these buffers.
 
 Every random draw comes from one generator, in the order of a serial loop:
 per outer iteration the momentum, then per inner step the minibatch
-(`draw(rng)`) and, if the noise scale is > 0, the noise. One producer thread
-makes them, up to `LOOKAHEAD` items ahead of the chain, so a draw runs while
-a gradient does (numpy's normal fill releases the interpreter lock). It
-writes each p-sized draw into a ring of buffers that the chain allocates: a
-thread that allocated its own would grow a malloc arena of its own. The
-thread checks for a stop before each draw and is joined on every way out of
-`sghmc_chain`, an error included.
+(`draw(rng)`) and, if the noise scale is > 0, the noise. A one-thread
+executor advances it: the chain keeps `LOOKAHEAD + 1` futures of the next
+items in flight, so a draw runs while a gradient does (numpy's normal fill
+releases the interpreter lock). A future hands the chain its item or the
+error that `draw` raised. Each p-sized draw is written into a ring of
+buffers that the chain allocates: a thread that allocated its own would grow
+a malloc arena of its own. The executor's `with` block joins its thread on
+every way out of `sghmc_chain`, an error included.
 
 The last inner step of an outer iteration moves theta and takes its
 minibatch and noise, but evaluates no gradient: its only output would be a
@@ -45,9 +46,8 @@ walk: theta += eps * r for a fresh normal r per outer iteration.
 from __future__ import annotations
 
 import itertools
-import queue
-import threading
 from collections import deque
+from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 
 import numpy as np
@@ -67,7 +67,7 @@ __all__ = [
 ]
 
 TRACE_EVERY = 20  # cadence, in outer iterations, of the potential-energy diagnostic trace
-LOOKAHEAD = 1  # draws the producer may have ready beyond the one the chain is using
+LOOKAHEAD = 1  # draws the executor may have ready beyond the one the chain is using
 
 
 class SamplerError(Error):
@@ -165,21 +165,12 @@ def _draws(bc: BayesConfig, draw, noise_std: float, ring: list):
             yield draw(rng)
             if noise_std > 0.0:
                 z = rng.standard_normal(out=next(slots))
-                yield np.multiply(z, noise_std, out=z)
-
-
-def _produce(items, ready: queue.Queue, stop: threading.Event) -> None:
-    """Put each of items on ready until they run out or stop is set, which is
-    checked before each is made; an error is put in place of its item."""
-    try:
-        # divergence surfaces through the chain's finiteness check, not warnings
-        with np.errstate(over="ignore", invalid="ignore"):
-            while not stop.is_set():
-                ready.put(next(items))
-    except StopIteration:
-        pass
-    except BaseException as err:  # raised by the chain when it takes this item
-        ready.put(err)
+                # divergence surfaces through the chain's finiteness check, not
+                # warnings; no yield inside: a close on another thread could
+                # not reset the error state
+                with np.errstate(over="ignore", invalid="ignore"):
+                    np.multiply(z, noise_std, out=z)
+                yield z
 
 
 def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, draw=lambda rng: None,
@@ -194,7 +185,7 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, draw=lambda rng: N
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r, step, drag = (np.empty_like(theta) for _ in range(3))
-    # the item the chain reads, LOOKAHEAD waiting and the one being made are
+    # the item the chain reads, LOOKAHEAD ready and the one being made are
     # LOOKAHEAD + 2 in a row, one of them a batch: p-sized draws come at most
     # two in a row (a noise, then the next momentum)
     ring = [np.empty_like(theta) for _ in range(LOOKAHEAD + 1)]
@@ -202,19 +193,16 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, draw=lambda rng: N
     noise_std = np.sqrt(2.0 * (bc.c - bc.b_hat) * eps)
     retained = deque(maxlen=bc.m_ensemble)  # only the last M positions are ever returned
     trace = {}
-    ready, stop = queue.Queue(LOOKAHEAD), threading.Event()
-    producer = threading.Thread(target=_produce, name="gridonet-sghmc-draws",
-                                args=(_draws(bc, draw, noise_std, ring), ready, stop))
+    items = _draws(bc, draw, noise_std, ring)
+    with ThreadPoolExecutor(1, thread_name_prefix="gridonet-sghmc-draws") as pool:
+        ahead = deque(pool.submit(next, items, None) for _ in range(LOOKAHEAD + 1))
 
-    def take():
-        """The next draw; done with the previous one, whose buffer it frees."""
-        item = ready.get()
-        if isinstance(item, BaseException):
-            raise item
-        return item
+        def take():
+            """The next draw; done with the previous one, whose buffer it frees."""
+            item = ahead.popleft()
+            ahead.append(pool.submit(next, items, None))
+            return item.result()
 
-    producer.start()
-    try:
         for k in range(1, bc.n_outer + 1):
             np.copyto(r, take())
             # divergence surfaces through the finiteness check, not warnings
@@ -241,13 +229,6 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, draw=lambda rng: N
                 retained.append(theta.copy())
             if diag_fn is not None and (k % TRACE_EVERY == 0 or k == bc.n_outer):
                 trace[k] = diag_fn(theta)
-    finally:
-        stop.set()
-        # once drained, the producer puts at most once more: it checks stop
-        # before each draw, so the join never waits on a full queue
-        while not ready.empty():
-            ready.get_nowait()
-        producer.join()
     return list(retained), trace
 
 

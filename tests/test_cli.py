@@ -932,8 +932,22 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
      "{path} is not a valid split: id 2 is in train_ids and again in train_ids"),
     ("dataset/split.json", _edit("train_ids", [2, 0, 1]), LAST["train"], 1,
      "{path} is not a valid split: id 1 is in train_ids and again in test_ids"),
+    # each spec edit below ends in a TypeError traceback at the parent
+    *(("dataset/split.json", _edit("spec.m", 20.0), argv, 1,
+       "{path} is not a valid split: m must be an int, got 20.0")
+      for argv in (LAST["train"], ("predict", "--which", "vanilla"))),
+    ("dataset/split.json", _edit("spec.queries", 4.5), LAST["train"], 1,
+     "{path} is not a valid split: queries must be an int, got 4.5"),
+    ("dataset/split.json", _edit("spec.queries", True), LAST["sghmc"], 1,
+     "{path} is not a valid split: queries must be an int, got True"),
+    ("dataset/split.json", _edit("spec.n_mesh", 10.5), ("evaluate", "--which", "vanilla"), 1,
+     "{path} is not a valid split: n_mesh must be an int, got 10.5"),
     ("models/bayes/chain.manifest.json", _edit("members", ["member_000.ckpt"]),
      LAST["predict"], 2, "ensemble has fewer than 2 members"),
+    # scored at the parent as a zero-width band
+    ("models/bayes/chain.manifest.json", _edit("members", ["member_000.ckpt"] * 2),
+     ("evaluate", "--which", "bayes"), 1,
+     "{path} is not a valid chain: member_000.ckpt is listed twice"),
     (None, None, ("alarms", "--which", "vanilla"), 2,
      "alarm analysis needs a predictive band; use prob or bayes"),
     (None, None, ("predict", "--which", "vanilla", "--traj-id", "99"), 2,
@@ -955,7 +969,8 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
         "split-train-ids-empty-sghmc", "chain-member-empty", "chain-member-parent-dir",
         "prior-lambda-1e-310", "split-t-cl-1.5", "split-m-10", "split-unknown-id",
         "split-id-float", "split-id-bool", "split-id-repeat", "split-id-overlap",
-        "chain-one-member", "alarms-vanilla", "predict-unknown-traj-id", "pool-no-kind",
+        "split-m-float-train", "split-m-float-predict", "split-queries-float",
+        "split-queries-bool", "split-n-mesh-float", "chain-one-member", "chain-member-repeat", "alarms-vanilla", "predict-unknown-traj-id", "pool-no-kind",
         "pool-T-0", "pool-id-1.5", "pool-id-str", "pool-id-dup"])
 def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,
                                                              artifact, edit, argv, code,

@@ -194,6 +194,9 @@ def test_spec_validation():
         SplitSpec(train_frac=1.0)
     with pytest.raises(ValueError):
         SplitSpec(t_cl=9.0, T=9.0)
+    for bad in (dict(m=20.0), dict(queries=True), dict(n_mesh=10.5)):
+        with pytest.raises(ValueError, match="must be an int"):
+            SplitSpec(**bad)
 
 
 def test_spec_needs_a_mesh_point():

@@ -62,11 +62,13 @@ def imported_packages(module) -> set[str]:
 
 def test_only_deeponet_imports_concurrency():
     """deeponet's worker runs a pass's halves (and an ensemble's second lane),
-    and sghmc's producer runs a chain's draws; no other module starts a thread."""
+    and sghmc's one-thread executor runs a chain's draws; no other module
+    starts a thread. sghmc needs only `concurrent`: a future hands back a draw
+    or its error, and the executor's `with` block joins the thread."""
     users = {m.__name__: imported_packages(m) & CONCURRENCY for m in MODULES}
     assert {k: v for k, v in users.items() if v} == {
         "gridonet.deeponet": {"concurrent", "contextvars", "threading"},
-        "gridonet.sghmc": {"queue", "threading"},
+        "gridonet.sghmc": {"concurrent"},
     }
 
 

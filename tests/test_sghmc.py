@@ -334,7 +334,7 @@ def bounded(fn, timeout=60.0):
     def target():
         try:
             out["result"] = fn()
-        except Exception as err:
+        except BaseException as err:
             out["error"] = err
 
     t = threading.Thread(target=target, daemon=True)
@@ -344,53 +344,62 @@ def bounded(fn, timeout=60.0):
     return out.get("result"), out.get("error")
 
 
-def numbered_draws(fail_at=None):
+class Interrupt(BaseException):
+    """An error that, like KeyboardInterrupt, is not an Exception."""
+
+
+def numbered_draws(fail_at=None, error=None):
     """A draw that takes a permutation of the rows from rng but returns its
     own call number from 1, so a batch names its step: draw j is inner step
     (j - 1) % m_inner + 1 of outer iteration (j - 1) // m_inner + 1. Its
-    call fail_at raises instead."""
+    call fail_at raises error instead."""
     calls = itertools.count(1)
 
     def draw(rng):
         rng.permutation(len(ROWS))
-        time.sleep(0.002)  # the producer is most often mid-draw when the chain stops
+        time.sleep(0.002)  # the executor is most often mid-draw when the chain stops
         if (j := next(calls)) == fail_at:
-            raise RuntimeError(f"draw {j}")
+            raise error(f"draw {j}")
         return j
     return draw
 
 
-def grad_failing_at(fail_at):
-    """A zero gradient, except that it raises on the batch of draw fail_at,
-    or is a runaway anti-restoring force if fail_at is "runaway"."""
+def grad_failing_at(fail_at, error=None):
+    """A zero gradient, except that it raises error on the batch of draw
+    fail_at, or is a runaway anti-restoring force if fail_at is "runaway"."""
     def grad_fn(theta, batch):
         if fail_at == "runaway":
             return -1e10 * theta
         if batch == fail_at:
-            time.sleep(0.05)  # time for the producer to fill the queue and block on it
-            raise ValueError(f"gradient on draw {batch}")
+            time.sleep(0.05)  # time for the executor to make the draws in flight
+            raise error(f"gradient on draw {batch}")
         return np.zeros_like(theta)
     return grad_fn
 
 
-@pytest.mark.parametrize("m_inner, grad_at, draw_at", [
-    (2, None, None), (5, "runaway", None), (2, 3, None), (3, 5, None), (3, None, 5),
-    (2, None, 2), (2, 1, 2),
+@pytest.mark.parametrize("m_inner, grad_at, draw_at, exc", [
+    (2, None, None, None), (5, "runaway", None, None), (2, 3, None, ValueError),
+    (3, 5, None, ValueError), (3, None, 5, RuntimeError), (2, None, 2, RuntimeError),
+    (2, 1, 2, ValueError), (3, 5, None, Interrupt), (3, None, 5, Interrupt),
+    (2, None, 2, Interrupt),
 ], ids=["return", "sampler-error", "grad-raises-m2", "grad-raises-m3", "draw-raises",
-        "last-step-draw-raises", "grad-raises-before-a-failing-draw"])
-def test_no_draw_thread_outlives_the_chain(m_inner, grad_at, draw_at):
+        "last-step-draw-raises", "grad-raises-before-a-failing-draw", "grad-interrupts",
+        "draw-interrupts", "last-step-draw-interrupts"])
+def test_no_draw_thread_outlives_the_chain(m_inner, grad_at, draw_at, exc):
     """On every way out, the chain returns or raises what the serial loop
-    does, and no thread it started is left running. The failing gradients
-    fail at a middle step (outer iteration 2), which both loops evaluate."""
+    does, and no thread it started is left running. The failing gradient or
+    draw raises exc, an Exception or not; the failing gradients fail at a
+    middle step (outer iteration 2), which both loops evaluate."""
     bc = unit_bc(eps_t=1.0 if grad_at == "runaway" else 0.01, m_inner=m_inner, n_outer=10,
                  seed=13)
     runs = []
     for chain in (serial_chain, sghmc_chain):
         baseline = threading.active_count()
-        runs.append(bounded(lambda: chain(grad_failing_at(grad_at), np.ones(3), bc,
-                                          draw=numbered_draws(draw_at))))
+        runs.append(bounded(lambda: chain(grad_failing_at(grad_at, exc), np.ones(3), bc,
+                                          draw=numbered_draws(draw_at, exc))))
         assert threading.active_count() == baseline
-        assert not [t for t in threading.enumerate() if t.name == "gridonet-sghmc-draws"]
+        assert not [t for t in threading.enumerate()
+                    if t.name.startswith("gridonet-sghmc-draws")]
     (want, want_error), (got, error) = runs
     assert (type(error), str(error)) == (type(want_error), str(want_error))
     assert (error is None) == (grad_at is None and draw_at is None)
