@@ -418,6 +418,8 @@ def _load_model(cfg, which: str, spec: SplitSpec):
         if not isinstance(meta.get(k), int):
             raise UsageError(f"{paths[0]} has no integer {k!r} in its meta")
     net = _build(DeepOnetConfig, **{k: meta[k] for k in geometry})
+    if net.depth > len(first):  # a depth-d net holds 13 + 4d arrays or more; layout loops d times
+        raise UsageError(f"{paths[0]} does not hold a {which} net of {net} ({len(first)} arrays)")
     want = layout(net, "prob" if which == "prob" else "vanilla")
 
     def stream(held):

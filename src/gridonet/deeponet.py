@@ -155,9 +155,8 @@ class Workspace:
     """The buffers of a net's paired passes over n rows, allocated once by
     the caller and overwritten by every pass that is given them: the two
     sub-nets' (`mlp.Workspace`) and the inner products; with `grad`, also
-    the gathered batch (`take`) and the gradient: one flat vector `grad` in
-    the order of params, which `grads` views by name, and a `scratch` dict
-    of the same shapes."""
+    the gradient: one flat vector `grad` in the order of params, which
+    `grads` views by name, and a `scratch` dict of the same shapes."""
 
     def __init__(self, cfg: DeepOnetConfig, params: dict, n: int, grad: bool = True):
         heads = len(_heads(params))
@@ -167,20 +166,10 @@ class Workspace:
         self.cols = list(np.empty((heads, n, 1)))
         self.ls = np.empty((n, 1))  # the clamped log-sigma column
         if grad:
-            self.rows = (np.empty((n, cfg.m)), np.empty((n, 1)), np.empty((n, 1)))
             self.grad = np.empty(sum(np.size(a) for a in params.values()))
             shapes = [(k, np.shape(a)) for k, a in params.items()]
             self.grads = unflatten(shapes, self.grad, copy=False)
             self.scratch = unflatten(shapes, np.empty_like(self.grad), copy=False)
-
-    def take(self, data, idx):
-        """Rows idx of the (U, Y, G) data, gathered into this workspace; an
-        index outside the data raises IndexError (np.take's clip mode, which
-        gathers straight into the buffers, would clamp it)."""
-        n = len(data[2])
-        if idx.size and not (0 <= idx.min() and idx.max() < n):
-            raise IndexError(f"row index out of range for {n} data rows")
-        return tuple(np.take(a, idx, axis=0, out=b, mode="clip") for a, b in zip(data, self.rows))
 
 
 def forward_batch(params: dict, cfg: DeepOnetConfig, U, Y, ws: Workspace | None = None):

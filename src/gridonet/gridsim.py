@@ -403,10 +403,14 @@ class FaultScenario:
             )
 
     @property
+    def n_samples(self) -> int:
+        """The length of `times`: T * sample_rate, rounded."""
+        return int(round(self.T * self.sample_rate))
+
+    @property
     def times(self) -> np.ndarray:
         """The sample grid dt, 2 dt, ..., T with dt = 1 / sample_rate."""
-        n = int(round(self.T * self.sample_rate))
-        return (np.arange(n) + 1) * (1.0 / self.sample_rate)
+        return (np.arange(self.n_samples) + 1) * (1.0 / self.sample_rate)
 
 
 @dataclass(frozen=True)
@@ -578,17 +582,17 @@ def load_pool(path, data: bytes) -> list[Trajectory]:
             if type(rec["id"]) is not int or rec["id"] < 0:  # a bool is not an id
                 raise ValueError(f"id {rec['id']!r} is not an int >= 0")
             sc = FaultScenario(**{fl.name: rec[fl.name] for fl in fields(FaultScenario)})
-            times, values = sc.times, np.asarray(rec["values"], dtype=float)
-            if values.shape != times.shape:
-                raise ValueError(f"{values.size} values, expected {times.size}")
+            values = np.asarray(rec["values"], dtype=float)
+            if values.shape != (sc.n_samples,):  # before the grid is built: T may be huge
+                raise ValueError(f"{values.size} values, expected {sc.n_samples}")
             bad = np.flatnonzero(~np.isfinite(values))
             if bad.size:  # json.loads reads NaN and Infinity tokens
                 raise ValueError(f"non-finite value at sample {bad[0]}")
             tr = Trajectory(traj_id=rec["id"], scenario=sc, bus_id=rec["bus_id"],
-                            times=times, values=values)
+                            times=sc.times, values=values)
         except KeyError as e:
             raise PoolError(f"{path} line {line_no}: record lacks key {e}") from None
-        except (TypeError, ValueError) as e:
+        except (TypeError, ValueError, OverflowError) as e:  # T * sample_rate may be inf
             raise PoolError(f"{path} line {line_no}: {e}") from None
         trajectories.append(tr)
     return trajectories

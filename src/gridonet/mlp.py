@@ -14,10 +14,11 @@ with one gradient `_linear_backward`: sin of it throughout, the final one linear
 `hidden` and `head` are the package's one forward pass, and `hidden_backward`
 and `head_backward` its gradient, written out for this fixed shape. They run
 in a caller-owned `Workspace` of n-row buffers, so a pass allocates no
-(n, width) array. Each op and each sum keeps the order a reverse-mode tape
-of these ops takes: dU and dV sum layer d first, and dZ = g*V + (-(g*U)).
-The gradients are therefore the tape's bit for bit; the tests keep such a
-tape as the oracle.
+(n, width) array, and set no numpy error state: their callers in `deeponet`
+do, and `_both` carries it to the worker in a context copy (numpy 2 keeps it
+there). Each op and each sum keeps the order a reverse-mode tape of these ops
+takes: dU and dV sum layer d first, and dZ = g*V + (-(g*U)). The gradients
+are therefore the tape's bit for bit; the tests keep such a tape as the oracle.
 """
 
 from __future__ import annotations
@@ -129,16 +130,15 @@ def hidden(params: dict, x, cfg: MlpConfig, prefix: str = "", ws: Workspace | No
     rows of x, in ws's buffers (a fresh forward-only workspace if None).
     Returns a buffer of ws."""
     ws = ws or Workspace(cfg, len(x), grad=False)
-    with np.errstate(over="ignore", invalid="ignore"):  # non-finite values flow
-        u = np.sin(_linear(params, x, f"{prefix}u", ws.pre_u), out=ws.u)
-        v = np.sin(_linear(params, x, f"{prefix}v", ws.pre_v), out=ws.v)
-        h = x
-        for l in range(cfg.depth):
-            i = l % len(ws.z)
-            z = np.sin(_linear(params, h, f"{prefix}z{l + 1}", ws.pre[i]), out=ws.z[i])
-            a = np.subtract(1.0, z, out=ws.a[i])
-            h = np.multiply(a, u, out=ws.h[i])
-            h += np.multiply(z, v, out=ws.zv)
+    u = np.sin(_linear(params, x, f"{prefix}u", ws.pre_u), out=ws.u)
+    v = np.sin(_linear(params, x, f"{prefix}v", ws.pre_v), out=ws.v)
+    h = x
+    for l in range(cfg.depth):
+        i = l % len(ws.z)
+        z = np.sin(_linear(params, h, f"{prefix}z{l + 1}", ws.pre[i]), out=ws.z[i])
+        a = np.subtract(1.0, z, out=ws.a[i])
+        h = np.multiply(a, u, out=ws.h[i])
+        h += np.multiply(z, v, out=ws.zv)
     return h
 
 
@@ -161,20 +161,19 @@ def hidden_backward(params: dict, x, cfg: MlpConfig, prefix: str, ws: Workspace,
     ws (a `grad` workspace), given ws.dh = dL/dH^(d+1); each is written into
     grads[name] in place. ws.dh is overwritten."""
     g, dz, du, dv, tmp = ws.dh, ws.dz, ws.du, ws.dv, ws.tmp
-    with np.errstate(over="ignore", invalid="ignore"):
-        for l in range(cfg.depth, 0, -1):
-            z, a = ws.z[l - 1], ws.a[l - 1]
-            if l == cfg.depth:
-                np.multiply(g, z, out=dv)
-                np.multiply(g, a, out=du)
-            else:
-                dv += np.multiply(g, z, out=tmp)
-                du += np.multiply(g, a, out=tmp)
-            np.multiply(g, ws.v, out=dz)
-            dz -= np.multiply(g, ws.u, out=tmp)
-            dz *= np.cos(ws.pre[l - 1], out=tmp)
-            _linear_backward(params, x if l == 1 else ws.h[l - 2], f"{prefix}z{l}", dz, grads,
-                             g if l > 1 else None)
-        for stem, pre, d in (("v", ws.pre_v, dv), ("u", ws.pre_u, du)):
-            d *= np.cos(pre, out=tmp)
-            _linear_backward(params, x, f"{prefix}{stem}", d, grads)
+    for l in range(cfg.depth, 0, -1):
+        z, a = ws.z[l - 1], ws.a[l - 1]
+        if l == cfg.depth:
+            np.multiply(g, z, out=dv)
+            np.multiply(g, a, out=du)
+        else:
+            dv += np.multiply(g, z, out=tmp)
+            du += np.multiply(g, a, out=tmp)
+        np.multiply(g, ws.v, out=dz)
+        dz -= np.multiply(g, ws.u, out=tmp)
+        dz *= np.cos(ws.pre[l - 1], out=tmp)
+        _linear_backward(params, x if l == 1 else ws.h[l - 2], f"{prefix}z{l}", dz, grads,
+                         g if l > 1 else None)
+    for stem, pre, d in (("v", ws.pre_v, dv), ("u", ws.pre_u, du)):
+        d *= np.cos(pre, out=tmp)
+        _linear_backward(params, x, f"{prefix}{stem}", d, grads)

@@ -18,11 +18,11 @@ and the minibatch estimate rescales the likelihood term by |D| / |batch|,
 leaving the prior term unscaled.
 
 `sghmc_run` moves theta and r in place as flat vectors in checkpoint order.
-Each gradient is one `grad_potential` call: the minibatch is gathered into
-one workspace, the likelihood gradient is written there by deeponet's
-explicit forward and backward, and the prior term is added on the flat
-vector. Every op keeps the order of the update above, so the members do not
-depend on these buffers.
+Each gradient is one `grad_potential` call: the minibatch rows are indexed
+from the data (a negative row is refused), the likelihood gradient is
+written into one workspace by deeponet's explicit forward and backward, and
+the prior term is added on the flat vector. Every op keeps the order of the
+update above, so the members do not depend on these buffers.
 
 Every random draw comes from one generator, in the order of a serial loop:
 per outer iteration the momentum, then per inner step the minibatch
@@ -140,12 +140,14 @@ def grad_potential(params: dict, cfg: DeepOnetConfig, data, idx, bc: BayesConfig
                    ws: Workspace | None = None):
     """Minibatch estimate of grad U over rows idx of the (U, Y, G) data: the
     likelihood term rescaled by |D| / |batch| plus the (unscaled) prior, for
-    a vanilla net (squared residuals). The rows are gathered into ws and the
-    gradient is written there; returned by name as views of ws's flat
-    gradient (a fresh workspace's if ws is None)."""
+    a vanilla net (squared residuals). A row outside the data, a negative one
+    too, raises IndexError. The gradient is written into ws and returned by
+    name as views of its flat gradient (a fresh workspace's if ws is None)."""
     idx = np.asarray(idx)
+    if idx.size and idx.min() < 0:  # indexing would count it from the end
+        raise IndexError(f"negative row index {idx.min()}")
     ws = ws or Workspace(cfg, params, idx.size)
-    U, Y, G = ws.take(data, idx)
+    U, Y, G = (a[idx] for a in data)
     loss_and_grad(params, cfg, U, Y, G, len(data[2]) / idx.size / (2.0 * bc.sigma_l**2), ws)
     for name, g in ws.grads.items():
         g += np.multiply(params[name], bc.prior_lambda, out=ws.scratch[name])
@@ -236,8 +238,8 @@ def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig):
     """Sample operator-network weights starting from a trained checkpoint,
     on the (U, Y, G) training rows.
 
-    The chain moves one flat vector in place; each step gathers its
-    minibatch into one workspace, whose flat gradient the step reads.
+    The chain moves one flat vector in place; each step indexes its
+    minibatch from the data, and reads the flat gradient of one workspace.
 
     Returns (members, trace): M parameter dicts and the potential-energy
     trace over the chain.

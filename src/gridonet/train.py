@@ -127,7 +127,7 @@ def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
 
     The weights, the Adam moments and the gradient are each one flat vector
     in checkpoint order, updated in place; each batch size gets one
-    workspace, and the batch rows are gathered into it.
+    workspace.
 
     Returns (best_params, history) where history rows are dicts with keys
     epoch, train_loss, lr. Best = lowest epoch training loss.
@@ -153,7 +153,7 @@ def fit(params: dict, cfg: DeepOnetConfig, data, config: TrainConfig):
             ws = spaces.get(len(idx))
             if ws is None:
                 ws = spaces[len(idx)] = Workspace(cfg, params, len(idx))
-            loss, grads = loss_and_grads(params, cfg, *ws.take(data, idx), ws)
+            loss, grads = loss_and_grads(params, cfg, *(a[idx] for a in data), ws)
             if not np.isfinite(loss):
                 raise TrainingError(f"loss diverged at epoch {epoch}")
             if not np.all(np.isfinite(ws.grad)):

@@ -23,7 +23,7 @@ from gridonet import cli
 from gridonet import gridsim as gs
 from gridonet.checkpoint import load_checkpoint, save_checkpoint
 from gridonet.dataset import SplitSpec
-from gridonet.deeponet import DeepOnetConfig
+from gridonet.deeponet import DeepOnetConfig, layout
 from gridonet.sghmc import BayesConfig
 from gridonet.train import TrainConfig
 from gridonet.uqeval import residual_normality
@@ -648,6 +648,25 @@ def test_checkpoint_without_geometry_exits_2(workdir_copy, capsys):
     assert str(ckpt) in err[0] and "'m'" in err[0]
 
 
+def test_a_checkpoint_depth_beyond_its_arrays_exits_2_before_the_layout(workdir_copy, capsys,
+                                                                       monkeypatch):
+    """A meta depth of 1e9 on a 21-array checkpoint is refused before `layout`,
+    which loops once per gate, is asked for more gates than the file holds."""
+    ckpt = workdir_copy / "models" / "vanilla.ckpt"
+    params, meta = load_checkpoint(ckpt)
+    save_checkpoint(ckpt, params, meta={**meta, "depth": 10**9})
+
+    def bounded(net, kind):
+        if net.depth > len(params):
+            pytest.fail(f"layout asked for {net.depth} gates of a {len(params)}-array file")
+        return layout(net, kind)
+
+    monkeypatch.setattr(cli, "layout", bounded)
+    rc, err = run(capsys, workdir_copy, "predict", "--which", "vanilla")
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: {ckpt} does not hold a vanilla net")
+
+
 @pytest.mark.parametrize("which, source, target", [
     ("vanilla", "prob.ckpt", "vanilla.ckpt"),
     ("prob", "vanilla.ckpt", "prob.ckpt"),
@@ -956,6 +975,11 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
      "{path} line 1: record lacks key 'kind'"),
     ("pools/n1.jsonl", _first_record(_edit("T", 0)), LAST["dataset"], 1,
      "{path} line 1: need finite T, sample_rate > 0, got 0, 100.0"),
+    # the parent builds a 711 PiB sample grid before it counts the values
+    ("pools/n1.jsonl", _first_record(_edit("T", 1e15)), LAST["dataset"], 1,
+     "{path} line 1: 900 values, expected 100000000000000000"),
+    ("pools/n1.jsonl", _first_record(lambda r: _edit("T", 1e300)(_edit("sample_rate", 1e300)(r))),
+     LAST["dataset"], 1, "{path} line 1: cannot convert float infinity to integer"),
     ("pools/n1.jsonl", _first_record(_edit("id", 1.5)), LAST["dataset"], 1,
      "{path} line 1: id 1.5 is not an int >= 0"),
     ("pools/n1.jsonl", _first_record(_edit("id", "x")), LAST["dataset"], 1,
@@ -971,7 +995,7 @@ def test_non_finite_weight_exits_1_with_one_error_line(pipeline, restored_workdi
         "split-id-float", "split-id-bool", "split-id-repeat", "split-id-overlap",
         "split-m-float-train", "split-m-float-predict", "split-queries-float",
         "split-queries-bool", "split-n-mesh-float", "chain-one-member", "chain-member-repeat", "alarms-vanilla", "predict-unknown-traj-id", "pool-no-kind",
-        "pool-T-0", "pool-id-1.5", "pool-id-str", "pool-id-dup"])
+        "pool-T-0", "pool-T-huge", "pool-T-rate-inf", "pool-id-1.5", "pool-id-str", "pool-id-dup"])
 def test_unservable_input_or_value_exits_with_one_error_line(pipeline, restored_workdir, capsys,
                                                              artifact, edit, argv, code,
                                                              message):

@@ -421,6 +421,27 @@ def test_a_bad_member_scored_on_the_worker_is_named(monkeypatch):
     assert len(bad) == 1 and str(err.value) == f"member {bad[0]} gives non-finite values"
 
 
+def test_an_overflow_on_the_worker_is_named_without_a_warning(monkeypatch):
+    """A member whose trunk overflows on the worker's lane raises the
+    NumericError that names it, not a RuntimeWarning (an error under
+    pyproject's filters, on the worker too): the lane runs in a copy of the
+    caller's context, which holds predict's error state."""
+    record_lanes(monkeypatch, meet=True)
+    members, U, ys = lane_case(1, ROWS)
+    caller, bad = threading.get_ident(), []
+
+    def source():
+        for i, p in enumerate(members):
+            if not bad and threading.get_ident() != caller:
+                p["t_u_w"] = p["t_u_w"] * 1e308
+                bad.append(i)
+            yield p
+
+    with pytest.raises(NumericError) as err:
+        predict(source(), CFG, U, ys)
+    assert len(bad) == 1 and str(err.value) == f"member {bad[0]} gives non-finite values"
+
+
 def test_a_lane_holds_one_member_at_a_time(monkeypatch):
     """Members read as they are taken: at most two (one per lane) are alive
     when the next is made."""

@@ -195,6 +195,17 @@ def test_branch_and_trunk_halves_run_on_two_threads(monkeypatch):
     assert seen[("hidden", "b_")] == seen[("hidden_backward", "b_")] != threading.get_ident()
 
 
+def test_non_finite_values_on_the_worker_raise_no_warning():
+    """A step from `_WORKER_SIZE` whose sub-nets overflow returns a non-finite
+    loss without a RuntimeWarning (an error under pyproject's filters, on the
+    worker too): the passes set no error state, and `_both` runs the worker's
+    half in a copy of the caller's context, which holds the loss's."""
+    params, cfg, batch = worker_case("vanilla")
+    for name in ("b_u_w", "t_u_w"):
+        params[name] = params[name] * 1e308
+    assert not np.isfinite(loss_and_grads(params, cfg, *batch)[0])
+
+
 def test_a_step_one_row_below_the_worker_size_runs_both_halves_on_the_caller(monkeypatch):
     seen = record_halves(monkeypatch)
     params, cfg, batch = worker_case("prob", below=1)
