@@ -9,11 +9,14 @@ Layout:
 The manifest lists every parameter's name, shape, and byte offset into the
 blob, plus an optional metadata object. Round trips are bit-exact and the
 bytes are a pure function of (params, meta): no timestamps, sorted JSON keys.
-A load reads the blob once, into one array; the params are views of it.
+A save writes the arrays one after another and returns the sha256 of what it
+wrote, so no caller reads the file back to hash it. A load reads the blob once,
+into one array; the params are views of it.
 """
 
 from __future__ import annotations
 
+import hashlib
 import json
 import math
 import os
@@ -58,18 +61,23 @@ def unflatten(layout, vector: np.ndarray, copy: bool = True) -> dict[str, np.nda
     return out
 
 
-def save_checkpoint(path, params: dict, meta: dict | None = None) -> None:
-    layout, vector = flatten(params)
+def save_checkpoint(path, params: dict, meta: dict | None = None) -> str:
+    """Write params and meta to path and return the sha256 of the bytes
+    written. Each array is written in turn, with no concatenated copy."""
+    arrays = [np.asarray(a, dtype=np.float64) for a in params.values()]
     entries, offset = [], 0
-    for name, shape in layout:
-        entries.append({"name": name, "shape": list(shape), "offset": offset})
-        offset += 8 * math.prod(shape)
+    for name, a in zip(params, arrays):
+        entries.append({"name": name, "shape": list(a.shape), "offset": offset})
+        offset += 8 * a.size
     manifest = {"params": entries, "meta": meta or {}}
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
+    digest = hashlib.sha256()
     with open(path, "wb") as f:
-        f.write(f"{MAGIC} {len(mbytes)}\n".encode())
-        f.write(mbytes)
-        f.write(vector.astype("<f8", copy=False))
+        for chunk in (f"{MAGIC} {len(mbytes)}\n".encode(), mbytes,
+                      *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)):
+            digest.update(chunk)
+            f.write(chunk)
+    return digest.hexdigest()
 
 
 def _shape(dims) -> tuple[int, ...]:

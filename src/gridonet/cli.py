@@ -25,12 +25,20 @@ checkpoint, so only `train` takes the `[deeponet]` keys. `_load_model`
 streams a bayes ensemble's members to `predict`, which keeps their curves
 only. `simulate` runs half of its scenarios in a forked child. Every CSV is
 written by `_write_csv` from named columns, one dict per file.
+
+`sghmc` writes each member's checkpoint as the chain keeps it, through the
+chain's sink, and records the sha256 that `save_checkpoint` returns. Once its
+inputs have passed their checks it removes the old chain manifest and writes
+the new one last, so a chain that fails midway leaves some new members and no
+manifest: the ensemble's readers then ask for `sghmc` again. An output file
+that cannot be written is an error naming it (exit 1).
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
+import contextlib
 import csv
 import dataclasses
 import hashlib
@@ -186,6 +194,16 @@ def _build(make, *args, **kwargs):
         return make(*args, **kwargs)
     except ValueError as e:
         raise UsageError(str(e)) from None
+
+
+@contextlib.contextmanager
+def _writing(path):
+    """An OSError raised while writing the output file `path` becomes one
+    error naming the file."""
+    try:
+        yield
+    except OSError as e:
+        raise Error(f"cannot write {path}: {e.strerror}") from None
 
 
 def file_sha256(path) -> str:
@@ -355,11 +373,12 @@ def cmd_train(cfg, args) -> None:
     data = build_train(train_pool, spec, seed=query_seed)
     params, history = fit(init(net, kind, config.seed), net, data, config)
     ckpt = out / f"{kind}.ckpt"
-    save_checkpoint(ckpt, params, meta={"kind": kind, **dataclasses.asdict(net)})
+    with _writing(ckpt):
+        digest = save_checkpoint(ckpt, params, meta={"kind": kind, **dataclasses.asdict(net)})
     _write_csv(out / f"{kind}_loss.csv", {key: [h[key] for h in history] for key in history[0]})
     best = min(h["train_loss"] for h in history)
     write_json(out / f"{kind}.manifest.json", {
-        "config": cfg, "checkpoint_sha256": file_sha256(ckpt),
+        "config": cfg, "checkpoint_sha256": digest,
         "best_train_loss": best, "epochs": len(history),
         "n_train_samples": len(data[2]),
     })
@@ -374,21 +393,27 @@ def cmd_sghmc(cfg, args) -> None:
     (params0,), net, init_path = _load_model(cfg, "vanilla", spec)
     out = _outdir(cfg, "sghmc")
     data = build_train(train_pool, spec, seed=query_seed)
-    members, trace = sghmc_run(params0, net, data, bc)
-    hashes = {}
+    manifest = out / "chain.manifest.json"
+    with _writing(manifest):  # a chain that fails leaves no manifest of old members
+        manifest.unlink(missing_ok=True)
     meta = {"kind": "bayes-member", **dataclasses.asdict(net)}
-    for i, member in enumerate(members):
-        path = out / f"member_{i:03d}.ckpt"
-        save_checkpoint(path, member, meta=meta)
-        hashes[path.name] = file_sha256(path)
+    hashes = {}
+
+    def write(member):
+        """Write the chain's next member and record its sha256."""
+        path = out / f"member_{len(hashes):03d}.ckpt"
+        with _writing(path):
+            hashes[path.name] = save_checkpoint(path, member, meta=meta)
+
+    _, trace = sghmc_run(params0, net, data, bc, keep=write)
     _write_csv(out / "utrace.csv", {"iteration": sorted(trace),
                                     "potential": [trace[k] for k in sorted(trace)]})
-    write_json(out / "chain.manifest.json", {
+    write_json(manifest, {
         "config": cfg, "members": list(hashes), "member_sha256": hashes,
         "init": str(init_path), "init_sha256": file_sha256(init_path),
         "final_potential": trace[max(trace)],
     })
-    print(f"sghmc: retained ensemble of {len(members)}, "
+    print(f"sghmc: retained ensemble of {len(hashes)}, "
           f"final U = {trace[max(trace)]:.6g}")
 
 

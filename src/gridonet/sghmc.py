@@ -41,6 +41,13 @@ momentum that the next resample, or the end of the chain, overwrites. Taking
 its draws keeps the stream, so the members and the trace keep their bytes.
 With m_inner = 1 no gradient is evaluated at all, and the chain is a random
 walk: theta += eps * r for a fresh normal r per outer iteration.
+
+The chain keeps no members itself. At each of the last M retained positions
+(every thinning-th outer iteration after burn-in, counted back from the
+last) it calls its `keep` sink with its own theta, which the next step
+moves, and it returns what the sink returned. The default sink copies;
+the CLI's writes the member's checkpoint at once, while the executor makes
+the next draws. An error the sink raises ends the chain like any other.
 """
 
 from __future__ import annotations
@@ -176,14 +183,15 @@ def _draws(bc: BayesConfig, draw, noise_std: float, ring: list):
 
 
 def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, draw=lambda rng: None,
-                diag_fn=None):
+                diag_fn=None, keep=np.copy):
     """Run the sampler on a flat parameter vector.
 
     draw(rng) returns one inner step's minibatch, and grad_fn(theta, batch)
-    the noisy potential gradient on it. Returns (members, diag) where members
-    are the last M retained post-burn-in positions (chronological order) and
-    diag maps outer iteration -> diag_fn(theta) at every TRACE_EVERY-th and
-    the last.
+    the noisy potential gradient on it. keep(theta) is called at each of the
+    last M retained post-burn-in positions, in order, with the chain's own
+    vector, which moves on once keep returns. Returns (kept, diag) where kept
+    lists keep's results (by default copies of the M positions) and diag maps
+    outer iteration -> diag_fn(theta) at every TRACE_EVERY-th and the last.
     """
     theta = np.asarray(theta0, dtype=float).copy()
     r, step, drag = (np.empty_like(theta) for _ in range(3))
@@ -193,8 +201,11 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, draw=lambda rng: N
     ring = [np.empty_like(theta) for _ in range(LOOKAHEAD + 1)]
     eps = bc.eps_t
     noise_std = np.sqrt(2.0 * (bc.c - bc.b_hat) * eps)
-    retained = deque(maxlen=bc.m_ensemble)  # only the last M positions are ever returned
-    trace = {}
+    # the outer iteration of the first of the last M retained positions: the
+    # chain retains every thinning-th after burn-in, (n_outer - burn_in) // thinning
+    first_kept = bc.burn_in + bc.thinning * (
+        (bc.n_outer - bc.burn_in) // bc.thinning - bc.m_ensemble + 1)
+    kept, trace = [], {}
     items = _draws(bc, draw, noise_std, ring)
     with ThreadPoolExecutor(1, thread_name_prefix="gridonet-sghmc-draws") as pool:
         ahead = deque(pool.submit(next, items, None) for _ in range(LOOKAHEAD + 1))
@@ -227,22 +238,25 @@ def sghmc_chain(grad_fn, theta0: np.ndarray, bc: BayesConfig, draw=lambda rng: N
                 take()
             if not np.all(np.isfinite(theta)):
                 raise SamplerError(f"non-finite state at outer iteration {k}")
-            if k > bc.burn_in and (k - bc.burn_in) % bc.thinning == 0:
-                retained.append(theta.copy())
+            if k >= first_kept and (k - first_kept) % bc.thinning == 0:
+                kept.append(keep(theta))
             if diag_fn is not None and (k % TRACE_EVERY == 0 or k == bc.n_outer):
                 trace[k] = diag_fn(theta)
-    return list(retained), trace
+    return kept, trace
 
 
-def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig):
+def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig,
+              keep=lambda params: {name: a.copy() for name, a in params.items()}):
     """Sample operator-network weights starting from a trained checkpoint,
     on the (U, Y, G) training rows.
 
     The chain moves one flat vector in place; each step indexes its
     minibatch from the data, and reads the flat gradient of one workspace.
+    keep(params) is the chain's sink: it gets each member as views of that
+    vector, valid only until it returns. By default the member is copied.
 
-    Returns (members, trace): M parameter dicts and the potential-energy
-    trace over the chain.
+    Returns (kept, trace): keep's M results (by default M parameter dicts)
+    and the potential-energy trace over the chain.
     """
     data = tuple(np.asarray(a, dtype=float) for a in data)
     n = len(data[2])
@@ -258,6 +272,6 @@ def sghmc_run(init_params: dict, cfg: DeepOnetConfig, data, bc: BayesConfig):
     def diag_fn(theta):
         return potential_energy(unflatten(layout, theta, copy=False), cfg, data, bc)
 
-    members_flat, trace = sghmc_chain(grad_fn, theta0, bc,
-                                      draw=lambda rng: rng.permutation(n)[:b], diag_fn=diag_fn)
-    return [unflatten(layout, th, copy=False) for th in members_flat], trace
+    return sghmc_chain(grad_fn, theta0, bc, draw=lambda rng: rng.permutation(n)[:b],
+                       diag_fn=diag_fn,
+                       keep=lambda theta: keep(unflatten(layout, theta, copy=False)))

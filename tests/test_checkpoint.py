@@ -13,6 +13,7 @@ from gridonet.checkpoint import (
     save_checkpoint,
     unflatten,
 )
+from gridonet.cli import file_sha256
 from gridonet.deeponet import DeepOnetConfig, init
 
 
@@ -62,6 +63,25 @@ def test_manifest_is_readable_json_with_offsets(tmp_path):
     blob = rest[int(mlen) :]
     w = np.frombuffer(blob, dtype="<f8", count=6, offset=0)
     assert np.array_equal(w, np.arange(6.0))
+
+
+def test_save_returns_the_digest_of_the_file_and_views_round_trip(tmp_path):
+    """Views into one flat vector, as the chain hands its members over, are
+    written without a copy of the whole: the file ends with the vector's
+    bytes, reads back bit-exact, and hashes to the digest save returns. A
+    non-contiguous array is written in C order."""
+    params = init(DeepOnetConfig(m=6, q=4, width=5, depth=2), "vanilla", 5)
+    layout, vector = flatten(params)
+    views = unflatten(layout, vector, copy=False)
+    path = tmp_path / "v.ckpt"
+    assert save_checkpoint(path, views, meta={"kind": "vanilla"}) == file_sha256(path)
+    assert path.read_bytes().endswith(vector.tobytes())
+    loaded, _ = load_checkpoint(path)
+    assert list(loaded) == list(views)
+    assert all(loaded[k].tobytes() == views[k].tobytes() for k in views)
+    t = np.arange(6.0).reshape(2, 3).T
+    assert save_checkpoint(path, {"t": t}) == file_sha256(path)
+    assert np.array_equal(load_checkpoint(path)[0]["t"], t)
 
 
 def test_bytes_deterministic(tmp_path):

@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridonet import cli
+from gridonet import cli, sghmc
 from gridonet import gridsim as gs
 from gridonet.checkpoint import load_checkpoint, save_checkpoint
 from gridonet.dataset import SplitSpec
@@ -1057,3 +1057,48 @@ def test_an_output_directory_that_cannot_be_made_exits_2_before_the_work(
     out = workdir_copy / cli.COMMANDS[command[0]][1]
     assert rc == 2
     assert len(err) == 1 and err[0].startswith(f"error: cannot make {out}: ")
+
+
+@pytest.mark.parametrize("command, blocked", [
+    (PIPELINE[2], "models/vanilla.ckpt"),
+    (LAST["sghmc"], "models/bayes/member_001.ckpt"),
+], ids=["train", "sghmc"])
+def test_an_output_file_that_cannot_be_written_exits_1(pipeline, workdir_copy, capsys,
+                                                       command, blocked):
+    """A directory where a checkpoint belongs is one error line naming the
+    file; a chain stopped by it leaves no manifest."""
+    (workdir_copy / blocked).unlink()
+    (workdir_copy / blocked).mkdir()
+    rc, err = run(capsys, workdir_copy, *command, config=pipeline[3])
+    assert rc == 1
+    assert err == [f"error: cannot write {workdir_copy / blocked}: Is a directory"]
+    assert (command[0] == "sghmc") != (workdir_copy / "models/bayes/chain.manifest.json").exists()
+
+
+def test_a_chain_that_diverges_after_writing_members_leaves_no_manifest(
+        pipeline, workdir_copy, capsys, monkeypatch):
+    """Members are written as the chain keeps them: a chain whose state goes
+    non-finite at outer iteration 3 has written the members of iterations 1
+    and 2, exits 1, and leaves no manifest, so the ensemble's readers ask for
+    `sghmc` again."""
+    bayes = workdir_copy / "models/bayes"
+    for member in bayes.glob("member_*.ckpt"):
+        member.unlink()
+    calls, grad_potential = [], sghmc.grad_potential
+
+    def diverging(*args):
+        grads = grad_potential(*args)
+        calls.append(len(calls) + 1)
+        if len(calls) == 3:  # the one gradient of outer iteration 3 (m_inner = 2)
+            for g in grads.values():
+                g[...] = np.nan
+        return grads
+
+    monkeypatch.setattr(sghmc, "grad_potential", diverging)
+    rc, err = run(capsys, workdir_copy, *LAST["sghmc"], config=pipeline[3])
+    assert (rc, err) == (1, ["error: non-finite state at outer iteration 3"])
+    assert sorted(p.name for p in bayes.glob("member_*")) == ["member_000.ckpt",
+                                                             "member_001.ckpt"]
+    assert not (bayes / "chain.manifest.json").exists()
+    rc, err = run(capsys, workdir_copy, "evaluate", "--which", "bayes")
+    assert rc == 2 and len(err) == 1 and err[0].endswith("run `sghmc` first")

@@ -442,6 +442,26 @@ def test_an_overflow_on_the_worker_is_named_without_a_warning(monkeypatch):
     assert len(bad) == 1 and str(err.value) == f"member {bad[0]} gives non-finite values"
 
 
+@pytest.mark.parametrize("kind", ["vanilla", "prob"])
+def test_a_lone_net_is_scored_on_the_caller(monkeypatch, kind):
+    """One net over 500 query rows, a pass that two members would share with
+    the worker, runs on the caller alone and gives the bytes of its curve."""
+    cfg = DeepOnetConfig()
+    params = init(cfg, kind, 0)
+    u, ys = np.linspace(0.8, 1.1, cfg.m), np.linspace(2.1, 9.0, 500)
+    assert 500 * cfg.width ** 2 >= deeponet._WORKER_SIZE
+    want = [None if a is None else a.tobytes() for a in predict(iter([params]), cfg, u, ys)]
+
+    class NoWorker:
+        def submit(self, *args):
+            raise AssertionError("a lone net was handed to the worker")
+
+    monkeypatch.setattr(deeponet, "_worker", NoWorker())
+    for given in ([params], iter([params])):
+        got = predict(given, cfg, u, ys)
+        assert [None if a is None else a.tobytes() for a in got] == want
+
+
 def test_a_lane_holds_one_member_at_a_time(monkeypatch):
     """Members read as they are taken: at most two (one per lane) are alive
     when the next is made."""

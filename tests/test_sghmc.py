@@ -208,6 +208,20 @@ def test_chain_retention_and_trace(monkeypatch):
     # diag_fn ran at outers 4, 8 and 10: the members are the positions at 8 and 10
     assert np.array_equal(members[0], positions[1]) and np.array_equal(members[1], positions[2])
     assert not np.array_equal(positions[1], positions[2])
+    # keep runs at outers 8 and 10 only, in order: once after the trace at 4,
+    # once after the one at 8, at the positions traced there; it returns its results
+    traced, seen = [], []
+
+    def keep(theta):
+        seen.append((len(traced), theta.copy()))
+        return len(seen)
+
+    kept, _ = sghmc_chain(grad_fn, np.zeros(2), bc, keep=keep,
+                          diag_fn=lambda th: traced.append(th.copy()) or 0.0)
+    assert kept == [1, 2]
+    assert [n for n, _ in seen] == [1, 2]
+    assert all(np.array_equal(th, traced[n]) for n, th in seen)
+    assert np.array_equal(seen[0][1], positions[1])
 
 
 def test_chain_divergence_raises():
@@ -220,9 +234,10 @@ def test_chain_divergence_raises():
         sghmc_chain(grad_fn, np.ones(3), bc)
 
 
-def serial_chain(grad_fn, theta0, bc, draw=lambda rng: None, diag_fn=None):
+def serial_chain(grad_fn, theta0, bc, draw=lambda rng: None, diag_fn=None, keep=np.copy):
     """The chain as one loop, every draw made on the caller and a gradient
-    evaluated at every inner step: the reference for `sghmc_chain`."""
+    evaluated at every inner step, that keeps the last M positions in a deque
+    and hands them to keep at the end: the reference for `sghmc_chain`."""
     rng = np.random.default_rng([bc.seed, 3])
     theta = np.asarray(theta0, dtype=float).copy()
     r, step, drag = (np.empty_like(theta) for _ in range(3))
@@ -248,7 +263,7 @@ def serial_chain(grad_fn, theta0, bc, draw=lambda rng: None, diag_fn=None):
             retained.append(theta.copy())
         if diag_fn is not None and (k % sghmc.TRACE_EVERY == 0 or k == bc.n_outer):
             trace[k] = diag_fn(theta)
-    return list(retained), trace
+    return [keep(th) for th in retained], trace
 
 
 # a quadratic potential over 7 data rows of 6 values: its minibatch gradient
@@ -377,34 +392,50 @@ def grad_failing_at(fail_at, error=None):
     return grad_fn
 
 
-@pytest.mark.parametrize("m_inner, grad_at, draw_at, exc", [
-    (2, None, None, None), (5, "runaway", None, None), (2, 3, None, ValueError),
-    (3, 5, None, ValueError), (3, None, 5, RuntimeError), (2, None, 2, RuntimeError),
-    (2, 1, 2, ValueError), (3, 5, None, Interrupt), (3, None, 5, Interrupt),
-    (2, None, 2, Interrupt),
+def keep_failing_at(fail_at=None, error=None):
+    """A sink that copies the position, except that its call fail_at raises
+    error instead."""
+    calls = itertools.count(1)
+
+    def keep(theta):
+        if (j := next(calls)) == fail_at:
+            time.sleep(0.05)  # time for the executor to make the draws in flight
+            raise error(f"keep {j}")
+        return theta.copy()
+    return keep
+
+
+@pytest.mark.parametrize("m_inner, grad_at, draw_at, keep_at, exc", [
+    (2, None, None, None, None), (5, "runaway", None, None, None),
+    (2, 3, None, None, ValueError), (3, 5, None, None, ValueError),
+    (3, None, 5, None, RuntimeError), (2, None, 2, None, RuntimeError),
+    (2, 1, 2, None, ValueError), (3, 5, None, None, Interrupt), (3, None, 5, None, Interrupt),
+    (2, None, 2, None, Interrupt), (2, None, None, 2, OSError), (2, None, None, 2, Interrupt),
 ], ids=["return", "sampler-error", "grad-raises-m2", "grad-raises-m3", "draw-raises",
         "last-step-draw-raises", "grad-raises-before-a-failing-draw", "grad-interrupts",
-        "draw-interrupts", "last-step-draw-interrupts"])
-def test_no_draw_thread_outlives_the_chain(m_inner, grad_at, draw_at, exc):
+        "draw-interrupts", "last-step-draw-interrupts", "keep-raises", "keep-interrupts"])
+def test_no_draw_thread_outlives_the_chain(m_inner, grad_at, draw_at, keep_at, exc):
     """On every way out, the chain returns or raises what the serial loop
-    does, and no thread it started is left running. The failing gradient or
-    draw raises exc, an Exception or not; the failing gradients fail at a
-    middle step (outer iteration 2), which both loops evaluate."""
+    does, and no thread it started is left running. The failing gradient,
+    draw or sink raises exc, an Exception or not; the failing gradients fail
+    at a middle step (outer iteration 2), which both loops evaluate, and the
+    failing sink at the second of the three members (outer iteration 9)."""
     bc = unit_bc(eps_t=1.0 if grad_at == "runaway" else 0.01, m_inner=m_inner, n_outer=10,
-                 seed=13)
+                 m_ensemble=3, seed=13)
     runs = []
     for chain in (serial_chain, sghmc_chain):
         baseline = threading.active_count()
         runs.append(bounded(lambda: chain(grad_failing_at(grad_at, exc), np.ones(3), bc,
-                                          draw=numbered_draws(draw_at, exc))))
+                                          draw=numbered_draws(draw_at, exc),
+                                          keep=keep_failing_at(keep_at, exc))))
         assert threading.active_count() == baseline
         assert not [t for t in threading.enumerate()
                     if t.name.startswith("gridonet-sghmc-draws")]
     (want, want_error), (got, error) = runs
     assert (type(error), str(error)) == (type(want_error), str(want_error))
-    assert (error is None) == (grad_at is None and draw_at is None)
+    assert (error is None) == (grad_at is None and draw_at is None and keep_at is None)
     if error is None:
-        assert len(got[0]) == len(want[0]) == 1
+        assert len(got[0]) == len(want[0]) == 3
         assert all(np.array_equal(a, b) for a, b in zip(got[0], want[0]))
 
 
