@@ -9,21 +9,21 @@ Layout:
 The manifest lists every parameter's name, shape, and byte offset into the
 blob, plus an optional metadata object. Round trips are bit-exact and the
 bytes are a pure function of (params, meta): no timestamps, sorted JSON keys.
-A save writes the arrays one after another and returns the sha256 of what it
-wrote, so no caller reads the file back to hash it. A load reads the blob once,
-into one array; the params are views of it.
+A save hands the header, the manifest and each array in turn to
+`gridonet.write` and returns the sha256 it took as it wrote, so no caller
+reads the file back to hash it. A load reads the blob once, into one array;
+the params are views of it.
 """
 
 from __future__ import annotations
 
-import hashlib
 import json
 import math
 import os
 
 import numpy as np
 
-from . import Error
+from . import Error, write
 
 __all__ = ["MAGIC", "CheckpointError", "flatten", "unflatten", "save_checkpoint",
            "load_checkpoint"]
@@ -63,7 +63,8 @@ def unflatten(layout, vector: np.ndarray, copy: bool = True) -> dict[str, np.nda
 
 def save_checkpoint(path, params: dict, meta: dict | None = None) -> str:
     """Write params and meta to path and return the sha256 of the bytes
-    written. Each array is written in turn, with no concatenated copy."""
+    written. Each array is written in turn, with no concatenated copy; a
+    failed write is a `gridonet.Error` naming the file."""
     arrays = [np.asarray(a, dtype=np.float64) for a in params.values()]
     entries, offset = [], 0
     for name, a in zip(params, arrays):
@@ -71,13 +72,8 @@ def save_checkpoint(path, params: dict, meta: dict | None = None) -> str:
         offset += 8 * a.size
     manifest = {"params": entries, "meta": meta or {}}
     mbytes = json.dumps(manifest, sort_keys=True, separators=(",", ":")).encode()
-    digest = hashlib.sha256()
-    with open(path, "wb") as f:
-        for chunk in (f"{MAGIC} {len(mbytes)}\n".encode(), mbytes,
-                      *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)):
-            digest.update(chunk)
-            f.write(chunk)
-    return digest.hexdigest()
+    return write(path, (f"{MAGIC} {len(mbytes)}\n".encode(), mbytes,
+                        *(np.ascontiguousarray(a, dtype="<f8") for a in arrays)))
 
 
 def _shape(dims) -> tuple[int, ...]:

@@ -26,29 +26,29 @@ streams a bayes ensemble's members to `predict`, which keeps their curves
 only. `simulate` runs half of its scenarios in a forked child. Every CSV is
 written by `_write_csv` from named columns, one dict per file.
 
-`sghmc` writes each member's checkpoint as the chain keeps it, through the
-chain's sink, and records the sha256 that `save_checkpoint` returns. Once its
-inputs have passed their checks it removes the old chain manifest and writes
-the new one last, so a chain that fails midway leaves some new members and no
-manifest: the ensemble's readers then ask for `sghmc` again. An output file
-that cannot be written is an error naming it (exit 1).
+Every output goes through `gridonet.write`, which returns the sha256 of the
+bytes as it writes them (only the `sghmc` init, an input, is hashed by a read)
+and names a file it cannot write in one error (exit 1). Each command writes its
+manifest last; once their inputs pass their checks, `train` and `sghmc` (which
+writes each member as the chain keeps it) remove their old one first, so one
+that fails midway leaves no manifest of outputs it replaced.
 """
 
 from __future__ import annotations
 
 import argparse
 import configparser
-import contextlib
 import csv
 import dataclasses
 import hashlib
+import io
 import json
 import sys
 from pathlib import Path
 
 import numpy as np
 
-from . import Error, gridsim as gs
+from . import Error, gridsim as gs, write
 from .checkpoint import load_checkpoint, save_checkpoint
 from .dataset import (SplitSpec, add_input_noise, build_test, build_train, check_coverage,
                       split_pools)
@@ -196,33 +196,32 @@ def _build(make, *args, **kwargs):
         raise UsageError(str(e)) from None
 
 
-@contextlib.contextmanager
-def _writing(path):
-    """An OSError raised while writing the output file `path` becomes one
-    error naming the file."""
-    try:
-        yield
-    except OSError as e:
-        raise Error(f"cannot write {path}: {e.strerror}") from None
-
-
 def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def write_json(path, obj) -> None:
-    Path(path).write_text(json.dumps(obj, sort_keys=True, indent=1) + "\n")
+def _discard(path: Path) -> None:
+    """Remove the old output `path`, if any; a failure is an error naming it."""
+    try:
+        path.unlink(missing_ok=True)
+    except OSError as e:
+        raise Error(f"cannot write {path}: {e.strerror}") from None
 
 
-def _write_csv(path, columns: dict) -> None:
+def write_json(path, obj) -> str:
+    return write(path, [json.dumps(obj, sort_keys=True, indent=1).encode() + b"\n"])
+
+
+def _write_csv(path, columns: dict) -> str:
     """Deterministic CSV of `columns`, a dict of equal-length columns (a scalar
     is a one-row column) whose names are the header; each column becomes
     Python numbers once, so a cell is a number's plain repr. A column holds one
     type, since numpy turns a mixed int/float column into floats."""
-    with open(path, "w", newline="") as f:
-        w = csv.writer(f, lineterminator="\n")
-        w.writerow(columns)
-        w.writerows(zip(*(np.ravel(c).tolist() for c in columns.values()), strict=True))
+    text = io.StringIO()
+    w = csv.writer(text, lineterminator="\n")
+    w.writerow(columns)
+    w.writerows(zip(*(np.ravel(c).tolist() for c in columns.values()), strict=True))
+    return write(path, [text.getvalue().encode()])
 
 
 def read_json(path, *keys) -> dict:
@@ -278,15 +277,10 @@ def cmd_simulate(cfg, args) -> None:
     report = {}
     for (_, kind, _), pool in zip(draws, pools):
         path = out / f"{kind.lower()}.jsonl"
-        gs.save_pool(path, pool)
-        report[kind] = {
-            "accepted": len(pool),
-            # always 0 since a diverged scenario fails the command; kept because
-            # the pinned manifests and perfbench's accept ratio read the key
-            "rejections": 0,
-            "file": path.name,
-            "sha256": file_sha256(path),
-        }
+        # "rejections" is always 0 since a diverged scenario fails the command;
+        # kept because the pinned manifests and perfbench's accept ratio read it
+        report[kind] = {"accepted": len(pool), "rejections": 0, "file": path.name,
+                        "sha256": gs.save_pool(path, pool)}
         print(f"{kind}: {len(pool)} trajectories")
     write_json(out / "simulate.manifest.json",
                {"config": cfg, "model_hash": gs.model_hash(model), "pools": report})
@@ -371,10 +365,10 @@ def cmd_train(cfg, args) -> None:
     net = _build(DeepOnetConfig, m=spec.m, **opts(cfg, "deeponet"))
     out = _outdir(cfg, "train")
     data = build_train(train_pool, spec, seed=query_seed)
+    _discard(out / f"{kind}.manifest.json")  # a failed train leaves no stale manifest
     params, history = fit(init(net, kind, config.seed), net, data, config)
-    ckpt = out / f"{kind}.ckpt"
-    with _writing(ckpt):
-        digest = save_checkpoint(ckpt, params, meta={"kind": kind, **dataclasses.asdict(net)})
+    digest = save_checkpoint(out / f"{kind}.ckpt", params,
+                             meta={"kind": kind, **dataclasses.asdict(net)})
     _write_csv(out / f"{kind}_loss.csv", {key: [h[key] for h in history] for key in history[0]})
     best = min(h["train_loss"] for h in history)
     write_json(out / f"{kind}.manifest.json", {
@@ -393,22 +387,19 @@ def cmd_sghmc(cfg, args) -> None:
     (params0,), net, init_path = _load_model(cfg, "vanilla", spec)
     out = _outdir(cfg, "sghmc")
     data = build_train(train_pool, spec, seed=query_seed)
-    manifest = out / "chain.manifest.json"
-    with _writing(manifest):  # a chain that fails leaves no manifest of old members
-        manifest.unlink(missing_ok=True)
+    _discard(out / "chain.manifest.json")  # a failed chain leaves no stale manifest
     meta = {"kind": "bayes-member", **dataclasses.asdict(net)}
     hashes = {}
 
-    def write(member):
+    def keep(member):
         """Write the chain's next member and record its sha256."""
         path = out / f"member_{len(hashes):03d}.ckpt"
-        with _writing(path):
-            hashes[path.name] = save_checkpoint(path, member, meta=meta)
+        hashes[path.name] = save_checkpoint(path, member, meta=meta)
 
-    _, trace = sghmc_run(params0, net, data, bc, keep=write)
+    _, trace = sghmc_run(params0, net, data, bc, keep=keep)
     _write_csv(out / "utrace.csv", {"iteration": sorted(trace),
                                     "potential": [trace[k] for k in sorted(trace)]})
-    write_json(manifest, {
+    write_json(out / "chain.manifest.json", {
         "config": cfg, "members": list(hashes), "member_sha256": hashes,
         "init": str(init_path), "init_sha256": file_sha256(init_path),
         "final_potential": trace[max(trace)],
@@ -510,14 +501,12 @@ def cmd_evaluate(cfg, args) -> None:
     tables[f"{tag}_bands.csv"] = {"traj_id": np.repeat(ids[:b], len(mesh)),
                                   "y": np.tile(mesh, b), "truth": G[:b], "mean": mean[:b],
                                   "lower": lo[:b], "upper": hi[:b]}
-    for name, columns in tables.items():
-        _write_csv(out / name, columns)
-
+    outputs = {name: _write_csv(out / name, columns) for name, columns in tables.items()}
     write_json(out / f"{tag}_eval.manifest.json", {
         "config": cfg, "which": which, "noise_sigma": noise, "level": level,
         "aggregate": {k: (None if isinstance(v, float) and np.isnan(v) else v)
                       for k, v in agg.items()},
-        "outputs": {name: file_sha256(out / name) for name in tables},
+        "outputs": outputs,
     })
     print(f"{which}: mean L2 {agg['mean_L2']:.3f}% "
           f"(sd {agg['sd_L2']:.3f}), eps_ratio {agg['eps_ratio']:.2f}%"
@@ -597,8 +586,8 @@ def cmd_predict(cfg, args) -> None:
         _write_csv(path, {"y": mesh, "truth": truth, "mean": mean,
                           "std": np.full_like(mean, np.nan) if std is None else std,
                           "lower": lo, "upper": hi})
-    except OSError as e:
-        raise UsageError(f"cannot write --out {path}: {e.strerror}") from None
+    except Error as e:  # `write`'s error, caused by the OSError
+        raise UsageError(f"cannot write --out {path}: {e.__cause__.strerror}") from None
     print(f"wrote {path}")
 
 

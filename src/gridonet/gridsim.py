@@ -35,7 +35,7 @@ from dataclasses import asdict, dataclass, fields
 
 import numpy as np
 
-from . import Error
+from . import Error, write
 
 __all__ = [
     "ScenarioRejected",
@@ -562,14 +562,12 @@ def model_hash(model: GridModel) -> str:
     return hashlib.sha256(json.dumps(asdict(model), sort_keys=True).encode()).hexdigest()
 
 
-def save_pool(path, trajectories) -> None:
-    """One JSON record per line: the scenario's fields plus the trajectory's
-    id, bus and samples; `simulate.manifest.json` describes the pool."""
-    with open(path, "w") as f:
-        for tr in trajectories:
-            rec = {"id": tr.traj_id, "bus_id": tr.bus_id, "values": tr.values.tolist(),
-                   **asdict(tr.scenario)}
-            f.write(json.dumps(rec, sort_keys=True) + "\n")
+def save_pool(path, trajectories) -> str:
+    """Write one JSON record per line to `gridonet.write` (the scenario's fields
+    plus the trajectory's id, bus and samples) and return the file's sha256."""
+    records = ({"id": tr.traj_id, "bus_id": tr.bus_id, "values": tr.values.tolist(),
+                **asdict(tr.scenario)} for tr in trajectories)
+    return write(path, (json.dumps(rec, sort_keys=True).encode() + b"\n" for rec in records))
 
 
 def load_pool(path, data: bytes) -> list[Trajectory]:

@@ -6,6 +6,7 @@ import json
 import numpy as np
 import pytest
 
+import gridonet
 from gridonet.checkpoint import (
     CheckpointError,
     flatten,
@@ -82,6 +83,20 @@ def test_save_returns_the_digest_of_the_file_and_views_round_trip(tmp_path):
     t = np.arange(6.0).reshape(2, 3).T
     assert save_checkpoint(path, {"t": t}) == file_sha256(path)
     assert np.array_equal(load_checkpoint(path)[0]["t"], t)
+
+
+def test_write_returns_the_digest_of_what_it_wrote_and_names_a_file_it_cannot(tmp_path):
+    """`write` hashes the chunks as it writes them, taken from a generator
+    here, so its digest is that of the file; an OSError is one package error
+    that names the path."""
+    path = tmp_path / "out.bin"
+    chunks = (str(i).encode() * i for i in range(50))
+    assert gridonet.write(path, chunks) == hashlib.sha256(path.read_bytes()).hexdigest()
+    assert path.read_bytes() == b"".join(str(i).encode() * i for i in range(50))
+    (tmp_path / "dir").mkdir()
+    with pytest.raises(gridonet.Error) as e:
+        gridonet.write(tmp_path / "dir", [b"x"])
+    assert str(e.value) == f"cannot write {tmp_path / 'dir'}: Is a directory"
 
 
 def test_bytes_deterministic(tmp_path):

@@ -1059,20 +1059,30 @@ def test_an_output_directory_that_cannot_be_made_exits_2_before_the_work(
     assert len(err) == 1 and err[0].startswith(f"error: cannot make {out}: ")
 
 
-@pytest.mark.parametrize("command, blocked", [
-    (PIPELINE[2], "models/vanilla.ckpt"),
-    (LAST["sghmc"], "models/bayes/member_001.ckpt"),
-], ids=["train", "sghmc"])
+@pytest.mark.parametrize("command, blocked, removed", [
+    (PIPELINE[2], "models/vanilla.ckpt", ["models/vanilla.manifest.json"]),
+    (PIPELINE[2], "models/vanilla_loss.csv", ["models/vanilla.manifest.json"]),
+    (PIPELINE[2], "models/vanilla.manifest.json", ["models/vanilla.manifest.json"]),
+    (LAST["sghmc"], "models/bayes/member_001.ckpt", ["models/bayes/chain.manifest.json"]),
+    (PIPELINE[0], "pools/n1.jsonl", []),
+    (("evaluate", "--which", "vanilla"), "eval/vanilla_report.csv", []),
+], ids=["train", "train-loss-csv", "train-manifest", "sghmc", "simulate", "evaluate"])
 def test_an_output_file_that_cannot_be_written_exits_1(pipeline, workdir_copy, capsys,
-                                                       command, blocked):
-    """A directory where a checkpoint belongs is one error line naming the
-    file; a chain stopped by it leaves no manifest."""
+                                                       command, blocked, removed):
+    """A directory where an output belongs (checkpoint, pool, CSV or manifest)
+    is one error line naming the file. `train` and `sghmc` remove their old
+    manifest before they write, so one stopped by it leaves no manifest of the
+    outputs it replaced; every other manifest stays."""
+    def manifests():
+        return {p for p in workdir_copy.rglob("*.manifest.json") if p.is_file()}
+
+    before = manifests()
     (workdir_copy / blocked).unlink()
     (workdir_copy / blocked).mkdir()
     rc, err = run(capsys, workdir_copy, *command, config=pipeline[3])
     assert rc == 1
     assert err == [f"error: cannot write {workdir_copy / blocked}: Is a directory"]
-    assert (command[0] == "sghmc") != (workdir_copy / "models/bayes/chain.manifest.json").exists()
+    assert manifests() == before - {workdir_copy / r for r in removed}
 
 
 def test_a_chain_that_diverges_after_writing_members_leaves_no_manifest(

@@ -3,6 +3,8 @@ directory, only `_need` raises the error that names a missing input's
 writer, and only `_write_csv` writes a CSV. A command that made its own
 directory or spelled its own writer would bypass the `COMMANDS` stage
 table, and one that wrote its own rows would bypass the named columns.
+Across the package, only `gridonet.write` opens a path for writing, so every
+output is hashed as it is written and a failed write names its file.
 Every error the package defines is a `gridonet.Error`, and `main` turns
 one into one line, exit 2 for a `UsageError` and 1 for any other, so none
 ends in a traceback and no list of error classes needs keeping in step."""
@@ -50,6 +52,40 @@ def test_only_write_csv_writes_csv():
                 and isinstance(node.value, ast.Name) and node.value.id == "csv")
 
     assert holders(writes_csv) == {"_write_csv"}
+
+
+def opened_for_writing(node):
+    """The target of `node` if it opens a file for writing, else None: `open`
+    or a `.open` method in a w, a, x or + mode (or a mode that is not a
+    literal), `write_text` or `write_bytes`."""
+    if not isinstance(node, ast.Call):
+        return None
+    func = node.func
+    if isinstance(func, ast.Attribute) and func.attr in ("write_text", "write_bytes"):
+        return ast.unparse(func.value)
+    if isinstance(func, ast.Name) and func.id == "open":  # open(file, mode)
+        target, args = node.args[0], node.args[1:]
+    elif isinstance(func, ast.Attribute) and func.attr == "open":  # path.open(mode)
+        target, args = func.value, node.args
+    else:
+        return None
+    mode = args[0] if args else next((k.value for k in node.keywords if k.arg == "mode"), None)
+    if mode is None or (isinstance(mode, ast.Constant) and not set("wax+") & set(mode.value)):
+        return None
+    return ast.unparse(target)
+
+
+def test_only_write_opens_a_path_for_writing():
+    """The one exemption is the simulate child's answer, pickled into the
+    write end `w` of the pipe to its caller: a file descriptor, not a path."""
+    found = set()
+    for module in (gridonet, *(importlib.import_module(f"gridonet.{info.name}")
+                               for info in pkgutil.iter_modules(gridonet.__path__))):
+        for top in ast.parse(inspect.getsource(module)).body:
+            for node in ast.walk(top):
+                if (target := opened_for_writing(node)) is not None:
+                    found.add((f"{module.__name__}.{getattr(top, 'name', '<module>')}", target))
+    assert found == {("gridonet.write", "path"), ("gridonet.gridsim._split", "w")}
 
 
 def package_errors() -> dict:
