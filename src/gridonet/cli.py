@@ -26,12 +26,14 @@ streams a bayes ensemble's members to `predict`, which keeps their curves
 only. `simulate` runs half of its scenarios in a forked child. Every CSV is
 written by `_write_csv` from named columns, one dict per file.
 
-Every output goes through `gridonet.write`, which returns the sha256 of the
-bytes as it writes them (only the `sghmc` init, an input, is hashed by a read)
-and names a file it cannot write in one error (exit 1). Each command writes its
-manifest last; once their inputs pass their checks, `train` and `sghmc` (which
-writes each member as the chain keeps it) remove their old one first, so one
-that fails midway leaves no manifest of outputs it replaced.
+Every command follows one frame: it checks its inputs, opens its outputs with
+`_outdir` (which makes the directory and removes the command's old manifest),
+computes, and writes its outputs, its manifest last. One that fails midway
+thus leaves no manifest of outputs it replaced, and none fails at an output
+directory after its compute. Every output goes through `gridonet.write`, which
+returns the sha256 of the bytes as it writes them (only the `sghmc` init, an
+input, is hashed by a read) and names a file it cannot write in one error
+(exit 1); `sghmc` writes each member as the chain keeps it.
 """
 
 from __future__ import annotations
@@ -200,14 +202,6 @@ def file_sha256(path) -> str:
     return hashlib.sha256(Path(path).read_bytes()).hexdigest()
 
 
-def _discard(path: Path) -> None:
-    """Remove the old output `path`, if any; a failure is an error naming it."""
-    try:
-        path.unlink(missing_ok=True)
-    except OSError as e:
-        raise Error(f"cannot write {path}: {e.strerror}") from None
-
-
 def write_json(path, obj) -> str:
     return write(path, [json.dumps(obj, sort_keys=True, indent=1).encode() + b"\n"])
 
@@ -244,13 +238,21 @@ def workdir(cfg) -> Path:
     return Path(cfg["paths"]["workdir"])
 
 
-def _outdir(cfg, command: str) -> Path:
-    """The output directory of `command`'s `COMMANDS` row, made if missing."""
+def _outdir(cfg, command: str, manifest: str | None = None) -> Path:
+    """The output directory of `command`'s `COMMANDS` row, made if missing (a
+    usage error if it cannot be), with the old `manifest` in it removed (an
+    error naming it if it cannot be), so a command that fails midway leaves no
+    manifest of outputs it has replaced."""
     out = workdir(cfg) / COMMANDS[command][1]
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
         raise UsageError(f"cannot make {out}: {e.strerror}") from None
+    if manifest:
+        try:
+            (out / manifest).unlink(missing_ok=True)
+        except OSError as e:
+            raise Error(f"cannot write {out / manifest}: {e.strerror}") from None
     return out
 
 
@@ -270,7 +272,7 @@ def _need(cfg, rel: str) -> Path:
 
 def cmd_simulate(cfg, args) -> None:
     o = opts(cfg, "simulate")
-    out = _outdir(cfg, "simulate")
+    out = _outdir(cfg, "simulate", "simulate.manifest.json")
     model = gs.build_model(load_scale=o["load_scale"], monitor_bus=o["monitor_bus"])
     draws = [(o["n1"], "N1", [o["seed"], 10]), (o["n2"], "N2", [o["seed"], 11])]
     pools = gs.generate_pools(model, draws, h_max=o["h_max"])
@@ -363,9 +365,8 @@ def cmd_train(cfg, args) -> None:
     config = _build(TrainConfig, **opts(cfg, "train"))
     train_pool, _, spec, query_seed = _load_split(cfg)
     net = _build(DeepOnetConfig, m=spec.m, **opts(cfg, "deeponet"))
-    out = _outdir(cfg, "train")
+    out = _outdir(cfg, "train", f"{kind}.manifest.json")
     data = build_train(train_pool, spec, seed=query_seed)
-    _discard(out / f"{kind}.manifest.json")  # a failed train leaves no stale manifest
     params, history = fit(init(net, kind, config.seed), net, data, config)
     digest = save_checkpoint(out / f"{kind}.ckpt", params,
                              meta={"kind": kind, **dataclasses.asdict(net)})
@@ -385,9 +386,8 @@ def cmd_sghmc(cfg, args) -> None:
     bc = _build(BayesConfig, **opts(cfg, "sghmc"))
     train_pool, _, spec, query_seed = _load_split(cfg)
     (params0,), net, init_path = _load_model(cfg, "vanilla", spec)
-    out = _outdir(cfg, "sghmc")
+    out = _outdir(cfg, "sghmc", "chain.manifest.json")
     data = build_train(train_pool, spec, seed=query_seed)
-    _discard(out / "chain.manifest.json")  # a failed chain leaves no stale manifest
     meta = {"kind": "bayes-member", **dataclasses.asdict(net)}
     hashes = {}
 
@@ -475,6 +475,8 @@ def cmd_evaluate(cfg, args) -> None:
     o = opts(cfg, "evaluate")
     level = o["level"]
     test_pool, spec, members, net = _load_test(cfg, which)
+    tag = which if noise == 0.0 else f"{which}_noise"
+    out = _outdir(cfg, "evaluate", f"{tag}_eval.manifest.json")
 
     U, mesh, G = build_test(test_pool, spec)
     sel = np.sort(np.random.default_rng([o["seed"], 4]).choice(
@@ -486,9 +488,6 @@ def cmd_evaluate(cfg, args) -> None:
     lo, hi = _band(mean, std, level)
     l1, l2 = uqeval.relative_errors(mean, G)
     eps = np.full(len(G), np.nan) if std is None else uqeval.epsilon_ratio(lo, hi, G)
-
-    out = _outdir(cfg, "evaluate")
-    tag = which if noise == 0.0 else f"{which}_noise"
     agg = uqeval.aggregate_reports(l1, l2, eps)
     tables = {f"{tag}_report.csv": agg,  # output name: its columns
               f"{tag}_per_traj.csv": {"traj_id": ids, "l1_pct": l1, "l2_pct": l2,
@@ -526,13 +525,13 @@ def cmd_alarms(cfg, args) -> None:
         raise UsageError(f"y_star must be after the clearing time t_cl={spec.t_cl}, got {y_star}")
     if not y_star <= spec.T:
         raise UsageError(f"y_star must be at most the horizon T={spec.T}, got {y_star}")
+    out = _outdir(cfg, "alarms", f"{which}_alarms.manifest.json")
     U = build_test(test_pool, spec)[0]
     mean, std = (c[:, 0] for c in predict(members, net, U, [y_star]))
     lo, hi = _band(mean, std, level)
     ids = [tr.traj_id for tr in test_pool]
     truth = np.array([np.interp(y_star, tr.times, tr.values) for tr in test_pool])
     flags, summary = uqeval.alarm_analysis(lo, hi, truth, y_star=y_star, t_cl=spec.t_cl)
-    out = _outdir(cfg, "alarms")
     _write_csv(out / f"{which}_alarms.csv",
                {"traj_id": ids, "truth": truth, "mean": mean, "lower": lo, "upper": hi,
                 **{key.lower(): flags[key].astype(int) for key in uqeval.ALARM_FLAGS}})
@@ -549,6 +548,7 @@ def cmd_alarms(cfg, args) -> None:
 def cmd_residuals(cfg, args) -> None:
     which = args.which
     test_pool, spec, members, net = _load_test(cfg, which)
+    out = _outdir(cfg, "residuals", f"{which}_residuals.manifest.json")
     U, mesh, G = build_test(test_pool, spec)
     res = predict(members, net, U, mesh)[0] - G
     try:
@@ -556,7 +556,6 @@ def cmd_residuals(cfg, args) -> None:
     except ValueError as e:
         raise ArtifactError(f"{workdir(cfg) / 'dataset/split.json'} cannot be scored "
                             f"for residual normality: {e}") from None
-    out = _outdir(cfg, "residuals")
     _write_csv(out / f"{which}_residuals.csv",
                {"bin_left": edges[:-1], "bin_right": edges[1:], "count": counts})
     write_json(out / f"{which}_residuals.manifest.json",
@@ -577,17 +576,16 @@ def cmd_predict(cfg, args) -> None:
         traj_id = min(by_id)
     if traj_id not in by_id:
         raise UsageError(f"trajectory {traj_id} is not in the test split")
+    out = _outdir(cfg, "predict")
+    path = Path(args.out) if args.out else out / f"predict_{which}_{traj_id}.csv"
+    if not path.parent.is_dir():  # only an --out path can lack its directory
+        raise UsageError(f"cannot write --out {path}: No such file or directory")
     (u,), mesh, (truth,) = build_test([by_id[traj_id]], spec)
     mean, std = predict(members, net, u, mesh)
     lo, hi = _band(mean, std, level)
-    out = _outdir(cfg, "predict")
-    path = Path(args.out) if args.out else out / f"predict_{which}_{traj_id}.csv"
-    try:
-        _write_csv(path, {"y": mesh, "truth": truth, "mean": mean,
-                          "std": np.full_like(mean, np.nan) if std is None else std,
-                          "lower": lo, "upper": hi})
-    except Error as e:  # `write`'s error, caused by the OSError
-        raise UsageError(f"cannot write --out {path}: {e.__cause__.strerror}") from None
+    _write_csv(path, {"y": mesh, "truth": truth, "mean": mean,
+                      "std": np.full_like(mean, np.nan) if std is None else std,
+                      "lower": lo, "upper": hi})
     print(f"wrote {path}")
 
 

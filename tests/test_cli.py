@@ -1041,7 +1041,11 @@ def test_residuals_manifest_holds_the_normality_report(pipeline):
     (("simulate", "--n1", "1", "--n2", "1"), ".", "generate_pools"),
     (LAST["train"], "models", "fit"),
     (LAST["sghmc"], "models/bayes", "sghmc_run"),
-], ids=["simulate", "train", "sghmc"])
+    (("evaluate", "--which", "vanilla"), "eval", "predict"),
+    (LAST["alarms"], "eval", "predict"),
+    (("residuals", "--which", "vanilla"), "eval", "predict"),
+    (("predict", "--which", "vanilla"), "eval", "predict"),
+], ids=["simulate", "train", "sghmc", "evaluate", "alarms", "residuals", "predict"])
 def test_an_output_directory_that_cannot_be_made_exits_2_before_the_work(
         pipeline, workdir_copy, capsys, monkeypatch, command, blocked, work):
     """A file where a command's output directory belongs is a usage error, met
@@ -1059,20 +1063,39 @@ def test_an_output_directory_that_cannot_be_made_exits_2_before_the_work(
     assert len(err) == 1 and err[0].startswith(f"error: cannot make {out}: ")
 
 
+def test_predict_out_in_a_missing_directory_exits_2_before_the_prediction(
+        pipeline, workdir_copy, capsys, monkeypatch):
+    def computed(*args, **kwargs):
+        raise AssertionError("predict ran")
+
+    monkeypatch.setattr(cli, "predict", computed)
+    out = workdir_copy / "nodir" / "x.csv"
+    rc, err = run(capsys, workdir_copy, "predict", "--which", "bayes", "--out", str(out),
+                  config=pipeline[3])
+    assert rc == 2
+    assert err == [f"error: cannot write --out {out}: No such file or directory"]
+
+
 @pytest.mark.parametrize("command, blocked, removed", [
     (PIPELINE[2], "models/vanilla.ckpt", ["models/vanilla.manifest.json"]),
     (PIPELINE[2], "models/vanilla_loss.csv", ["models/vanilla.manifest.json"]),
     (PIPELINE[2], "models/vanilla.manifest.json", ["models/vanilla.manifest.json"]),
     (LAST["sghmc"], "models/bayes/member_001.ckpt", ["models/bayes/chain.manifest.json"]),
-    (PIPELINE[0], "pools/n1.jsonl", []),
-    (("evaluate", "--which", "vanilla"), "eval/vanilla_report.csv", []),
-], ids=["train", "train-loss-csv", "train-manifest", "sghmc", "simulate", "evaluate"])
+    (PIPELINE[0], "pools/n1.jsonl", ["pools/simulate.manifest.json"]),
+    (("evaluate", "--which", "vanilla"), "eval/vanilla_report.csv",
+     ["eval/vanilla_eval.manifest.json"]),
+    (LAST["alarms"], "eval/bayes_alarms.csv", ["eval/bayes_alarms.manifest.json"]),
+    (("residuals", "--which", "vanilla"), "eval/vanilla_residuals.csv",
+     ["eval/vanilla_residuals.manifest.json"]),
+    (("predict", "--which", "vanilla"), "eval/predict_vanilla_1.csv", []),
+], ids=["train", "train-loss-csv", "train-manifest", "sghmc", "simulate", "evaluate",
+        "alarms", "residuals", "predict"])
 def test_an_output_file_that_cannot_be_written_exits_1(pipeline, workdir_copy, capsys,
                                                        command, blocked, removed):
     """A directory where an output belongs (checkpoint, pool, CSV or manifest)
-    is one error line naming the file. `train` and `sghmc` remove their old
-    manifest before they write, so one stopped by it leaves no manifest of the
-    outputs it replaced; every other manifest stays."""
+    is one error line naming the file. Every command that writes a manifest
+    removes its old one before it computes, so one stopped by the directory
+    leaves no manifest of the outputs it replaced; every other manifest stays."""
     def manifests():
         return {p for p in workdir_copy.rglob("*.manifest.json") if p.is_file()}
 

@@ -1,8 +1,10 @@
 """The CLI's frame stays in one place: in `cli`, only `_outdir` makes a
-directory, only `_need` raises the error that names a missing input's
-writer, and only `_write_csv` writes a CSV. A command that made its own
-directory or spelled its own writer would bypass the `COMMANDS` stage
-table, and one that wrote its own rows would bypass the named columns.
+directory or removes a file, only `_need` raises the error that names a
+missing input's writer, and only `_write_csv` writes a CSV. A command that
+made its own directory or spelled its own writer would bypass the `COMMANDS`
+stage table, one that removed its own old manifest would keep a second
+remove-first rule, and one that wrote its own rows would bypass the named
+columns.
 Across the package, only `gridonet.write` opens a path for writing, so every
 output is hashed as it is written and a failed write names its file.
 Every error the package defines is a `gridonet.Error`, and `main` turns
@@ -35,6 +37,15 @@ def test_only_outdir_makes_directories():
         return isinstance(node, ast.Attribute) and node.attr in ("mkdir", "makedirs")
 
     assert holders(makes_dir) == {"_outdir"}
+
+
+def test_only_outdir_removes_files():
+    def removes(node):
+        return isinstance(node, ast.Attribute) and (
+            node.attr in ("unlink", "rmtree")
+            or node.attr == "remove" and ast.unparse(node.value) == "os")
+
+    assert holders(removes) == {"_outdir"}
 
 
 def test_only_need_names_the_writer_of_a_missing_input():
