@@ -22,9 +22,10 @@ passes `_need`, which names the command whose directory holds a missing one,
 on its way to a loader (`_load_pools`, `_load_split`, `_load_model`, and
 `_load_test` for the read commands). A model's geometry is read from its
 checkpoint, so only `train` takes the `[deeponet]` keys. `_load_model`
-streams a bayes ensemble's members to `predict`, which keeps their curves
-only. `simulate` runs half of its scenarios in a forked child. Every CSV is
-written by `_write_csv` from named columns, one dict per file.
+gives `predict` a sequence of a model's members that reads each checkpoint as
+it is indexed; `predict` keeps their curves only. `simulate` runs half of its
+scenarios in a forked child. Every CSV is written by `_write_csv` from named
+columns, one dict per file.
 
 Every command follows one frame: it checks its inputs, opens its outputs with
 `_outdir` (which makes the directory and removes the command's old manifest),
@@ -46,6 +47,7 @@ import hashlib
 import io
 import json
 import sys
+from collections.abc import Sequence
 from pathlib import Path
 
 import numpy as np
@@ -411,10 +413,11 @@ def cmd_sghmc(cfg, args) -> None:
 # ------------------------------------------------------------ model loading
 
 def _load_model(cfg, which: str, spec: SplitSpec):
-    """(members, net, first path): a generator of one model's checkpoints, each
-    read when taken (the first is read here) and checked to hold exactly the
-    parameters (names, shapes) of a prob net for `prob`, else of a vanilla one;
-    the geometry the first one's meta records, whose m must be the dataset's."""
+    """(members, net, first path): a sequence of one model's checkpoints, each
+    read when indexed (the first is read here and handed out once, at index 0)
+    and checked to hold exactly the parameters (names, shapes) of a prob net
+    for `prob`, else of a vanilla one; the geometry the first one's meta
+    records, whose m must be the dataset's."""
     if which == "bayes":
         manifest = _need(cfg, "models/bayes/chain.manifest.json")
         names = read_json(manifest, "members")["members"]
@@ -438,20 +441,24 @@ def _load_model(cfg, which: str, spec: SplitSpec):
         raise UsageError(f"{paths[0]} does not hold a {which} net of {net} ({len(first)} arrays)")
     want = layout(net, "prob" if which == "prob" else "vanilla")
 
-    def stream(held):
-        for path in paths:
-            if not held:
-                held.append(load_checkpoint(path)[0])
-            got = {k: v.shape for k, v in held[0].items()}
+    held = [first]
+
+    class Members(Sequence):
+        def __len__(self):
+            return len(paths)
+
+        def __getitem__(self, i):
+            params = held.pop() if i == 0 and held else load_checkpoint(paths[i])[0]
+            got = {k: v.shape for k, v in params.items()}
             if got != want:
                 bad = sorted(set(got) ^ set(want)) or sorted(k for k in got if got[k] != want[k])
-                raise UsageError(f"{path} does not hold a {which} net of {net} "
+                raise UsageError(f"{paths[i]} does not hold a {which} net of {net} "
                                  f"(differs at {bad[0]})")
-            yield held.pop()  # no local keeps the member while predict's lanes score it
+            return params
 
     if net.m != spec.m:
         raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
-    return stream([first]), net, paths[0]
+    return Members(), net, paths[0]
 
 
 def _load_test(cfg, which: str):

@@ -28,16 +28,15 @@ the caller, joined before the inner product and again before the gradient is
 returned; the loss and the heads' adjoints run on the caller between the joins.
 `predict` runs each member through the paired passes' `_forward_half` on two
 lanes, the worker and the caller, each in its own pair of sub-net workspaces: a
-lane takes the next member in the iterable's order under a lock, drops it once
-scored and files its curves by the member's index. A lone net, which the
-caller learns by taking up to two members, runs on the caller alone. numpy's
-matmul, sin, cos and elementwise loops release the interpreter lock. `_both`
-alone decides whether a pass uses the worker: one smaller than `_WORKER_SIZE`
-runs its two halves, or lanes, one after the other on the caller, because the
-hand-off would cost more than the overlap saves. Each half keeps its own
-workspace and op order and writes only its own buffers, and every member runs
-the same ops on the same shapes, so the bytes do not depend on where a half
-runs.
+lane takes the next index from one counter under a lock, indexes that member,
+drops it once scored and files its curves by the index. A lone net runs on
+the caller alone. numpy's matmul, sin, cos and elementwise loops release the
+interpreter lock. `_both` alone decides whether a pass uses the worker: one
+smaller than `_WORKER_SIZE` runs its two halves, or lanes, one after the
+other on the caller, because the hand-off would cost more than the overlap
+saves. Each half keeps its own workspace and op order and writes only its own
+buffers, and every member runs the same ops on the same shapes, so the bytes
+do not depend on where a half runs.
 
 `predict(members, ...)` covers the three models and returns (mean, std):
 
@@ -50,14 +49,13 @@ Input functions lie on the last axis: an (m,) input gives (k,) curves at k
 query times, and an (n, m) input gives (n, k) curves, one row per input.
 Each net runs its branch and its trunk once per call, whatever n is, in
 buffers that one call allocates and every member on a lane reuses. `members`
-may be any iterable, such as one that reads each member as it is taken:
-predict keeps the members' curves, M * n * k floats, and at most one
-member's weights per lane.
+is a sequence whose indexing may read the member from disk: predict indexes
+each member once and keeps the members' curves, M * n * k floats, and at
+most one member's weights per lane.
 """
 
 from __future__ import annotations
 
-import collections
 import contextvars
 import itertools
 import os
@@ -272,55 +270,6 @@ def _both(half, there: tuple, here: tuple, size: int) -> None:
     job.result()
 
 
-def _lanes(members, score, space, size: int) -> list:
-    """[score(member, space()) for each member] in the iterable's order. A
-    lone member is scored on the caller. Two or more are scored on two
-    lanes, each with its own space(), that `_both` runs for a pass of size:
-    the caller takes the first two members, and then a lane takes the next
-    under a lock, drops each member once scored, and files the result by the
-    member's index. After an error no lane takes another member, and once
-    both are done the error of the lowest index is raised: the one a loop
-    over the members meets first, since every member taken before it was
-    scored."""
-    source, order, lock = iter(members), itertools.count(), threading.Lock()
-    held, filed, failed = collections.deque(), {}, []
-
-    def take(i):
-        """Member i from the source (the lock once it is done), or an error filed."""
-        try:
-            return next(source, lock)  # the lock stands for "no more"
-        except BaseException as err:  # an interrupt outranks every member's error
-            failed.append((i if isinstance(err, Exception) else -1, err))
-            return lock
-
-    for i in itertools.islice(order, 2):  # enough to tell a lone member from an ensemble
-        if (member := take(i)) is lock:
-            break
-        held.append((i, member))
-    del member
-
-    def lane(ws):
-        try:
-            while True:
-                with lock:
-                    if held:  # taken before any member failed
-                        i, member = held.popleft()
-                    elif failed or (member := take(i := next(order))) is lock:
-                        return
-                filed[i] = score(member, ws)
-                del member  # before the next is taken: one member per lane
-        except BaseException as err:
-            failed.append((i if isinstance(err, Exception) else -1, err))
-
-    if len(held) < 2:
-        lane(space())
-    else:
-        _both(lane, (space(),), (space(),), size)
-    if failed:
-        raise min(failed, key=lambda f: f[0])[1]
-    return [filed[i] for i in range(len(filed))]
-
-
 def _heads(params: dict):
     """(stem, output bias) per head: `out` alone, or mu then log-sigma."""
     return _HEADS["vanilla" if "tau_o" in params else "prob"]
@@ -337,21 +286,36 @@ def _curves(params: dict, cfg: DeepOnetConfig, u, y, bws, tws) -> list[np.ndarra
 
 
 def predict(members, cfg: DeepOnetConfig, u_disc, ys):
-    """(mean, std) curves at query times ys from members, an iterable of one
-    vanilla net, one prob net or a vanilla ensemble (see the module doc). The
-    inputs lie on the last axis of u_disc: (m,) gives (k,) curves, and (n, m)
-    gives (n, k) curves, row i being the curve of input row i. A lone net is
-    scored on the caller, and two or more members on two lanes, placed by
-    `_both` as a pass of max(n, k) rows;
-    an error of the iterable or of a member is raised as a loop over them
-    would meet it. NumericError names the first member whose raw curves
-    (before any clamp) are not finite."""
+    """(mean, std) curves at query times ys from members, a sequence of one
+    vanilla net, one prob net or a vanilla ensemble (see the module doc),
+    each indexed once, on the lane that scores it. The inputs lie on the last
+    axis of u_disc: (m,) gives (k,) curves, and (n, m) gives (n, k) curves,
+    row i being the curve of input row i. Fewer than two members are scored
+    on the caller, and more on two lanes, placed by `_both` as a pass of
+    max(n, k) rows. After an error no lane takes another index, and the
+    error of the lowest index is raised (an interrupt first): the one a loop
+    over the members meets first, since every lower index was taken before
+    it. NumericError names the first member whose raw curves (before any
+    clamp) are not finite."""
     u_disc = np.asarray(u_disc, dtype=float)
     u = np.ascontiguousarray(u_disc.reshape(-1, u_disc.shape[-1]))
     y = np.ascontiguousarray(np.asarray(ys, dtype=float).reshape(-1, 1))
     if u.shape[1] != cfg.m:
         raise ValueError(f"expected {cfg.m} sensors, got {u.shape[1]}")
     shape = u_disc.shape[:-1] + (len(y),)
+    order, lock, curves, failed = itertools.count(), threading.Lock(), [None] * len(members), []
+
+    def lane(bws, tws):
+        """Score the next index until none is left or a lane has failed."""
+        try:
+            while True:
+                with lock:
+                    if failed or (i := next(order)) >= len(curves):
+                        return
+                curves[i] = [c.reshape(shape) for c in _curves(members[i], cfg, u, y, bws, tws)]
+        except BaseException as err:  # an interrupt outranks every member's error
+            failed.append((i if isinstance(err, Exception) else -1, err))
+
     # a lane's workspaces, made on the caller (on the worker: +2 MB peak RSS); two
     # heads for any kind: unused np.empty is unpaged
     def space():
@@ -359,9 +323,12 @@ def predict(members, cfg: DeepOnetConfig, u_disc, ys):
                 mlp.Workspace(cfg.trunk, len(y), grad=False, heads=2))
 
     with np.errstate(over="ignore", invalid="ignore"):  # non-finite values reach the check
-        curves = _lanes(members, lambda p, ws: [c.reshape(shape) for c in
-                                                _curves(p, cfg, u, y, *ws)],
-                        space, max(len(u), len(y)) * cfg.width ** 2)
+        if len(members) < 2:
+            lane(*space())
+        else:
+            _both(lane, space(), space(), max(len(u), len(y)) * cfg.width ** 2)
+    if failed:
+        raise min(failed, key=lambda f: f[0])[1]
     for i, c in enumerate(curves):
         if not all(np.isfinite(a).all() for a in c):
             raise NumericError(f"member {i} gives non-finite values")

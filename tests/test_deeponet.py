@@ -5,6 +5,7 @@ import sys
 import threading
 import time
 import weakref
+from collections.abc import Sequence
 
 import numpy as np
 import pytest
@@ -290,17 +291,44 @@ def test_predict_rejects_empty_and_prob_ensembles():
             predict(members, CFG, np.ones(10), [2.5])
 
 
-def test_members_may_be_any_iterable():
-    """A generator of members gives the bits of the same members in a list."""
+class Lazy(Sequence):
+    """n members, member i made by make(i) each time it is indexed, as a
+    reader of checkpoints would; `reads` records each read's (index, thread).
+    predict may not iterate it."""
+
+    def __init__(self, make, n: int):
+        self.make, self.n, self.reads = make, n, []
+
+    def __len__(self):
+        return self.n
+
+    def __getitem__(self, i):
+        if not 0 <= i < self.n:
+            raise IndexError(i)
+        self.reads.append((i, threading.get_ident()))
+        return self.make(i)
+
+    def __iter__(self):
+        raise AssertionError("predict iterated its members")
+
+
+def lazy(members: list) -> Lazy:
+    """A Lazy over the members of a list."""
+    return Lazy(members.__getitem__, len(members))
+
+
+def test_members_may_be_any_sequence_read_when_indexed():
+    """A sequence that makes each member when indexed gives the bits of the
+    same members in a list."""
     members = [init(CFG, "vanilla", s) for s in range(4)]
     rng = np.random.default_rng(21)
     U = rng.uniform(0.8, 1.1, (3, 10))
     ys = np.linspace(2.1, 9.0, 11)
     want = predict(members, CFG, U, ys)
-    got = predict((p for p in members), CFG, U, ys)
+    got = predict(Lazy(lambda i: init(CFG, "vanilla", i), 4), CFG, U, ys)
     for w, g in zip(want, got):
         assert w.tobytes() == g.tobytes()
-    one = predict(iter(members[:1]), CFG, U, ys)
+    one = predict(lazy(members[:1]), CFG, U, ys)
     assert one[0].tobytes() == curve(members[0], U, ys).tobytes() and one[1] is None
 
 
@@ -362,28 +390,85 @@ def test_a_pass_below_the_row_constant_stays_on_the_caller(monkeypatch, n, k):
 def test_lanes_give_the_bytes_of_each_member_scored_alone():
     members, U, ys = lane_case(3, ROWS)
     want = alone(members, U, ys)
-    for given in (members, (p for p in members)):
+    for given in (members, lazy(members)):
         assert [a.tobytes() for a in predict(given, CFG, U, ys)] == want
 
 
-def test_an_error_of_the_member_iterable_propagates_and_the_next_predict_works(monkeypatch):
+def test_an_error_reading_a_member_propagates_and_the_next_predict_works(monkeypatch):
     record_lanes(monkeypatch, meet=True)
     members, U, ys = lane_case(1, ROWS)
 
-    def source():
-        yield from members[:3]
-        raise OSError("member 3 is unreadable")
+    def read(i):
+        if i == 3:
+            raise OSError("member 3 is unreadable")
+        return members[i]
 
     with pytest.raises(OSError, match="^member 3 is unreadable$"):
-        predict(source(), CFG, U, ys)
+        predict(Lazy(read, len(members)), CFG, U, ys)
     monkeypatch.undo()
     assert [a.tobytes() for a in predict(members, CFG, U, ys)] == alone(members, U, ys)
 
 
+def test_no_lane_takes_an_index_after_an_error():
+    """Below the worker size the two lanes run one after the other on the
+    caller: the first stops at the failed read, and the second reads none."""
+    members, U, ys = lane_case(1, ROWS - 1)
+
+    def read(i):
+        if i == 3:
+            raise OSError("member 3 is unreadable")
+        return members[i]
+
+    given = Lazy(read, len(members))
+    with pytest.raises(OSError, match="^member 3 is unreadable$"):
+        predict(given, CFG, U, ys)
+    assert given.reads == [(i, threading.get_ident()) for i in range(4)]
+
+
+def test_predict_indexes_each_member_once_on_the_lane_that_scores_it(monkeypatch):
+    """Seven members in a pass that uses the worker: each index is read once,
+    on the thread that scores it, and both threads read; the sequence is
+    never iterated. A lone net's one member is read on the caller."""
+    threads = record_lanes(monkeypatch, meet=True)
+    members, U, ys = lane_case(1, ROWS)
+    given = lazy(members)
+    predict(given, CFG, U, ys)
+    assert sorted(i for i, _ in given.reads) == list(range(7))
+    assert sorted(t for _, t in given.reads) == sorted(threads) and len(set(threads)) == 2
+    monkeypatch.undo()
+    lone = lazy(members[:1])
+    predict(lone, CFG, U, ys)
+    assert lone.reads == [(0, threading.get_ident())]
+
+
+def test_a_read_error_on_the_worker_is_raised_in_index_order():
+    """The worker's first read fails as a checkpoint of the wrong layout
+    would, while the caller's first read waits for it; the caller's reads
+    past that index fail too. Whichever lane took the lower index, the
+    error raised is the worker's, the one a loop over the members meets
+    first."""
+    members, U, ys = lane_case(1, ROWS)
+    caller, failed_at, worker_read = threading.get_ident(), [], threading.Event()
+
+    def read(i):
+        if threading.get_ident() != caller:
+            failed_at.append(i)
+            worker_read.set()
+            raise ValueError(f"member {i} does not hold a vanilla net")
+        assert worker_read.wait(10.0)
+        if i > failed_at[0]:
+            raise ValueError(f"member {i} does not hold a vanilla net")
+        return members[i]
+
+    with pytest.raises(ValueError) as err:
+        predict(Lazy(read, len(members)), CFG, U, ys)
+    assert failed_at and str(err.value) == f"member {failed_at[0]} does not hold a vanilla net"
+
+
 def test_the_error_of_the_lowest_member_wins(monkeypatch):
     """Member 2 cannot be scored (it has no trunk head), and its lane fails
-    only after the iterable has failed at member 4 on the other lane: the
-    error raised is the one a loop over the members meets first."""
+    only after the read of member 4 has failed on the other lane: the error
+    raised is the one a loop over the members meets first."""
     members, U, ys = lane_case(1, ROWS)
     del members[2]["t_out_w"]
     raised, curves = threading.Event(), deeponet._curves
@@ -393,14 +478,15 @@ def test_the_error_of_the_lowest_member_wins(monkeypatch):
             assert raised.wait(10.0)
         return curves(params, *args)
 
-    def source():
-        yield from members[:4]
-        raised.set()
-        raise OSError("member 4 is unreadable")
+    def read(i):
+        if i == 4:
+            raised.set()
+            raise OSError("member 4 is unreadable")
+        return members[i]
 
     monkeypatch.setattr(deeponet, "_curves", late)
     with pytest.raises(KeyError, match="t_out_w"):
-        predict(source(), CFG, U, ys)
+        predict(Lazy(read, len(members)), CFG, U, ys)
     assert raised.is_set()
 
 
@@ -409,15 +495,14 @@ def test_a_bad_member_scored_on_the_worker_is_named(monkeypatch):
     members, U, ys = lane_case(1, ROWS)
     caller, bad = threading.get_ident(), []
 
-    def source():
-        for i, p in enumerate(members):
-            if not bad and threading.get_ident() != caller:
-                p["t_out_b"] = np.full_like(p["t_out_b"], np.inf)
-                bad.append(i)
-            yield p
+    def read(i):
+        if not bad and threading.get_ident() != caller:
+            members[i]["t_out_b"] = np.full_like(members[i]["t_out_b"], np.inf)
+            bad.append(i)
+        return members[i]
 
     with pytest.raises(NumericError) as err:
-        predict(source(), CFG, U, ys)
+        predict(Lazy(read, len(members)), CFG, U, ys)
     assert len(bad) == 1 and str(err.value) == f"member {bad[0]} gives non-finite values"
 
 
@@ -430,15 +515,14 @@ def test_an_overflow_on_the_worker_is_named_without_a_warning(monkeypatch):
     members, U, ys = lane_case(1, ROWS)
     caller, bad = threading.get_ident(), []
 
-    def source():
-        for i, p in enumerate(members):
-            if not bad and threading.get_ident() != caller:
-                p["t_u_w"] = p["t_u_w"] * 1e308
-                bad.append(i)
-            yield p
+    def read(i):
+        if not bad and threading.get_ident() != caller:
+            members[i]["t_u_w"] = members[i]["t_u_w"] * 1e308
+            bad.append(i)
+        return members[i]
 
     with pytest.raises(NumericError) as err:
-        predict(source(), CFG, U, ys)
+        predict(Lazy(read, len(members)), CFG, U, ys)
     assert len(bad) == 1 and str(err.value) == f"member {bad[0]} gives non-finite values"
 
 
@@ -450,49 +534,49 @@ def test_a_lone_net_is_scored_on_the_caller(monkeypatch, kind):
     params = init(cfg, kind, 0)
     u, ys = np.linspace(0.8, 1.1, cfg.m), np.linspace(2.1, 9.0, 500)
     assert 500 * cfg.width ** 2 >= deeponet._WORKER_SIZE
-    want = [None if a is None else a.tobytes() for a in predict(iter([params]), cfg, u, ys)]
+    want = [None if a is None else a.tobytes() for a in predict(lazy([params]), cfg, u, ys)]
 
     class NoWorker:
         def submit(self, *args):
             raise AssertionError("a lone net was handed to the worker")
 
     monkeypatch.setattr(deeponet, "_worker", NoWorker())
-    for given in ([params], iter([params])):
+    for given in ([params], lazy([params])):
         got = predict(given, cfg, u, ys)
         assert [None if a is None else a.tobytes() for a in got] == want
 
 
 def test_a_lane_holds_one_member_at_a_time(monkeypatch):
-    """Members read as they are taken: at most two (one per lane) are alive
-    when the next is made."""
+    """Members made as they are indexed: at most two (one per lane) are
+    alive when the next is made."""
     record_lanes(monkeypatch, meet=True)
     refs, alive = [], []
 
-    def tracked(params):
+    def tracked(i):
+        params = init(CFG, "vanilla", i)
         refs.append([weakref.ref(a) for a in params.values()])
         alive.append(sum(any(r() is not None for r in member) for member in refs))
         return params
 
     _, U, ys = lane_case(1, ROWS)
-    predict((tracked(init(CFG, "vanilla", s)) for s in range(8)), CFG, U, ys)
+    predict(Lazy(tracked, 8), CFG, U, ys)
     assert len(refs) == 8 and max(alive) <= 2, alive
 
 
 def test_callers_on_four_threads_share_the_worker_and_get_the_bytes_of_one_lane():
-    """More threads than cores, switching every microsecond, from a source
-    that gives up the interpreter lock before each member: a member lost,
+    """More threads than cores, switching every microsecond, from a sequence
+    that gives up the interpreter lock before each read: a member lost,
     scored twice or filed out of order would move the mean or the std."""
     members, U, ys = lane_case(2, ROWS)
     want, got = alone(members, U, ys), []
 
-    def source():
-        for p in members:
-            time.sleep(0)
-            yield p
+    def read(i):
+        time.sleep(0)
+        return members[i]
 
     def reads():
         for _ in range(5):
-            got.append([a.tobytes() for a in predict(source(), CFG, U, ys)])
+            got.append([a.tobytes() for a in predict(Lazy(read, len(members)), CFG, U, ys)])
 
     interval = sys.getswitchinterval()
     sys.setswitchinterval(1e-6)
