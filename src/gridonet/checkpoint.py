@@ -91,6 +91,8 @@ def load_checkpoint(path) -> tuple[dict[str, np.ndarray], dict]:
         try:
             manifest = json.loads(f.read(int(header[1])))
             entries = [(e["name"], _shape(e["shape"]), e["offset"]) for e in manifest["params"]]
+            if any(type(name) is not str for name, _, _ in entries):
+                raise TypeError("a parameter name is not a string")
             meta = manifest.get("meta", {})
             if not isinstance(meta, dict):
                 raise TypeError(f"meta is a {type(meta).__name__}, not an object")

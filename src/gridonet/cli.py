@@ -23,9 +23,15 @@ on its way to a loader (`_load_pools`, `_load_split`, `_load_model`, and
 `_load_test` for the read commands). A model's geometry is read from its
 checkpoint, so only `train` takes the `[deeponet]` keys. `_load_model`
 gives `predict` a sequence of a model's members that reads each checkpoint as
-it is indexed; `predict` keeps their curves only. `simulate` runs half of its
-scenarios in a forked child. Every CSV is written by `_write_csv` from named
-columns, one dict per file.
+it is indexed; `predict` keeps their curves only. The mesh reads (`evaluate`,
+`residuals` and `predict`, which score on the split's query mesh) get each
+member with its trunk basis there: `_basis` keeps one file per checkpoint in
+the `BASES` directory, under a sha256 of the trunk weights and the mesh, and
+has `predict` compute and rewrite a basis that is missing, unreadable,
+mis-shaped or stale, so a warm read runs only the branches. `alarms`, on one
+query time, runs its trunk pass. `simulate` runs half of its scenarios in a
+forked child. Every CSV is written by `_write_csv` from named columns, one dict
+per file.
 
 Every command follows one frame: it checks its inputs, opens its outputs with
 `_outdir` (which makes the directory and removes the command's old manifest),
@@ -33,8 +39,9 @@ computes, and writes its outputs, its manifest last. One that fails midway
 thus leaves no manifest of outputs it replaced, and none fails at an output
 directory after its compute. Every output goes through `gridonet.write`, which
 returns the sha256 of the bytes as it writes them (only the `sghmc` init, an
-input, is hashed by a read) and names a file it cannot write in one error
-(exit 1); `sghmc` writes each member as the chain keeps it.
+input, is hashed by a read), puts a file in place only once it is whole, and
+names a file it cannot write in one error (exit 1); `sghmc` writes each member
+as the chain keeps it.
 """
 
 from __future__ import annotations
@@ -53,9 +60,9 @@ from pathlib import Path
 import numpy as np
 
 from . import Error, gridsim as gs, write
-from .checkpoint import load_checkpoint, save_checkpoint
+from .checkpoint import CheckpointError, load_checkpoint, save_checkpoint
 from .dataset import (SplitSpec, add_input_noise, build_test, build_train, check_coverage,
-                      split_pools)
+                      query_mesh, split_pools)
 from .deeponet import DeepOnetConfig, init, layout, predict
 from .sghmc import BayesConfig, sghmc_run
 from .train import TrainConfig, fit
@@ -137,6 +144,7 @@ COMMANDS = {  # name: (help, output directory under the workdir)
     "residuals": ("residual normality report", "eval"),
 }
 WHICH = ("vanilla", "prob", "bayes")
+BASES = "basis"  # the directory, under the workdir, of each checkpoint's trunk basis
 
 
 class UsageError(Error):
@@ -241,11 +249,11 @@ def workdir(cfg) -> Path:
 
 
 def _outdir(cfg, command: str, manifest: str | None = None) -> Path:
-    """The output directory of `command`'s `COMMANDS` row, made if missing (a
-    usage error if it cannot be), with the old `manifest` in it removed (an
-    error naming it if it cannot be), so a command that fails midway leaves no
-    manifest of outputs it has replaced."""
-    out = workdir(cfg) / COMMANDS[command][1]
+    """The output directory of `command`'s `COMMANDS` row (or `BASES` itself),
+    made if missing (a usage error if it cannot be), with the old `manifest`
+    in it removed (an error naming it if it cannot be), so a command that
+    fails midway leaves no manifest of outputs it has replaced."""
+    out = workdir(cfg) / (BASES if command == BASES else COMMANDS[command][1])
     try:
         out.mkdir(parents=True, exist_ok=True)
     except OSError as e:
@@ -412,12 +420,14 @@ def cmd_sghmc(cfg, args) -> None:
 
 # ------------------------------------------------------------ model loading
 
-def _load_model(cfg, which: str, spec: SplitSpec):
+def _load_model(cfg, which: str, spec: SplitSpec, mesh=None):
     """(members, net, first path): a sequence of one model's checkpoints, each
     read when indexed (the first is read here and handed out once, at index 0)
     and checked to hold exactly the parameters (names, shapes) of a prob net
     for `prob`, else of a vanilla one; the geometry the first one's meta
-    records, whose m must be the dataset's."""
+    records, whose m must be the dataset's. Given the query `mesh`, a member
+    is a (params, basis) pair (see `deeponet`), its basis from the `BASES`
+    store by `_basis`."""
     if which == "bayes":
         manifest = _need(cfg, "models/bayes/chain.manifest.json")
         names = read_json(manifest, "members")["members"]
@@ -440,7 +450,12 @@ def _load_model(cfg, which: str, spec: SplitSpec):
     if net.depth > len(first):  # a depth-d net holds 13 + 4d arrays or more; layout loops d times
         raise UsageError(f"{paths[0]} does not hold a {which} net of {net} ({len(first)} arrays)")
     want = layout(net, "prob" if which == "prob" else "vanilla")
-
+    if net.m != spec.m:
+        raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
+    if mesh is not None:
+        store, models = _outdir(cfg, BASES), workdir(cfg) / "models"
+        bases = [store / "_".join(p.relative_to(models).parts) for p in paths]
+        shape = (2 if which == "prob" else 1, len(mesh), net.q)
     held = [first]
 
     class Members(Sequence):
@@ -454,17 +469,38 @@ def _load_model(cfg, which: str, spec: SplitSpec):
                 bad = sorted(set(got) ^ set(want)) or sorted(k for k in got if got[k] != want[k])
                 raise UsageError(f"{paths[i]} does not hold a {which} net of {net} "
                                  f"(differs at {bad[0]})")
-            return params
+            return params if mesh is None else (params, _basis(bases[i], params, mesh, shape))
 
-    if net.m != spec.m:
-        raise UsageError(f"checkpoint expects m={net.m} sensors, dataset provides m={spec.m}")
     return Members(), net, paths[0]
 
 
-def _load_test(cfg, which: str):
-    """(test pool, spec, members, net): what a read command scores."""
+def _basis(path: Path, params: dict, mesh, shape):
+    """The trunk basis of `params` on `mesh` stored at `path`, if it has
+    `shape` and its meta's sha256 of the trunk weights' and the mesh's bytes
+    is theirs; else a function that stores there the basis `predict` computes,
+    since a missing, truncated or stale basis is only a cache miss."""
+    h = hashlib.sha256()
+    for name, a in params.items():
+        if name.startswith("t_"):
+            h.update(a)
+    h.update(mesh)
+    digest = h.hexdigest()
+    try:
+        stored, meta = load_checkpoint(path)
+    except (OSError, CheckpointError):
+        stored, meta = {}, {}
+    basis = stored.get("basis")
+    if basis is not None and basis.shape == shape and meta.get("trunk_sha256") == digest:
+        return basis
+    return lambda computed: save_checkpoint(path, {"basis": computed},
+                                            meta={"trunk_sha256": digest})
+
+
+def _load_test(cfg, which: str, on_mesh: bool = True):
+    """(test pool, spec, members, net): what a read command scores; on the
+    split's query mesh (`on_mesh`), each member comes with its trunk basis."""
     _, test_pool, spec, _ = _load_split(cfg)
-    members, net, _ = _load_model(cfg, which, spec)
+    members, net, _ = _load_model(cfg, which, spec, query_mesh(spec) if on_mesh else None)
     return test_pool, spec, members, net
 
 
@@ -527,7 +563,7 @@ def cmd_alarms(cfg, args) -> None:
         raise UsageError("alarm analysis needs a predictive band; use prob or bayes")
     o = opts(cfg, "evaluate")
     level, y_star = o["level"], o["y_star"]
-    test_pool, spec, members, net = _load_test(cfg, which)
+    test_pool, spec, members, net = _load_test(cfg, which, on_mesh=False)
     if y_star <= spec.t_cl:
         raise UsageError(f"y_star must be after the clearing time t_cl={spec.t_cl}, got {y_star}")
     if not y_star <= spec.T:

@@ -52,6 +52,15 @@ buffers that one call allocates and every member on a lane reuses. `members`
 is a sequence whose indexing may read the member from disk: predict indexes
 each member once and keeps the members' curves, M * n * k floats, and at
 most one member's weights per lane.
+
+The trunk's outputs phi_i(y) depend on the weights and the query times alone,
+never on the input function, so a caller may keep them. A member may come as
+a (params, basis) pair. A basis that is an array holds the (heads, k, q)
+values of the trunk's heads at ys: `_curves` runs the branch alone and takes
+the (k, q) x (q, n) product with it. A basis that is a function is called,
+on the member's lane, with that array once `_curves` has computed it (the
+CLI's store writes it to disk). The trunk has one pass, `_forward_half` in
+the lane's workspace, so a curve has the same bytes with a basis or without.
 """
 
 from __future__ import annotations
@@ -275,22 +284,35 @@ def _heads(params: dict):
     return _HEADS["vanilla" if "tau_o" in params else "prob"]
 
 
-def _curves(params: dict, cfg: DeepOnetConfig, u, y, bws, tws) -> list[np.ndarray]:
+def _curves(member, cfg: DeepOnetConfig, u, y, bws, tws) -> list[np.ndarray]:
     """Each head's (n, k) values for the n rows of u at the query column y
-    (log-sigma not yet clamped), from one `_forward_half` per sub-net, in bws and tws."""
+    (log-sigma not yet clamped), from one `_forward_half` per sub-net, in bws
+    and tws; for a (params, basis) member (see the module doc), from the
+    branch's alone, or with the trunk's values handed to the basis function."""
+    params, basis = member if isinstance(member, tuple) else (member, None)
+    heads = _heads(params)
     _forward_half(params, u, cfg.branch, "b_", bws)  # (n, q) per head
-    _forward_half(params, y, cfg.trunk, "t_", tws)  # (k, q) per head
+    if basis is None or callable(basis):
+        _forward_half(params, y, cfg.trunk, "t_", tws)  # (k, q) per head
+        if basis is not None:
+            basis(np.stack(tws.out[:len(heads)]))
+        basis = tws.out
+    elif basis.shape != (len(heads), len(y), cfg.q):
+        raise ValueError(f"a basis of shape {basis.shape} does not fit this net at {len(y)} "
+                         "query times")
     out = [t @ np.ascontiguousarray(b.T) + float(np.asarray(params[tau]).item())
-           for t, b, (_, tau) in zip(tws.out, bws.out, _heads(params))]
+           for t, b, (_, tau) in zip(basis, bws.out, heads)]
     return [np.ascontiguousarray(c.T) for c in out]  # (n, k)
 
 
 def predict(members, cfg: DeepOnetConfig, u_disc, ys):
     """(mean, std) curves at query times ys from members, a sequence of one
     vanilla net, one prob net or a vanilla ensemble (see the module doc),
-    each indexed once, on the lane that scores it. The inputs lie on the last
-    axis of u_disc: (m,) gives (k,) curves, and (n, m) gives (n, k) curves,
-    row i being the curve of input row i. Fewer than two members are scored
+    each indexed once, on the lane that scores it; a member is a net's
+    params, or a (params, basis) pair whose basis is the trunk's values at
+    ys or a function to hand them to. The inputs lie on the last axis of
+    u_disc: (m,) gives (k,) curves, and (n, m) gives (n, k) curves, row i
+    being the curve of input row i. Fewer than two members are scored
     on the caller, and more on two lanes, placed by `_both` as a pass of
     max(n, k) rows. After an error no lane takes another index, and the
     error of the lowest index is raised (an interrupt first): the one a loop

@@ -2,6 +2,9 @@
 
 import hashlib
 import json
+import os
+import stat
+import threading
 
 import numpy as np
 import pytest
@@ -97,6 +100,47 @@ def test_write_returns_the_digest_of_what_it_wrote_and_names_a_file_it_cannot(tm
     with pytest.raises(gridonet.Error) as e:
         gridonet.write(tmp_path / "dir", [b"x"])
     assert str(e.value) == f"cannot write {tmp_path / 'dir'}: Is a directory"
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["dir", "out.bin"]
+
+
+def test_a_write_stopped_midway_leaves_the_old_file_and_no_temporary(tmp_path):
+    """A chunk source that raises after some bytes are written leaves the old
+    file's bytes in place and nothing else beside it, and an interrupt
+    propagates as itself; a target in a missing directory leaves nothing."""
+    path = tmp_path / "out.bin"
+    gridonet.write(path, [b"old bytes"])
+
+    def chunks(error):
+        yield b"new " * 1000
+        raise error
+
+    for error in (ValueError("no more chunks"), KeyboardInterrupt()):
+        with pytest.raises(type(error)):
+            gridonet.write(path, chunks(error))
+        assert path.read_bytes() == b"old bytes"
+        assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+    with pytest.raises(gridonet.Error, match="^cannot write .*: No such file or directory$"):
+        gridonet.write(tmp_path / "nodir" / "out.bin", [b"x"])
+    assert [p.name for p in tmp_path.iterdir()] == ["out.bin"]
+
+
+def test_a_symlink_keeps_its_target_and_a_fifo_is_written_in_place(tmp_path):
+    """A symlinked output stays a link to the file that gets the new bytes;
+    a pipe (as `predict --out /dev/stdout` may name) is written through,
+    not replaced by a regular file."""
+    (tmp_path / "file").write_bytes(b"old")
+    (tmp_path / "link").symlink_to("file")
+    gridonet.write(tmp_path / "link", [b"new"])
+    assert (tmp_path / "link").is_symlink() and (tmp_path / "file").read_bytes() == b"new"
+    fifo = tmp_path / "fifo"
+    os.mkfifo(fifo)
+    got = []
+    reader = threading.Thread(target=lambda: got.append(fifo.read_bytes()), daemon=True)
+    reader.start()
+    gridonet.write(fifo, [b"through ", b"the pipe"])
+    reader.join(timeout=10.0)
+    assert got == [b"through the pipe"] and stat.S_ISFIFO(fifo.stat().st_mode)
+    assert sorted(p.name for p in tmp_path.iterdir()) == ["fifo", "file", "link"]
 
 
 def test_bytes_deterministic(tmp_path):
@@ -124,7 +168,8 @@ def test_bad_magic_rejected(tmp_path):
     lambda raw: raw.replace(b'"meta":{}', b'"meta":[]'),  # meta not an object
     # an offset inside the blob that is not a multiple of 8 (same manifest length)
     lambda raw: raw.replace(b'"offset":0', b'"offset":4').replace(b"[2,3]", b"[1,3]"),
-], ids=["header", "length", "manifest", "blob", "meta", "offset"])
+    lambda raw: raw.replace(b'"name":"w"', b'"name":[1]'),  # a name that is not a string
+], ids=["header", "length", "manifest", "blob", "meta", "offset", "name"])
 def test_corrupt_container_rejected(tmp_path, corrupt):
     path = tmp_path / "c.ckpt"
     save_checkpoint(path, {"w": np.arange(6.0).reshape(2, 3)})

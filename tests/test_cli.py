@@ -19,7 +19,7 @@ from types import SimpleNamespace
 import numpy as np
 import pytest
 
-from gridonet import cli, sghmc
+from gridonet import cli, deeponet, sghmc
 from gridonet import gridsim as gs
 from gridonet.checkpoint import load_checkpoint, save_checkpoint
 from gridonet.dataset import SplitSpec
@@ -770,20 +770,126 @@ def test_read_commands_predict_once(pipeline, workdir_copy, monkeypatch, capsys,
 
 
 def test_bayes_members_are_streamed(workdir_copy, monkeypatch, capsys):
-    """While `predict --which bayes` runs, at most two members' weights are alive."""
+    """While `predict --which bayes` runs, at most two members' weights are
+    alive. Each member's stored trunk basis, read from `basis/`, is not counted."""
     refs, alive = [], []
     load = cli.load_checkpoint
 
     def tracked(path):
         params, meta = load(path)
-        refs.append([weakref.ref(a) for a in params.values()])
-        alive.append(sum(any(r() is not None for r in member) for member in refs))
+        if cli.BASES not in Path(path).relative_to(workdir_copy).parts:
+            refs.append([weakref.ref(a) for a in params.values()])
+            alive.append(sum(any(r() is not None for r in member) for member in refs))
         return params, meta
 
     monkeypatch.setattr(cli, "load_checkpoint", tracked)
     assert run(capsys, workdir_copy, "predict", "--which", "bayes")[0] == 0
     assert len(refs) == 3
     assert max(alive) <= 2, alive
+
+
+# The trunk basis files a mesh read of each model stores, under the workdir
+BASES = {"vanilla": ["basis/vanilla.ckpt"], "prob": ["basis/prob.ckpt"],
+         "bayes": [f"basis/bayes_member_{i:03d}.ckpt" for i in range(3)]}
+
+
+def csvs_and_bases(root) -> dict:
+    """The digests of the CSVs and stored bases under root: the bytes a read
+    command writes that do not echo its workdir."""
+    return {k: d for k, d in digests(root).items() if k.endswith(".csv") or k.startswith("basis/")}
+
+
+@pytest.mark.parametrize("which", WHICH)
+@pytest.mark.parametrize("command", ["evaluate", "residuals", "predict"])
+def test_cold_and_warm_mesh_reads_write_the_pinned_bytes(pipeline, workdir_copy, capsys,
+                                                         monkeypatch, command, which):
+    """A mesh read with no stored basis (cold) computes each member's trunk
+    basis and stores it; the next (warm) reads it, computes none and rewrites
+    none. Both write the pipeline's bytes, and the cold one its pinned bases."""
+    shutil.rmtree(workdir_copy / cli.BASES)
+    want = {k: d for k, d in csvs_and_bases(pipeline[0]).items()
+            if not k.startswith("basis/") or k in BASES[which]}
+    assert run(capsys, workdir_copy, command, "--which", which, config=pipeline[3])[0] == 0
+    assert csvs_and_bases(workdir_copy) == want
+    inodes = {k: (workdir_copy / k).stat().st_ino for k in BASES[which]}
+    halves, half = [], deeponet._forward_half
+    monkeypatch.setattr(deeponet, "_forward_half", lambda *a: halves.append(a[3]) or half(*a))
+    assert run(capsys, workdir_copy, command, "--which", which, config=pipeline[3])[0] == 0
+    assert set(halves) == {"b_"}
+    assert csvs_and_bases(workdir_copy) == want
+    assert {k: (workdir_copy / k).stat().st_ino for k in BASES[which]} == inodes
+
+
+def test_a_stale_basis_is_recomputed(pipeline, workdir_copy, tmp_path, capsys):
+    """`train` at another seed over a stored basis changes the trunk, so the
+    next `evaluate` recomputes the basis: it writes what a workdir that never
+    stored one writes."""
+    fresh = tmp_path / "fresh"
+    shutil.copytree(workdir_copy, fresh)
+    (fresh / "basis/vanilla.ckpt").unlink()
+    for wd in (workdir_copy, fresh):
+        for argv in ((*PIPELINE[2], "--seed", "1"), ("evaluate", "--which", "vanilla")):
+            assert run(capsys, wd, *argv, config=pipeline[3])[0] == 0, argv
+    got = csvs_and_bases(workdir_copy)
+    assert got == csvs_and_bases(fresh)
+    assert got["basis/vanilla.ckpt"] != pipeline[1]["basis/vanilla.ckpt"]
+    assert got["eval/vanilla_bands.csv"] != pipeline[1]["eval/vanilla_bands.csv"]
+
+
+@pytest.mark.parametrize("how", ["empty", "half", "garbage", "short-mesh", "no-basis"])
+@pytest.mark.parametrize("which, rel", [("prob", "basis/prob.ckpt"),
+                                        ("bayes", "basis/bayes_member_001.ckpt")],
+                         ids=["prob", "bayes-member-1"])
+def test_a_bad_basis_is_rewritten_to_its_pinned_bytes(pipeline, restored_workdir, capsys,
+                                                      which, rel, how):
+    """A stored basis that is empty, truncated, garbage, of the wrong shape
+    (under the right digest) or missing its array is a cache miss, not an
+    error: the read exits 0, writes the pinned outputs and stores the basis
+    again."""
+    path = restored_workdir / rel
+    params, meta = load_checkpoint(path)
+    if how == "short-mesh":
+        save_checkpoint(path, {"basis": params["basis"][:, :-1]}, meta=meta)
+    elif how == "no-basis":
+        save_checkpoint(path, {"other": params["basis"]}, meta=meta)
+    else:
+        path.write_bytes(corruptions(path, path.read_bytes())[how])
+    rc, err = run(capsys, restored_workdir, "evaluate", "--which", which, config=pipeline[3])
+    assert (rc, err) == (0, [])
+    assert csvs_and_bases(restored_workdir) == csvs_and_bases(pipeline[0])
+
+
+def test_a_file_where_the_basis_directory_belongs_exits_2_before_the_work(
+        pipeline, workdir_copy, capsys, monkeypatch):
+    """The store's directory is made with the read's other outputs, before
+    any compute: a file in its place is a usage error naming it."""
+    shutil.rmtree(workdir_copy / cli.BASES)
+    (workdir_copy / cli.BASES).write_text("")
+
+    def computed(*args, **kwargs):
+        raise AssertionError("predict ran")
+
+    monkeypatch.setattr(cli, "predict", computed)
+    rc, err = run(capsys, workdir_copy, "residuals", "--which", "bayes", config=pipeline[3])
+    assert rc == 2
+    assert len(err) == 1 and err[0].startswith(f"error: cannot make {workdir_copy / cli.BASES}: ")
+
+
+@pytest.mark.parametrize("which", ["prob", "bayes"])
+def test_alarms_neither_reads_nor_writes_a_basis(pipeline, workdir_copy, capsys, monkeypatch,
+                                                 which):
+    """`alarms` scores one query time, where its trunk pass on one row costs
+    less than a hash and a read: it keeps that pass and leaves no store."""
+    shutil.rmtree(workdir_copy / cli.BASES)
+
+    def stored(*args):
+        raise AssertionError("alarms asked for a stored basis")
+
+    monkeypatch.setattr(cli, "_basis", stored)
+    assert run(capsys, workdir_copy, "alarms", "--which", which, config=pipeline[3])[0] == 0
+    assert not (workdir_copy / cli.BASES).exists()
+    assert csvs_and_bases(workdir_copy) == {k: d for k, d in csvs_and_bases(pipeline[0]).items()
+                                            if not k.startswith("basis/")}
 
 
 # The last pipeline call of each command, which for a reading one runs its band paths
@@ -1088,14 +1194,18 @@ def test_predict_out_in_a_missing_directory_exits_2_before_the_prediction(
     (("residuals", "--which", "vanilla"), "eval/vanilla_residuals.csv",
      ["eval/vanilla_residuals.manifest.json"]),
     (("predict", "--which", "vanilla"), "eval/predict_vanilla_1.csv", []),
+    (("evaluate", "--which", "vanilla"), "basis/vanilla.ckpt",
+     ["eval/vanilla_eval.manifest.json"]),
+    (LAST["predict"], "basis/bayes_member_001.ckpt", []),
 ], ids=["train", "train-loss-csv", "train-manifest", "sghmc", "simulate", "evaluate",
-        "alarms", "residuals", "predict"])
+        "alarms", "residuals", "predict", "evaluate-basis", "predict-member-basis"])
 def test_an_output_file_that_cannot_be_written_exits_1(pipeline, workdir_copy, capsys,
                                                        command, blocked, removed):
-    """A directory where an output belongs (checkpoint, pool, CSV or manifest)
-    is one error line naming the file. Every command that writes a manifest
-    removes its old one before it computes, so one stopped by the directory
-    leaves no manifest of the outputs it replaced; every other manifest stays."""
+    """A directory where an output belongs (checkpoint, pool, CSV, manifest or
+    stored trunk basis) is one error line naming the file. Every command that
+    writes a manifest removes its old one before it computes, so one stopped
+    by the directory leaves no manifest of the outputs it replaced; every
+    other manifest stays."""
     def manifests():
         return {p for p in workdir_copy.rglob("*.manifest.json") if p.is_file()}
 

@@ -96,7 +96,7 @@ def test_only_write_opens_a_path_for_writing():
             for node in ast.walk(top):
                 if (target := opened_for_writing(node)) is not None:
                     found.add((f"{module.__name__}.{getattr(top, 'name', '<module>')}", target))
-    assert found == {("gridonet.write", "path"), ("gridonet.gridsim._split", "w")}
+    assert found == {("gridonet.write", "tmp"), ("gridonet.gridsim._split", "w")}
 
 
 def package_errors() -> dict:

@@ -1,5 +1,6 @@
 """Parameter layout and init, inner-product composition, probabilistic heads, ensembles."""
 
+import functools
 import hashlib
 import sys
 import threading
@@ -544,6 +545,34 @@ def test_a_lone_net_is_scored_on_the_caller(monkeypatch, kind):
     for given in ([params], lazy([params])):
         got = predict(given, cfg, u, ys)
         assert [None if a is None else a.tobytes() for a in got] == want
+
+
+@pytest.mark.parametrize("kind, n", [("vanilla", 7), ("vanilla", 1), ("prob", 1)],
+                         ids=["ensemble", "vanilla", "prob"])
+def test_a_kept_trunk_basis_gives_the_bytes_of_the_trunk_pass(monkeypatch, kind, n):
+    """Members that come with a function hand it their trunk's (heads, k, q)
+    values; given back as arrays, the members run only their branches. Both
+    give the bytes of the same members alone: an ensemble scored on both
+    lanes, and a lone net of each kind on the caller. A basis of other query
+    times or another head count is refused."""
+    members = [init(CFG, kind, s) for s in range(n)]
+    U, ys = np.random.default_rng(51).uniform(0.8, 1.1, (3, 10)), np.linspace(2.1, 9.0, ROWS)
+    want = [None if a is None else a.tobytes() for a in predict(members, CFG, U, ys)]
+    kept = {}
+    cold = predict([(p, functools.partial(kept.__setitem__, i)) for i, p in enumerate(members)],
+                   CFG, U, ys)
+    bases = [kept[i] for i in range(n)]
+    assert {b.shape for b in bases} == {(2 if kind == "prob" else 1, ROWS, CFG.q)}
+    threads, trunk = record_lanes(monkeypatch, meet=n > 1), []
+    half = deeponet._forward_half
+    monkeypatch.setattr(deeponet, "_forward_half", lambda *a: trunk.append(a[3]) or half(*a))
+    warm = predict(list(zip(members, bases)), CFG, U, ys)
+    assert len(set(threads)) == min(n, 2) and set(trunk) == {"b_"}
+    for got in (cold, warm):
+        assert [None if a is None else a.tobytes() for a in got] == want
+    for basis in (bases[0][:, :5], np.concatenate([bases[0]] * 2)[:1 if kind == "prob" else 2]):
+        with pytest.raises(ValueError, match=r"^a basis of shape \(\d, \d+, 6\) does not fit"):
+            predict([(members[0], basis)], CFG, U, ys)
 
 
 def test_a_lane_holds_one_member_at_a_time(monkeypatch):
